@@ -26,12 +26,7 @@
 #   7. a perf-regression gate: bench/hotpath_speed re-run at its
 #      committed parameters and compared against the checked-in
 #      BENCH_hotpath.json (fails when batched throughput drops below
-#      80% of the recorded baseline), then bench/parallel_scaling
-#      against BENCH_parallel.json: the copy engine must keep >= 2x
-#      migration bandwidth at 4 workers (simulated, machine-
-#      independent), and on runners with >= 4 cores the 4-host-thread
-#      throughput must stay >= 80% of the committed baseline and
-#      >= 1.5x the same run's 1-thread figure; then bench/scale_sweep
+#      80% of the recorded baseline), then bench/scale_sweep
 #      against BENCH_scale.json: the one-segment out-of-core build
 #      must stay bit-identical to the monolithic loader and the
 #      largest committed scale cell must keep >= 80% of its recorded
@@ -42,18 +37,15 @@
 #      asserting that frames actually retired and requests were
 #      actually killed (nonzero hwpoison_* counters) while every
 #      poisoned-frame invariant held;
-#   9. a TSan matrix: a ThreadSanitizer build running the threaded
-#      tests (host executor park/round protocol, copy engine), one
-#      short PageRank cell at 4 host threads and one KV serving cell
-#      at MEMTIER_HOST_THREADS=4, plus a determinism cell replaying
-#      the same seed twice at 4 host threads and diffing every
-#      simulated observable;
-#  10. an autotune pass: a short tuned PageRank + KV cell under the
+#   9. an autotune pass: a short tuned PageRank + KV cell under the
 #      invariant checker asserting the online tuner actually moved at
 #      least one tunable, then a perf gate on the committed
 #      BENCH_autotune.json: tuned autonuma must be >= 1.0x the default
 #      configuration on every committed cell and keep a >5% win on at
-#      least one.
+#      least one;
+#  10. a benchmark smoke pass: perfbench/smoke_test.py builds the
+#      repository benchmark from src/ and runs every workload at tiny
+#      sizes, so an engine API change cannot silently break it.
 #
 # All builds live in their own build directories so they never disturb
 # an existing developer build/.
@@ -144,48 +136,6 @@ if ratio < 0.8:
              "vs BENCH_hotpath.json (refresh the baseline via "
              "run_benches.sh if the change is intentional)")
 EOF
-# Host-thread / copy-worker scaling against the committed baseline.
-# The migration-bandwidth axis is simulated (a pure function of the
-# worker count), so it gates on every machine; the wall-clock axes
-# only gate on runners with >= 4 cores, where scaling is physical.
-./build-ci/bench/parallel_scaling \
-    --out=build-ci/BENCH_parallel_ci.json > /dev/null
-python3 - BENCH_parallel.json build-ci/BENCH_parallel_ci.json <<'EOF'
-import json, sys
-base = json.load(open(sys.argv[1]))
-now = json.load(open(sys.argv[2]))
-def at(rec, n):
-    for row in rec["per_threads"]:
-        if row["threads"] == n:
-            return row
-    sys.exit(f"parallel gate FAILED: no {n}-thread row in record")
-if not now.get("checksum_ok", False):
-    sys.exit("parallel gate FAILED: application checksum changed "
-             "with the host thread count")
-mig = at(now, 4)["migration_speedup"]
-print(f"parallel gate: migration bandwidth at 4 copy workers "
-      f"{mig:.2f}x the 1-worker figure")
-if mig < 2.0:
-    sys.exit("parallel gate FAILED: migration bandwidth at 4 copy "
-             "workers fell below 2x the 1-worker figure")
-cores = int(now.get("host_cores", 0))
-if cores >= 4:
-    n1, n4 = at(now, 1), at(now, 4)
-    vs_base = n4["accesses_per_sec"] / at(base, 4)["accesses_per_sec"]
-    vs_self = n4["accesses_per_sec"] / n1["accesses_per_sec"]
-    print(f"parallel gate: 4-thread throughput {vs_base:.2f}x of the "
-          f"committed baseline, {vs_self:.2f}x of this run's 1-thread")
-    if vs_base < 0.8:
-        sys.exit("parallel gate FAILED: 4-thread throughput regressed "
-                 ">20% vs BENCH_parallel.json (refresh the baseline "
-                 "via run_benches.sh if the change is intentional)")
-    if vs_self < 1.5:
-        sys.exit("parallel gate FAILED: 4-thread throughput below "
-                 "1.5x the 1-thread figure")
-else:
-    print(f"parallel gate: wall-clock thresholds skipped "
-          f"(runner has {cores} core(s), need 4)")
-EOF
 # Footprint-scale gate: re-run the largest committed cell of the
 # segmented-CSR sweep (the run starts with the segment-1 bit-identity
 # golden check, so a divergent out-of-core build fails here before any
@@ -253,45 +203,7 @@ print(f"ecc gate: {hot['frames_retired']} frames retired, "
       f"{float(hot['availability']):.4f} (baseline clean)")
 EOF
 
-echo "=== [9/10] tsan matrix: ThreadSanitizer build + threaded cells ==="
-# The host executor shares the engine with real std::threads; TSan
-# verifies the park/round protocol's happens-before edges for real.
-cmake -B build-tsan -S . -DMEMTIER_WERROR=ON \
-    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DCMAKE_CXX_FLAGS="-fsanitize=thread -O1 -g"
-cmake --build build-tsan -j "$JOBS" --target \
-    hostexec_test mem_test parallel_scaling serving_tail policy_sweep
-# Threaded tests: the executor protocol end to end, plus the copy
-# engine's scheduling unit tests.
-./build-tsan/tests/hostexec_test
-./build-tsan/tests/mem_test --gtest_filter='CopyEngine*'
-# One short PageRank cell at 4 host threads (the bench sets the thread
-# count per run, so no env var here: it would pin every run to 4).
-./build-tsan/bench/parallel_scaling \
-    --scale=10 --trials=2 --reps=1 --threads=1,4 \
-    --out=build-tsan/BENCH_parallel_tsan.json > /dev/null
-# One KV serving cell with the engine at 4 host threads.
-MEMTIER_HOST_THREADS=4 ./build-tsan/bench/serving_tail --trials=1 \
-    --policies=autonuma --no-thp \
-    --out=build-tsan/BENCH_serving_tsan.json \
-    --csv=build-tsan/serving_tsan.csv > /dev/null
-# Determinism cell: the same seed twice at 4 host threads. The sweep
-# CSV holds only simulated observables (vmstat counters, simulated
-# seconds), so the two files must be byte-identical.
-MEMTIER_HOST_THREADS=4 ./build-tsan/bench/policy_sweep \
-    --policy=autonuma --tunable scan_period_ms=0.5 --workload pr:kron \
-    --out=build-tsan/determinism_a.csv > /dev/null
-MEMTIER_HOST_THREADS=4 ./build-tsan/bench/policy_sweep \
-    --policy=autonuma --tunable scan_period_ms=0.5 --workload pr:kron \
-    --out=build-tsan/determinism_b.csv > /dev/null
-if ! diff build-tsan/determinism_a.csv build-tsan/determinism_b.csv; then
-    echo "ci.sh: determinism cell FAILED -- the same seed at 4 host" >&2
-    echo "  threads produced different simulated observables" >&2
-    exit 1
-fi
-echo "tsan matrix: determinism cell identical"
-
-echo "=== [10/10] autotune: tuner smoke + tuned-vs-default perf gate ==="
+echo "=== [9/10] autotune: tuner smoke + tuned-vs-default perf gate ==="
 # Smoke: one graph cell and one serving cell under the invariant
 # checker. The run itself proves tuning keeps every kernel invariant;
 # the assertion below proves the tuner actually moved something (an
@@ -337,5 +249,11 @@ if best["speedup"] <= 1.05:
              f"{best['speedup']:.3f}x (need >1.05x on at least one "
              f"cell)")
 EOF
+
+echo "=== [10/10] benchmark smoke: perfbench at tiny sizes ==="
+# The benchmark builds its own copy of src/ (into .bench_build/) and
+# drives it through the public entry points; a tiny run of every
+# workload checks names, units and oracles end to end.
+python3 perfbench/smoke_test.py
 
 echo "ci.sh: all gates passed"

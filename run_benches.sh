@@ -44,13 +44,6 @@ for b in $binaries; do
         # compare against; the binary itself fails when the two paths
         # stop being bit-identical.
         "$b" --out=BENCH_hotpath.json 2>/dev/null
-    elif [ "$name" = "parallel_scaling" ]; then
-        # Host-thread and copy-worker scaling: wall-clock accesses/sec
-        # at 1/2/4/8 host threads plus the copy engine's deterministic
-        # migration bandwidth. Writes the record the CI perf gate
-        # compares against; the binary fails when the application
-        # checksum changes with the thread count.
-        "$b" --out=BENCH_parallel.json 2>/dev/null
     elif [ "$name" = "scale_sweep" ]; then
         # Footprint-vs-scale on the segmented CSR path: out-of-core
         # builds from the default scale 18 up to multi-GB footprints

@@ -21,15 +21,11 @@ runPageRank(Engine &eng, SimHeap &heap, const SegmentedCsrView &g,
         heap.alloc<double>(t0, "pr.contrib", n);
 
     const double init = 1.0 / static_cast<double>(g.numNodes());
-    // Every region below writes only its own [b, e) slice of rank /
-    // contrib (gather reads contrib written by the *previous* barrier),
-    // so they are safe to fan out across host threads.
     eng.parallelForRanges(
         n,
         [&](ThreadContext &t, std::uint64_t b, std::uint64_t e) {
             rank.fillRange(t, b, e, init);
-        },
-        16, RegionMode::WriteDisjoint);
+        });
 
     // Per-thread host staging for the bulk calls.
     struct Scratch
@@ -64,8 +60,7 @@ runPageRank(Engine &eng, SimHeap &heap, const SegmentedCsrView &g,
                             : 0.0;
                 }
                 contrib.putRange(t, b, s.vals.data(), e - b);
-            },
-            16, RegionMode::WriteDisjoint);
+            });
         // Gather phase: pull neighbor contributions. Consecutive
         // vertices' adjacency rows are contiguous in CSR order, so the
         // whole subrange needs only one bulk offset read, one bulk
@@ -101,8 +96,7 @@ runPageRank(Engine &eng, SimHeap &heap, const SegmentedCsrView &g,
                     s.vals[v - b] = base + damping * sum;
                 }
                 rank.putRange(t, b, s.vals.data(), e - b);
-            },
-            16, RegionMode::WriteDisjoint);
+            });
     }
 
     out.rank.assign(rank.host(), rank.host() + n);

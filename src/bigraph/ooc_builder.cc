@@ -7,6 +7,8 @@
 #include <map>
 #include <memory>
 
+#include <unistd.h>
+
 #include "base/logging.h"
 #include "base/rng.h"
 #include "bigraph/segmented_csr.h"
@@ -61,11 +63,35 @@ specKey(const BigraphSpec &s)
            std::to_string(s.segments);
 }
 
-/** Process-wide artifact cache, keyed by spec identity. */
-std::map<std::string, BigraphArtifacts> &
+/**
+ * Process-wide artifact cache, keyed by spec identity. Its spill files
+ * carry the process id, so concurrent processes sharing a spill
+ * directory never truncate each other's buckets; they are deleted when
+ * the cache is cleared or the process exits.
+ */
+struct ArtifactCache
+{
+    std::map<std::string, BigraphArtifacts> byKey;
+
+    ~ArtifactCache() { clear(); }
+
+    void
+    clear()
+    {
+        for (auto &[key, art] : byKey) {
+            for (const std::string &path : art.segFiles) {
+                std::error_code ec;
+                std::filesystem::remove(path, ec);
+            }
+        }
+        byKey.clear();
+    }
+};
+
+ArtifactCache &
 artifactCache()
 {
-    static std::map<std::string, BigraphArtifacts> cache;
+    static ArtifactCache cache;
     return cache;
 }
 
@@ -226,7 +252,7 @@ prepareBigraph(const BigraphSpec &spec)
     MEMTIER_ASSERT(spec.segments >= 1, "bigraph needs >= 1 segment");
 
     const std::string key = specKey(spec);
-    auto &cache = artifactCache();
+    auto &cache = artifactCache().byKey;
     if (const auto it = cache.find(key); it != cache.end())
         return it->second;
 
@@ -245,10 +271,10 @@ prepareBigraph(const BigraphSpec &spec)
     const std::string dir = bigraphSpillDir();
     art.segFiles.resize(art.segments);
     art.edgeCounts.assign(art.segments, 0);
-    for (std::uint32_t k = 0; k < art.segments; ++k) {
-        art.segFiles[k] =
-            dir + "/" + key + ".seg" + std::to_string(k) + ".pairs";
-    }
+    const std::string stem =
+        dir + "/" + key + ".p" + std::to_string(::getpid()) + ".seg";
+    for (std::uint32_t k = 0; k < art.segments; ++k)
+        art.segFiles[k] = stem + std::to_string(k) + ".pairs";
 
     inform("bigraph: spilling %s scale %d into %u segment buckets",
            bigraphKindName(spec.kind), spec.scale, art.segments);
@@ -265,12 +291,6 @@ prepareBigraph(const BigraphSpec &spec)
 void
 clearBigraphArtifacts()
 {
-    for (auto &[key, art] : artifactCache()) {
-        for (const std::string &path : art.segFiles) {
-            std::error_code ec;
-            std::filesystem::remove(path, ec);
-        }
-    }
     artifactCache().clear();
 }
 

@@ -89,7 +89,7 @@ const BigraphArtifacts &prepareBigraph(const BigraphSpec &spec);
 
 /**
  * Drop the artifact cache and delete its spill files (tests and
- * RSS-sensitive sweeps).
+ * RSS-sensitive sweeps). Process exit does the same.
  */
 void clearBigraphArtifacts();
 

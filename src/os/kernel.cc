@@ -496,54 +496,6 @@ Kernel::touchPage(PageNum vpn, Cycles now, MemOp op)
     return result;
 }
 
-bool
-Kernel::fastTouch(PageNum vpn, TouchResult *out) const
-{
-    // Host workers may only resolve a touch locally when touchPage
-    // would have done nothing but stamp recency: the page is present
-    // and carries no hint marker, and no fault injector is installed
-    // (the executor refuses to go parallel with one, so the ECC query
-    // touchPage would make is a no-op here). Everything else needs a
-    // kernel round.
-    const PageMeta *meta = pt.find(vpn);
-    if (meta != nullptr && meta->present) {
-        if (meta->protNone)
-            return false;
-        out->node = meta->node;
-        out->cost = 0;
-        out->pageFault = false;
-        out->hintFault = false;
-        out->sigbus = false;
-        return true;
-    }
-    const PageMeta *hmeta = pt.findHuge(vpn);
-    if (hmeta != nullptr && hmeta->present && !hmeta->protNone) {
-        out->node = hmeta->node;
-        out->cost = 0;
-        out->pageFault = false;
-        out->hintFault = false;
-        out->sigbus = false;
-        return true;
-    }
-    return false;
-}
-
-void
-Kernel::applyDeferredRecency(PageNum vpn, Cycles stamp)
-{
-    // The page may have been remapped, collapsed, split or unmapped
-    // between the worker's probe and this round; stamp whatever
-    // mapping covers it now, if any.
-    PageMeta *meta = pt.find(vpn);
-    if (meta != nullptr && meta->present) {
-        meta->lastAccess = stamp;
-        return;
-    }
-    PageMeta *hmeta = pt.findHuge(vpn);
-    if (hmeta != nullptr && hmeta->present)
-        hmeta->lastAccess = stamp;
-}
-
 // -- Memory failure (hwpoison) ----------------------------------------
 
 bool

@@ -212,25 +212,6 @@ class Kernel
     MemNode nodeOf(PageNum vpn) const;
 
     /**
-     * Read-only touch probe for host workers running outside a kernel
-     * round: succeeds only when @p vpn is present with no pending hint
-     * fault (4 KiB PTE or PMD mapping), filling @p out with the same
-     * result touchPage would produce for that case (zero cost, no
-     * flags). The recency stamp is NOT updated -- the caller defers it
-     * via applyDeferredRecency at the next round. Returns false when
-     * the touch needs any kernel mutation (fault, hint, ECC check);
-     * the caller must then fall back to a full touchPage.
-     */
-    bool fastTouch(PageNum vpn, TouchResult *out) const;
-
-    /**
-     * Apply a recency stamp deferred by a fastTouch: stamp @p vpn's
-     * metadata (PTE or covering PMD) with @p stamp. Tolerates the page
-     * having been unmapped or remapped since the probe.
-     */
-    void applyDeferredRecency(PageNum vpn, Cycles stamp);
-
-    /**
      * Monotonic counter bumped on every remap: migration, demotion,
      * exchange, THP collapse/split, munmap -- anything that issues a
      * TLB shootdown. Software translation caches key their entries on

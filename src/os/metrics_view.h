@@ -25,7 +25,7 @@ struct MetricsView
     /** Snapshot time on the simulated cycle clock. */
     Cycles now = 0;
 
-    /** Memory accesses completed so far (all levels, all lanes). */
+    /** Memory accesses completed so far (all levels). */
     std::uint64_t accesses = 0;
 
     /** Cycles those accesses spent in the memory system. */

@@ -125,10 +125,6 @@ struct VmStat
     /** Cycles copy workers spent busy (foreground + background). */
     std::uint64_t pgcopyBusyCycles = 0;
 
-    /** Read-only page touches resolved on a host worker without a
-     *  kernel round (parallel host execution fast path). */
-    std::uint64_t hostFastTouches = 0;
-
     /** Delta of every field between two snapshots (this - earlier). */
     VmStat
     delta(const VmStat &earlier) const
@@ -176,7 +172,6 @@ struct VmStat
         d.pgcopyQueuedChunks =
             pgcopyQueuedChunks - earlier.pgcopyQueuedChunks;
         d.pgcopyBusyCycles = pgcopyBusyCycles - earlier.pgcopyBusyCycles;
-        d.hostFastTouches = hostFastTouches - earlier.hostFastTouches;
         return d;
     }
 };

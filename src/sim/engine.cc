@@ -4,7 +4,6 @@
 
 #include "base/logging.h"
 #include "policy/policy_registry.h"
-#include "sim/host_executor.h"
 
 namespace memtier {
 
@@ -148,16 +147,6 @@ Engine::Engine(const SystemConfig &config)
     for (std::uint32_t i = 0; i < cfg.numThreads; ++i)
         threads.push_back(std::make_unique<ThreadContext>(i, cfg.cache));
 
-    // Host execution width: config value, overridable by
-    // MEMTIER_HOST_THREADS, clamped to the logical thread count (a
-    // worker needs at least one logical thread to own). 1 keeps the
-    // serial engine exactly as it was -- no executor is ever built.
-    hostThreads_ = std::max<std::uint32_t>(1, cfg.hostThreads);
-    if (const std::uint32_t hw = positiveIntFromEnv("MEMTIER_HOST_THREADS"))
-        hostThreads_ = hw;
-    hostThreads_ = std::min<std::uint32_t>(hostThreads_, cfg.numThreads);
-    cfg.hostThreads = hostThreads_;
-
     nextKswapd = cfg.kswapdPeriod;
     nextScan = tiering && tiering->scanPeriod() > 0
                    ? tiering->scanPeriod()
@@ -220,20 +209,6 @@ Engine::globalTime() const
 void
 Engine::maybeRunServices(Cycles now)
 {
-    // On a host worker the services cannot run in place -- they mutate
-    // kernel state other workers are concurrently reading. Park until
-    // the coordinator has run them in a round; round code itself calls
-    // maybeRunServicesImpl directly, so this cannot recurse.
-    if (hostExec_ && hostExec_->inWorker()) {
-        hostExec_->parkForService(now);
-        return;
-    }
-    maybeRunServicesImpl(now);
-}
-
-void
-Engine::maybeRunServicesImpl(Cycles now)
-{
     if (now <= serviceClock)
         return;
     serviceClock = now;
@@ -271,9 +246,6 @@ Engine::sampleMetrics(Cycles now) const
 {
     MetricsView mv;
     mv.now = now;
-    // Master shards only: host-worker lanes merge at region end, so a
-    // snapshot taken from a service (every worker parked) is a pure
-    // function of the deterministic merged state.
     for (int i = 0; i < kNumMemLevels; ++i)
         mv.accesses += level_counts[i];
     mv.accessCycles = accessCycles_;
@@ -306,8 +278,8 @@ Engine::writebackLine(ThreadContext &t, Addr line)
     const PageMeta *meta = kern->pageMeta(pageOf(line << kLineShift));
     if (meta == nullptr || !meta->present)
         return;
-    tierAccess(meta->node, t.clock(), MemOp::Store,
-               /*sequential=*/false);
+    phys.tier(meta->node).access(t.clock(), MemOp::Store,
+                                 /*sequential=*/false);
 }
 
 void
@@ -319,14 +291,13 @@ Engine::pushVictim(ThreadContext &t, SetAssocCache &lower,
     if (lower.access(victim.line, victim.dirty))
         return;  // Already present; dirty bit merged by access().
     const CacheEviction next = lower.insert(victim.line, victim.dirty);
-    SetAssocCache &shared_l3 = sharedL3Ref();
-    if (&lower == &shared_l3) {
+    if (&lower == &l3) {
         if (next.valid && next.dirty)
             writebackLine(t, next.line);
         return;
     }
     // lower was L2; its victim falls to the shared L3.
-    pushVictim(t, shared_l3, next);
+    pushVictim(t, l3, next);
 }
 
 void
@@ -334,17 +305,16 @@ Engine::fillOnMiss(ThreadContext &t, Addr line, bool dirty, MemLevel from)
 {
     // Install the line at every level above the servicing one; victims
     // trickle downward and dirty L3 victims write back to memory.
-    SetAssocCache &shared_l3 = sharedL3Ref();
     if (from == MemLevel::DRAM || from == MemLevel::NVM) {
-        if (!shared_l3.contains(line)) {
-            const CacheEviction ev = shared_l3.insert(line, false);
+        if (!l3.contains(line)) {
+            const CacheEviction ev = l3.insert(line, false);
             if (ev.valid && ev.dirty)
                 writebackLine(t, ev.line);
         }
     }
     if (from != MemLevel::L2 && !t.l2.contains(line)) {
         const CacheEviction ev = t.l2.insert(line, false);
-        pushVictim(t, shared_l3, ev);
+        pushVictim(t, l3, ev);
     }
     const CacheEviction ev = t.l1.insert(line, dirty);
     pushVictim(t, t.l2, ev);
@@ -362,7 +332,8 @@ Engine::memoryAccess(ThreadContext &t, Addr addr, MemNode node, MemOp op,
 
     // Stores that miss all caches fetch the line for ownership (RFO) at
     // load latency; the dirty data leaves later via writeback.
-    Cycles lat = tierAccess(node, issue_time, MemOp::Load, sequential);
+    Cycles lat =
+        phys.tier(node).access(issue_time, MemOp::Load, sequential);
     if (faults_ && node == MemNode::NVM) {
         // Injected NVM latency spike (media congestion / thermal jitter).
         lat += faults_->latencyPenalty(FaultPoint::NvmLatency, issue_time);
@@ -375,9 +346,9 @@ Engine::memoryAccess(ThreadContext &t, Addr addr, MemNode node, MemOp op,
         if (pageOf(next_addr) == pageOf(addr)) {
             const Addr next_line = lineOf(next_addr);
             if (!t.l1.contains(next_line) && !t.l2.contains(next_line) &&
-                !sharedL3Ref().contains(next_line)) {
-                const Cycles pf_lat = tierAccess(
-                    node, issue_time, MemOp::Load, /*sequential=*/true);
+                !l3.contains(next_line)) {
+                const Cycles pf_lat = phys.tier(node).access(
+                    issue_time, MemOp::Load, /*sequential=*/true);
                 fillOnMiss(t, next_line, false, MemLevel::DRAM);
                 t.lfb.add(next_line, issue_time + pf_lat);
             }
@@ -444,27 +415,10 @@ Engine::accessCore(ThreadContext &t, Addr addr, MemOp op, bool assists)
         const unsigned mem_refs =
             huge ? cp.pageWalkMemRefsHuge : cp.pageWalkMemRefs;
         for (unsigned i = 0; i < mem_refs; ++i) {
-            cost += tierAccess(MemNode::DRAM, t.clock() + cost,
-                               MemOp::Load, /*sequential=*/false);
+            cost += phys.tier(MemNode::DRAM).access(
+                t.clock() + cost, MemOp::Load, /*sequential=*/false);
         }
-        TouchResult tr;
-        HostLane *lane = tls_host_lane;
-        if (lane == nullptr) {
-            tr = kern->touchPage(vpn, t.clock() + cost, op);
-        } else if (kern->fastTouch(vpn, &tr)) {
-            // Present page, no pending fault: resolved worker-locally.
-            // touchPage would only have stamped recency; defer that to
-            // the next round so the page table stays frozen.
-            lane->recency.emplace_back(vpn, t.clock() + cost);
-            ++lane->vm.hostFastTouches;
-        } else {
-            // Fault or hint fault: a kernel mutation. Park until the
-            // coordinator has run the touch inside a round.
-            const Cycles touch_now = t.clock() + cost;
-            hostExec_->requestRound(touch_now, [&] {
-                tr = kern->touchPage(vpn, touch_now, op);
-            });
-        }
+        const TouchResult tr = kern->touchPage(vpn, t.clock() + cost, op);
         cost += tr.cost;
         node = tr.node;
         node_known = true;
@@ -511,7 +465,7 @@ Engine::accessCore(ThreadContext &t, Addr addr, MemOp op, bool assists)
         level = MemLevel::L2;
         cost += cp.l2Latency;
         fillOnMiss(t, line, op == MemOp::Store, MemLevel::L2);
-    } else if (sharedL3Ref().access(line, false)) {
+    } else if (l3.access(line, false)) {
         level = MemLevel::L3;
         cost += cp.l3Latency;
         fillOnMiss(t, line, op == MemOp::Store, MemLevel::L3);
@@ -547,7 +501,7 @@ Engine::accessCore(ThreadContext &t, Addr addr, MemOp op, bool assists)
     }
 
     t.advance(cost);
-    ++levelCountsRef()[static_cast<int>(level)];
+    ++level_counts[static_cast<int>(level)];
     if (op == MemOp::Load)
         ++t.loads;
     else
@@ -652,7 +606,7 @@ Engine::accessBatch(ThreadContext &t, std::span<const AccessRequest> reqs)
             else
                 t.tlb.repeatHits(vpn, m);
             t.l1.accessRepeats(line, m, st > 0);
-            levelCountsRef()[static_cast<int>(MemLevel::L1)] += m;
+            level_counts[static_cast<int>(MemLevel::L1)] += m;
             t.loads += m - st;
             t.stores += st;
             i = run_end;
@@ -730,9 +684,9 @@ Engine::accessBatch(ThreadContext &t, std::span<const AccessRequest> reqs)
                     repeats += safe;
                     lfb_hits += lfb_n;
                     any_write = any_write || st > 0;
-                    levelCountsRef()[static_cast<int>(MemLevel::LFB)] +=
+                    level_counts[static_cast<int>(MemLevel::LFB)] +=
                         lfb_n;
-                    levelCountsRef()[static_cast<int>(MemLevel::L1)] +=
+                    level_counts[static_cast<int>(MemLevel::L1)] +=
                         safe - lfb_n;
                     t.loads += safe - st;
                     t.stores += st;
@@ -789,7 +743,7 @@ Engine::accessBatch(ThreadContext &t, std::span<const AccessRequest> reqs)
             total += cost;
             ++repeats;
             any_write = any_write || op == MemOp::Store;
-            ++levelCountsRef()[static_cast<int>(level)];
+            ++level_counts[static_cast<int>(level)];
             if (op == MemOp::Load)
                 ++t.loads;
             else
@@ -814,7 +768,7 @@ Engine::accessBatch(ThreadContext &t, std::span<const AccessRequest> reqs)
         for (AccessObserver *obs : observers)
             obs->onBatch(recScratch_.data(), recScratch_.size());
     }
-    accessCyclesRef() += total;
+    accessCycles_ += total;
     return total;
 }
 
@@ -852,7 +806,7 @@ Engine::accessRange(ThreadContext &t, Addr base, std::uint64_t count,
             accessPrologue(t, false);
             total += accessCore(t, base + k * stride, op, false).cost;
         }
-        accessCyclesRef() += total;
+        accessCycles_ += total;
         return total;
     }
 
@@ -890,7 +844,7 @@ Engine::accessRange(ThreadContext &t, Addr base, std::uint64_t count,
                          run - 1, is_store, consumed, prologue_done);
         k += consumed;
     }
-    accessCyclesRef() += total;
+    accessCycles_ += total;
     return total;
 }
 
@@ -919,7 +873,7 @@ Engine::tailRun(ThreadContext &t, Addr line, PageNum vpn, bool huge,
         else
             t.tlb.repeatHits(vpn, m);
         t.l1.accessRepeats(line, m, is_store);
-        levelCountsRef()[static_cast<int>(MemLevel::L1)] += m;
+        level_counts[static_cast<int>(MemLevel::L1)] += m;
         if (is_store)
             t.stores += m;
         else
@@ -979,8 +933,8 @@ Engine::tailRun(ThreadContext &t, Addr line, PageNum vpn, bool huge,
                 total += safe * cp.l1Latency;
                 repeats += safe;
                 lfb_hits += lfb_n;
-                levelCountsRef()[static_cast<int>(MemLevel::LFB)] += lfb_n;
-                levelCountsRef()[static_cast<int>(MemLevel::L1)] +=
+                level_counts[static_cast<int>(MemLevel::LFB)] += lfb_n;
+                level_counts[static_cast<int>(MemLevel::L1)] +=
                     safe - lfb_n;
                 if (is_store)
                     t.stores += safe;
@@ -1030,7 +984,7 @@ Engine::tailRun(ThreadContext &t, Addr line, PageNum vpn, bool huge,
         t.advance(cost);
         total += cost;
         ++repeats;
-        ++levelCountsRef()[static_cast<int>(level)];
+        ++level_counts[static_cast<int>(level)];
         if (is_store)
             ++t.stores;
         else
@@ -1072,7 +1026,7 @@ Engine::accessMany(ThreadContext &t, std::span<const Addr> addrs, MemOp op)
             accessPrologue(t, false);
             total += accessCore(t, addr, op, false).cost;
         }
-        accessCyclesRef() += total;
+        accessCycles_ += total;
         return total;
     }
 
@@ -1108,7 +1062,7 @@ Engine::accessMany(ThreadContext &t, std::span<const Addr> addrs, MemOp op)
                          run_end - i, is_store, consumed, prologue_done);
         i += consumed;
     }
-    accessCyclesRef() += total;
+    accessCycles_ += total;
     return total;
 }
 
@@ -1135,50 +1089,11 @@ Engine::auditTranslationCaches(Cycles now) const
     }
 }
 
-void
-Engine::runParallelRegion(
-    std::uint64_t n, std::uint64_t grain,
-    const std::function<void(ThreadContext &, std::uint64_t,
-                             std::uint64_t)> &body)
-{
-    syncClocks();
-
-    // Identical static block partition to the serial template; only
-    // the interleaving between partitions changes.
-    std::vector<HostRange> ranges(threads.size());
-    const std::uint64_t per = n / threads.size();
-    const std::uint64_t rem = n % threads.size();
-    std::uint64_t cursor = 0;
-    std::size_t busy = 0;
-    for (std::size_t t = 0; t < threads.size(); ++t) {
-        const std::uint64_t len = per + (t < rem ? 1 : 0);
-        ranges[t] = {cursor, cursor + len};
-        cursor += len;
-        if (len > 0)
-            ++busy;
-    }
-    activeThreads = static_cast<std::uint32_t>(busy);
-
-    if (!hostExec_)
-        hostExec_ = std::make_unique<HostExecutor>(*this, hostThreads_);
-    hostExec_->run(std::move(ranges), grain, body);
-
-    barrier();
-    activeThreads = 1;
-}
-
 Addr
 Engine::sysMmap(ThreadContext &t, std::uint64_t bytes, ObjectId object,
                 const std::string &site)
 {
     t.advance(cfg.syscallCycles);
-    if (hostExec_ && hostExec_->inWorker()) {
-        Addr base = 0;
-        hostExec_->requestRound(t.clock(), [&] {
-            base = kern->mmap(t.clock(), bytes, object, site);
-        });
-        return base;
-    }
     maybeRunServices(t.clock());
     return kern->mmap(t.clock(), bytes, object, site);
 }
@@ -1187,11 +1102,6 @@ void
 Engine::sysMunmap(ThreadContext &t, Addr start)
 {
     t.advance(cfg.syscallCycles);
-    if (hostExec_ && hostExec_->inWorker()) {
-        hostExec_->requestRound(
-            t.clock(), [&] { kern->munmap(t.clock(), start); });
-        return;
-    }
     maybeRunServices(t.clock());
     kern->munmap(t.clock(), start);
 }
@@ -1200,11 +1110,6 @@ void
 Engine::sysMbind(ThreadContext &t, Addr start, const MemPolicy &policy)
 {
     t.advance(cfg.syscallCycles);
-    if (hostExec_ && hostExec_->inWorker()) {
-        hostExec_->requestRound(
-            t.clock(), [&] { kern->mbind(start, policy); });
-        return;
-    }
     kern->mbind(start, policy);
 }
 
@@ -1217,14 +1122,6 @@ Engine::registerFile(std::uint64_t bytes, const std::string &name)
 void
 Engine::fileReadPage(ThreadContext &t, PageNum vpn)
 {
-    if (hostExec_ && hostExec_->inWorker()) {
-        Cycles cost = 0;
-        hostExec_->requestRound(t.clock(), [&] {
-            cost = kern->ensureCached(vpn, t.clock());
-        });
-        t.advance(cost);
-        return;
-    }
     const Cycles cost = kern->ensureCached(vpn, t.clock());
     t.advance(cost);
     maybeRunServices(t.clock());

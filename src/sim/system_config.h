@@ -66,7 +66,12 @@ struct SystemConfig
      */
     bool tieringKernel = true;
 
-    /** Logical threads (the paper runs 18, one per core). */
+    /**
+     * Logical threads (the paper runs 18, one per core). They are
+     * simulated: the engine interleaves them deterministically by
+     * earliest clock on the calling host thread, whatever the host's
+     * core count.
+     */
     std::uint32_t numThreads = 18;
 
     /** Pipeline cycles charged per memory operation besides the
@@ -115,18 +120,6 @@ struct SystemConfig
      * (ON/1) force-enables it.
      */
     bool scalarPath = false;
-
-    /**
-     * Host OS threads executing write-disjoint parallel regions. 1
-     * (the default) keeps the whole engine on the calling thread and
-     * is bit-identical to every pre-parallel golden; values > 1 split
-     * the logical threads into that many groups, each run by a real
-     * std::thread over the park/round protocol (deterministic for a
-     * fixed count, but a different interleaving than serial). The
-     * MEMTIER_HOST_THREADS environment variable overrides it; the
-     * engine clamps to numThreads.
-     */
-    std::uint32_t hostThreads = 1;
 };
 
 }  // namespace memtier

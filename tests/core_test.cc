@@ -175,7 +175,7 @@ TEST_P(PlannerBudgetSweep, InvariantsHold)
 {
     std::vector<SiteProfile> profiles;
     for (int i = 0; i < 12; ++i) {
-        profiles.push_back(site("s" + std::to_string(i),
+        profiles.push_back(site(std::string("s").append(std::to_string(i)),
                                 (1 + i % 5) * kPageSize,
                                 1000 - i * 50));
     }
