@@ -59,28 +59,33 @@ main()
         TextTable table({"mode", "exec (s)", "NVM ext share",
                          "promotions", "demotions"});
         RunResult profile_run;
-        for (const Mode mode :
-             {Mode::AllDram, Mode::AutoNuma, Mode::NoTiering,
-              Mode::ObjectStatic, Mode::AllNvm}) {
+        for (const std::string mode : {"all_dram", "autonuma", "notiering",
+                                       "object_static", "all_nvm"}) {
             RunConfig rc = baseConfig();
-            rc.mode = mode;
-            PlacementPlan plan;
-            const PlacementPlan *plan_ptr = nullptr;
-            if (mode == Mode::ObjectStatic) {
+            PlacementPlan plan;  // Empty: the kernel places everything.
+            if (mode == "object_static") {
                 plan = planFromProfile(profile_run,
                                        rc.sys.dram.capacityBytes,
                                        false);
-                plan_ptr = &plan;
+            } else if (mode != "autonuma") {
+                rc.policy = "";  // The vanilla kernel.
             }
-            std::cerr << "running mode " << modeName(mode) << "...\n";
-            RunResult r = runWorkload(rc, plan_ptr);
+            if (mode == "all_dram") {
+                // Ideal bound: a DRAM tier large enough for everything.
+                rc.sys.dram.capacityBytes = rc.sys.nvm.capacityBytes * 4;
+                plan = PlacementPlan::bindAll(MemNode::DRAM);
+            } else if (mode == "all_nvm") {
+                plan = PlacementPlan::bindAll(MemNode::NVM);
+            }
+            std::cerr << "running mode " << mode << "...\n";
+            RunResult r = runWorkload(rc, &plan);
             const ExternalSplit es = externalSplit(r.samples);
-            table.addRow({modeName(mode), num(r.totalSeconds, 3),
+            table.addRow({mode, num(r.totalSeconds, 3),
                           pct(es.nvmFrac),
                           fmtCount(r.vmstat.pgpromoteSuccess),
                           fmtCount(r.vmstat.pgdemoteKswapd +
                                    r.vmstat.pgdemoteDirect)});
-            if (mode == Mode::AutoNuma)
+            if (mode == "autonuma")
                 profile_run = std::move(r);  // Feeds the planner below.
         }
         table.print(std::cout);

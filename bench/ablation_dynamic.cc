@@ -30,8 +30,8 @@ main()
         const PlacementPlan plan = planFromProfile(
             base, scaledCapacity(24 * kMiB, w.scale), false);
         const RunResult stat =
-            runBench(w, Mode::ObjectStatic, 61, &plan);
-        const RunResult dyn = runBench(w, Mode::ObjectDynamic);
+            runBench(w, "autonuma", 61, &plan);
+        const RunResult dyn = runBench(w, "object-dynamic");
 
         const double sg = 1.0 - stat.totalSeconds / base.totalSeconds;
         const double dg = 1.0 - dyn.totalSeconds / base.totalSeconds;

@@ -14,22 +14,25 @@
 #include <iostream>
 #include <string>
 
+#include "base/logging.h"
 #include "exp/report.h"
 #include "exp/runner.h"
 #include "profile/analysis.h"
 
 namespace memtier {
 
-/** Experiment scale: MEMTIER_SCALE env var, default 18. */
+/** Experiment scale: MEMTIER_SCALE env var (10..24), default 18. */
 inline int
 benchScale()
 {
-    if (const char *env = std::getenv("MEMTIER_SCALE")) {
-        const int scale = std::atoi(env);
-        if (scale >= 10 && scale <= 24)
-            return scale;
-    }
-    return 18;
+    const char *env = std::getenv("MEMTIER_SCALE");
+    if (env == nullptr)
+        return 18;
+    char *end = nullptr;
+    const long scale = std::strtol(env, &end, 10);
+    if (end == env || *end != '\0' || scale < 10 || scale > 24)
+        fatal("MEMTIER_SCALE='%s' is not a scale in 10..24", env);
+    return static_cast<int>(scale);
 }
 
 /**
@@ -52,21 +55,22 @@ scaledCapacity(std::uint64_t base_at_18, int scale)
                        : base_at_18 >> (18 - scale);
 }
 
-/** Run one paper workload under @p mode with sampling. */
+/** Run one paper workload under @p policy (and @p plan) with sampling. */
 inline RunResult
-runBench(const WorkloadSpec &w, Mode mode = Mode::AutoNuma,
+runBench(const WorkloadSpec &w, const std::string &policy = "autonuma",
          std::uint32_t sampler_period = 61,
          const PlacementPlan *plan = nullptr, bool thp = false)
 {
     RunConfig rc;
     rc.workload = w;
-    rc.mode = mode;
+    rc.policy = policy;
     rc.sampler.period = sampler_period;
     rc.sys.dram = makeDramParams(scaledCapacity(24 * kMiB, w.scale));
     rc.sys.nvm = makeNvmParams(scaledCapacity(96 * kMiB, w.scale));
     rc.sys.thp.enabled = thp;
-    std::cerr << "running " << w.name() << " [" << modeName(mode)
-              << (thp ? ", thp" : "") << "] scale=" << w.scale << "...\n";
+    std::cerr << "running " << w.name() << " [" << policy
+              << (plan ? ", plan" : "") << (thp ? ", thp" : "")
+              << "] scale=" << w.scale << "...\n";
     return runWorkload(rc, plan);
 }
 

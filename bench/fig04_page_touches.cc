@@ -27,7 +27,7 @@ main()
     int n = 0;
     for (const WorkloadSpec &w : paperWorkloads(benchScale())) {
         const RunResult r =
-            runBench(w, Mode::AutoNuma, kSparseSamplerPeriod);
+            runBench(w, "autonuma", kSparseSamplerPeriod);
         const TouchBuckets tb = pageTouchBuckets(r.samples);
         table.addRow({w.name(), pct(tb.pagesFrac[0]),
                       pct(tb.pagesFrac[1]), pct(tb.pagesFrac[2]),

@@ -27,7 +27,7 @@ main()
         // Medium sampling density: sparse enough that two-touch pages
         // exist (Figure 4's regime), dense enough that the hottest NVM
         // object contributes a measurable population of them.
-        const RunResult r = runBench(w, Mode::AutoNuma, 2039);
+        const RunResult r = runBench(w, "autonuma", 2039);
         const auto counts = objectAccessCounts(r.samples, r.tracker);
         const ObjectId hottest = hottestNvmObject(counts);
         PercentileSummary reuse;

@@ -32,7 +32,7 @@ main()
         const PlacementPlan plan =
             planFromProfile(base, dram_capacity, false);
         const RunResult obj =
-            runBench(w, Mode::ObjectStatic, 61, &plan);
+            runBench(w, "autonuma", 61, &plan);
 
         const double improv =
             1.0 - obj.totalSeconds / base.totalSeconds;
@@ -61,7 +61,7 @@ main()
             const PlacementPlan spill_plan =
                 planFromProfile(base, dram_capacity, true);
             const RunResult spill =
-                runBench(w, Mode::ObjectSpill, 61, &spill_plan);
+                runBench(w, "autonuma", 61, &spill_plan);
             const double improv2 =
                 1.0 - spill.totalSeconds / base.totalSeconds;
             table.addRow({w.name() + "*", num(base.totalSeconds, 3),

@@ -51,7 +51,7 @@ struct SweepRow
 {
     int scale = 18;
     GraphKind kind = GraphKind::Kron;
-    Mode mode = Mode::AutoNuma;
+    std::string mode = "autonuma";
     int segments = 4;
 };
 
@@ -91,14 +91,12 @@ struct RowResult
     std::uint64_t peakRss = 0;
 };
 
-Mode
+std::string
 parseMode(const std::string &s)
 {
-    for (const Mode m : {Mode::AutoNuma, Mode::NoTiering, Mode::AllNvm,
-                         Mode::AllDram}) {
-        if (s == modeName(m))
-            return m;
-    }
+    if (s == "autonuma" || s == "notiering" || s == "all_nvm" ||
+        s == "all_dram")
+        return s;
     fatal("scale_sweep: unknown mode '%s' (expected autonuma, "
           "notiering, all_nvm or all_dram)",
           s.c_str());
@@ -148,10 +146,20 @@ runRow(const SweepRow &row, int trials)
     rc.workload.scale = row.scale;
     rc.workload.trials = trials;
     rc.workload.segments = row.segments;
-    rc.mode = row.mode;
     rc.sampling = false;
     rc.sys.dram = makeDramParams(scaledCapacity(24 * kMiB, row.scale));
     rc.sys.nvm = makeNvmParams(scaledCapacity(96 * kMiB, row.scale));
+    // Every mode but autonuma is the vanilla kernel; the all_* bounds
+    // bind every allocation, all_dram on a tier that holds everything.
+    PlacementPlan plan;
+    if (row.mode != "autonuma")
+        rc.policy = "";
+    if (row.mode == "all_dram") {
+        rc.sys.dram.capacityBytes = rc.sys.nvm.capacityBytes * 4;
+        plan = PlacementPlan::bindAll(MemNode::DRAM);
+    } else if (row.mode == "all_nvm") {
+        plan = PlacementPlan::bindAll(MemNode::NVM);
+    }
     // Scan clocks compressed as in the sweep benches, or no scan fires
     // inside the short simulated runs.
     rc.sys.autonuma.scanPeriod = secondsToCycles(0.0005);
@@ -173,10 +181,10 @@ runRow(const SweepRow &row, int trials)
     const BigraphArtifacts &art = prepareBigraph(bs);
 
     std::cerr << "running scale " << row.scale << " "
-              << graphKindName(row.kind) << " [" << modeName(row.mode)
+              << graphKindName(row.kind) << " [" << row.mode
               << "] segments=" << row.segments << "...\n";
     const auto t0 = std::chrono::steady_clock::now();
-    const RunResult r = runWorkload(rc);
+    const RunResult r = runWorkload(rc, &plan);
     const auto t1 = std::chrono::steady_clock::now();
 
     RowResult out;
@@ -258,7 +266,7 @@ std::string
 rowLabel(const SweepRow &r)
 {
     return std::to_string(r.scale) + ":" + graphKindName(r.kind) + ":" +
-           modeName(r.mode) + ":" + std::to_string(r.segments);
+           r.mode + ":" + std::to_string(r.segments);
 }
 
 }  // namespace
@@ -300,15 +308,15 @@ main(int argc, char **argv)
         // notiering contrast stops at 22 and the biggest graphs run
         // autonuma only, to bound suite wall time.
         for (const int scale : {18, 20, 22}) {
-            rows.push_back({scale, GraphKind::Kron, Mode::AutoNuma,
+            rows.push_back({scale, GraphKind::Kron, "autonuma",
                             autoSegments(scale)});
-            rows.push_back({scale, GraphKind::Kron, Mode::NoTiering,
+            rows.push_back({scale, GraphKind::Kron, "notiering",
                             autoSegments(scale)});
         }
         rows.push_back(
-            {24, GraphKind::Kron, Mode::AutoNuma, autoSegments(24)});
+            {24, GraphKind::Kron, "autonuma", autoSegments(24)});
         rows.push_back(
-            {25, GraphKind::Urand, Mode::AutoNuma, autoSegments(25)});
+            {25, GraphKind::Urand, "autonuma", autoSegments(25)});
     }
 
     benchHeader("footprint-vs-scale sweep on the segmented CSR path",
@@ -365,7 +373,7 @@ main(int argc, char **argv)
         const RowResult &r = results[i];
         out << "    {\"scale\": " << r.row.scale << ", \"kind\": \""
             << graphKindName(r.row.kind) << "\", \"mode\": \""
-            << modeName(r.row.mode) << "\", \"segments\": "
+            << r.row.mode << "\", \"segments\": "
             << r.row.segments << ", \"nodes\": " << r.nodes
             << ", \"edges\": " << r.edges << ", \"footprint_bytes\": "
             << r.footprintBytes << ", \"load_sim_sec\": "

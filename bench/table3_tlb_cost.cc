@@ -50,7 +50,7 @@ main(int argc, char **argv)
                      "dTLB miss rate", "NVMmiss/DRAMmiss"});
     double worst_ratio = 0.0;
     for (const WorkloadSpec &w : paperWorkloads(benchScale())) {
-        const RunResult r = runBench(w, Mode::AutoNuma, 61, nullptr, thp);
+        const RunResult r = runBench(w, "autonuma", 61, nullptr, thp);
         const TlbCostMatrix m = tlbCostMatrix(r.samples);
         const double ratio =
             m.mean[0][1] > 0.0 ? m.mean[1][1] / m.mean[0][1] : 0.0;

@@ -1,7 +1,9 @@
 #!/bin/bash
 # Continuous-integration gate, meant to be run from the repository root:
 #
-#   1. tier-1 verify: warnings-as-errors build + the full test suite;
+#   1. tier-1 verify: warnings-as-errors build + the full test suite,
+#      then examples/policy_explorer once per mode under the invariant
+#      checker, so every example-reachable selection runs end to end;
 #   2. an ASan/UBSan build of the test suite, to catch memory and UB
 #      bugs the functional tests would miss;
 #   3. a serving smoke pass: a short data-serving tail sweep (KV + LSM,
@@ -58,6 +60,11 @@ echo "=== [1/10] tier-1: RelWithDebInfo -Werror build + ctest ==="
 cmake -B build-ci -S . -DMEMTIER_WERROR=ON
 cmake --build build-ci -j "$JOBS"
 ctest --test-dir build-ci --output-on-failure -j "$JOBS"
+for mode in autonuma notiering object_static object_spill \
+            object_dynamic all_dram all_nvm; do
+    MEMTIER_CHECK_INVARIANTS=ON \
+        ./build-ci/examples/policy_explorer bfs kron "$mode" 12 > /dev/null
+done
 
 echo "=== [2/10] sanitizers: ASan/UBSan build + ctest ==="
 cmake -B build-asan -S . -DMEMTIER_WERROR=ON \
@@ -84,8 +91,10 @@ MEMTIER_FAULT_PLAN="migrate:p=0.1,burst=6;alloc:p=0.03;seed=97" \
     ctest --test-dir build-ci --output-on-failure -j "$JOBS"
 # Segmented-CSR smoke: one short PageRank on the out-of-core segmented
 # path with the invariant checker armed (bigraph_test covers faults on
-# this path; this covers the sweep driver end to end).
-MEMTIER_CHECK_INVARIANTS=ON \
+# this path; this covers the sweep driver end to end). Spill buckets go
+# under build-ci/, so no .bigraph_spill is left in the checkout for the
+# stage-10 smoke test to trip on.
+MEMTIER_CHECK_INVARIANTS=ON MEMTIER_SPILL_DIR=build-ci/spill \
     ./build-ci/bench/scale_sweep --rows=16:kron:autonuma:4 --trials=2 \
     --no-check --out=build-ci/BENCH_scale_smoke.json > /dev/null
 python3 - build-ci/BENCH_scale_smoke.json <<'EOF'
@@ -146,7 +155,8 @@ rec = json.load(open(sys.argv[1]))
 r = max(rec["rows"], key=lambda row: row["scale"])
 print(f"{r['scale']}:{r['kind']}:{r['mode']}:{r['segments']}")
 EOF
-./build-ci/bench/scale_sweep --rows="$(cat build-ci/scale_gate_row)" \
+MEMTIER_SPILL_DIR=build-ci/spill \
+    ./build-ci/bench/scale_sweep --rows="$(cat build-ci/scale_gate_row)" \
     --out=build-ci/BENCH_scale_ci.json > /dev/null
 python3 - BENCH_scale.json build-ci/BENCH_scale_ci.json <<'EOF'
 import json, sys

@@ -35,6 +35,8 @@ usage(const char *argv0)
         "  graph: kron | urand                (default kron)\n"
         "  mode:  autonuma | notiering | object_static | object_spill |\n"
         "         object_dynamic | all_dram | all_nvm (default autonuma)\n"
+        "         (object_static/spill: autonuma + a profiled plan;\n"
+        "         notiering/all_*: the vanilla kernel)\n"
         "  scale: log2 vertices, 12..20       (default 16)\n",
         argv0);
     std::exit(1);
@@ -55,6 +57,7 @@ main(int argc, char **argv)
     RunConfig rc;
     rc.workload.app = App::BC;
     rc.workload.kind = GraphKind::Kron;
+    std::string mode = "autonuma";
     int scale = 16;
 
     if (argc > 1) {
@@ -72,15 +75,12 @@ main(int argc, char **argv)
         else usage(argv[0]);
     }
     if (argc > 3) {
-        const std::string mode = argv[3];
-        if (mode == "autonuma") rc.mode = Mode::AutoNuma;
-        else if (mode == "notiering") rc.mode = Mode::NoTiering;
-        else if (mode == "object_static") rc.mode = Mode::ObjectStatic;
-        else if (mode == "object_spill") rc.mode = Mode::ObjectSpill;
-        else if (mode == "object_dynamic") rc.mode = Mode::ObjectDynamic;
-        else if (mode == "all_dram") rc.mode = Mode::AllDram;
-        else if (mode == "all_nvm") rc.mode = Mode::AllNvm;
-        else usage(argv[0]);
+        mode = argv[3];
+        if (mode == "object_dynamic") rc.policy = "object-dynamic";
+        else if (mode == "notiering" || mode == "all_dram" ||
+                 mode == "all_nvm") rc.policy = "";
+        else if (mode != "autonuma" && mode != "object_static" &&
+                 mode != "object_spill") usage(argv[0]);
     }
     if (argc > 4) {
         scale = std::atoi(argv[4]);
@@ -92,24 +92,26 @@ main(int argc, char **argv)
     rc.sys.dram = makeDramParams(scaledBytes(6 * kMiB, scale));
     rc.sys.nvm = makeNvmParams(scaledBytes(24 * kMiB, scale));
 
-    // Object modes need a profiling pass first.
+    // Object modes need a profiling pass first; the all_* bounds bind
+    // every allocation. An empty plan leaves placement to the kernel.
     PlacementPlan plan;
-    const PlacementPlan *plan_ptr = nullptr;
-    if (rc.mode == Mode::ObjectStatic || rc.mode == Mode::ObjectSpill) {
+    if (mode == "object_static" || mode == "object_spill") {
         std::fprintf(stderr, "profiling pass under AutoNUMA...\n");
-        RunConfig profile_cfg = rc;
-        profile_cfg.mode = Mode::AutoNuma;
-        const RunResult profile = runWorkload(profile_cfg);
+        const RunResult profile = runWorkload(rc);
         plan = planFromProfile(profile, rc.sys.dram.capacityBytes,
-                               rc.mode == Mode::ObjectSpill);
-        plan_ptr = &plan;
+                               mode == "object_spill");
+    } else if (mode == "all_dram") {
+        rc.sys.dram.capacityBytes = rc.sys.nvm.capacityBytes * 4;
+        plan = PlacementPlan::bindAll(MemNode::DRAM);
+    } else if (mode == "all_nvm") {
+        plan = PlacementPlan::bindAll(MemNode::NVM);
     }
 
     std::fprintf(stderr, "running %s under %s...\n",
-                 rc.workload.name().c_str(), modeName(rc.mode));
-    const RunResult r = runWorkload(rc, plan_ptr);
+                 rc.workload.name().c_str(), mode.c_str());
+    const RunResult r = runWorkload(rc, &plan);
 
-    banner(std::cout, r.workloadName + " under " + modeName(r.mode));
+    banner(std::cout, r.workloadName + " under " + mode);
     const LevelShares ls = levelShares(r.samples);
     const ExternalSplit es = externalSplit(r.samples);
     const CostSplit cs = externalCostSplit(r.samples);
@@ -135,7 +137,7 @@ main(int argc, char **argv)
                                   r.outputChecksum))});
     summary.print(std::cout);
 
-    if (plan_ptr != nullptr) {
+    if (mode == "object_static" || mode == "object_spill") {
         std::cout << "\nplacement plan (" << plan.size() << " sites):\n";
         TextTable sites({"site", "placement"});
         for (const auto &[site, policy] : plan.entries()) {

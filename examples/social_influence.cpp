@@ -57,9 +57,7 @@ main(int argc, char **argv)
     const PlacementPlan plan =
         planFromProfile(autonuma, rc.sys.dram.capacityBytes,
                         /*spill=*/false);
-    RunConfig rc2 = rc;
-    rc2.mode = Mode::ObjectStatic;
-    const RunResult object = runWorkload(rc2, &plan);
+    const RunResult object = runWorkload(rc, &plan);
     const ExternalSplit obj_split = externalSplit(object.samples);
 
     std::printf("\n%-22s %12s %12s\n", "", "AutoNUMA", "object-level");

@@ -319,7 +319,7 @@ tiering activity.
 ## Extension — online dynamic object-level tiering
 
 The paper's conclusion proposes moving from offline profiling to
-runtime object management; `src/core/dynamic_tiering` implements it
+runtime object management; `src/policy/dynamic_tiering` implements it
 (windowed per-object access counting, periodic re-ranking, budgeted
 whole-object migration) and `bench/ablation_dynamic` compares:
 

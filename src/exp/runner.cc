@@ -11,7 +11,6 @@
 #include "base/logging.h"
 #include "bigraph/ooc_builder.h"
 #include "bigraph/segmented_csr.h"
-#include "core/dynamic_tiering.h"
 #include "core/object_planner.h"
 #include "graph/sim_graph.h"
 #include "runtime/sim_heap.h"
@@ -60,63 +59,24 @@ bfsSources(const SegmentedCsrView &g, int trials, std::uint64_t seed)
 static double runGraphWorkload(const RunConfig &config, Engine &eng,
                                SimHeap &heap, RunResult *out);
 
-const char *
-modeName(Mode mode)
-{
-    switch (mode) {
-      case Mode::AutoNuma: return "autonuma";
-      case Mode::NoTiering: return "notiering";
-      case Mode::ObjectStatic: return "object_static";
-      case Mode::ObjectSpill: return "object_spill";
-      case Mode::ObjectDynamic: return "object_dynamic";
-      case Mode::AllDram: return "all_dram";
-      case Mode::AllNvm: return "all_nvm";
-    }
-    return "?";
-}
-
 RunResult
 runWorkload(const RunConfig &config, const PlacementPlan *plan)
 {
+    // The registry decides what runs; the tiering kernel's demotion
+    // path exists whenever a policy does, and the policy itself decides
+    // whether to use it.
     SystemConfig sys = config.sys;
-    switch (config.mode) {
-      case Mode::AutoNuma:
-      case Mode::ObjectStatic:
-      case Mode::ObjectSpill:
-        sys.autonumaEnabled = true;
-        break;
-      case Mode::ObjectDynamic:
-        // The dynamic object policy replaces the AutoNUMA scanner but
-        // keeps the tiering kernel's demotion path.
-        sys.autonumaEnabled = false;
-        sys.tieringKernel = true;
-        break;
-      case Mode::NoTiering:
-      case Mode::AllNvm:
-        sys.autonumaEnabled = false;
-        sys.tieringKernel = false;
-        break;
-      case Mode::AllDram:
-        // Ideal bound: a DRAM tier large enough for everything.
-        sys.autonumaEnabled = false;
-        sys.tieringKernel = false;
-        sys.dram.capacityBytes = sys.nvm.capacityBytes * 4;
-        break;
-    }
-
-    // An explicit policy name overrides the mode's policy choice: the
-    // registry decides what runs, the tiering kernel's demotion path
-    // stays available, and the policy itself decides whether to use it.
-    if (!config.policy.empty()) {
-        sys.autonumaEnabled = false;
-        sys.tieringKernel = true;
-        sys.policyName = config.policy;
-        for (const std::string &assignment : config.tunables) {
-            std::string perr;
-            if (!sys.policyTunables.parseAssignment(assignment, &perr)) {
-                fatal("malformed tunable '%s': %s", assignment.c_str(),
-                      perr.c_str());
-            }
+    sys.autonumaEnabled = false;
+    sys.tieringKernel = !config.policy.empty();
+    sys.policyName = config.policy;
+    if (config.policy.empty() && !config.tunables.empty())
+        fatal("tunables need a policy (got '%s')",
+              config.tunables.front().c_str());
+    for (const std::string &assignment : config.tunables) {
+        std::string perr;
+        if (!sys.policyTunables.parseAssignment(assignment, &perr)) {
+            fatal("malformed tunable '%s': %s", assignment.c_str(),
+                  perr.c_str());
         }
     }
 
@@ -126,36 +86,15 @@ runWorkload(const RunConfig &config, const PlacementPlan *plan)
 
     PerfMemSampler sampler(config.sampler);
     if (config.sampling)
-        eng.setObserver(&sampler);
+        eng.addObserver(&sampler);
 
     SimHeap heap(eng);
-    PlacementPlan bind_all;
-    DynamicObjectTiering dynamic_policy(eng, tracker);
-    if (config.mode == Mode::ObjectDynamic)
-        dynamic_policy.install();
-    switch (config.mode) {
-      case Mode::ObjectStatic:
-      case Mode::ObjectSpill:
-        MEMTIER_ASSERT(plan != nullptr,
-                       "object modes need a placement plan");
+    if (plan != nullptr)
         heap.setAdvisor(const_cast<PlacementPlan *>(plan));
-        break;
-      case Mode::AllDram:
-        bind_all = PlacementPlan::bindAll(MemNode::DRAM);
-        heap.setAdvisor(&bind_all);
-        break;
-      case Mode::AllNvm:
-        bind_all = PlacementPlan::bindAll(MemNode::NVM);
-        heap.setAdvisor(&bind_all);
-        break;
-      default:
-        break;
-    }
 
     const WorkloadSpec &w = config.workload;
     RunResult out;
     out.workloadName = w.name();
-    out.mode = config.mode;
 
     if (isServingApp(w.app)) {
         // Serving apps have no graph: the prefill is their

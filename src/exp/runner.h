@@ -1,7 +1,7 @@
 /**
  * @file
  * The experiment runner: executes one workload on one simulated machine
- * under one tiering mode and harvests everything the paper's analyses
+ * under one tiering policy and harvests everything the paper's analyses
  * need (samples, allocation records, timelines, counters, timings).
  */
 
@@ -23,37 +23,22 @@
 
 namespace memtier {
 
-/** Memory-management mode of a run. */
-enum class Mode : std::uint8_t {
-    AutoNuma,      ///< AutoNUMA tiering enabled (the paper's baseline).
-    NoTiering,     ///< Vanilla kernel: first touch, no migration.
-    ObjectStatic,  ///< The paper's object-level static mapping.
-    ObjectSpill,   ///< Static mapping with one spilled object (cc*).
-    ObjectDynamic, ///< Online object-level tiering (extension): ranks
-                   ///< live objects at runtime and migrates them whole,
-                   ///< replacing the AutoNUMA scanner.
-    AllDram,       ///< Oversized DRAM holds everything (ideal bound).
-    AllNvm,        ///< Everything bound to NVM (worst-case bound).
-};
-
-/** Name of @p mode for reports. */
-const char *modeName(Mode mode);
-
 /** One experiment to run. */
 struct RunConfig
 {
     WorkloadSpec workload;
-    Mode mode = Mode::AutoNuma;
     SystemConfig sys;        ///< Scaled-testbed defaults.
     SamplerParams sampler;
     bool sampling = true;    ///< Collect perf-mem style samples.
 
     /**
-     * Tiering policy selected by registry name. When non-empty it
-     * overrides the mode's policy choice (the run keeps the tiering
-     * kernel's demotion path); tunables configures the policy.
+     * Tiering policy by registry name ("autonuma", "exchange",
+     * "object-dynamic", ...). The empty name runs the vanilla kernel:
+     * no policy and no demotion path. Allocation-time placement (the
+     * paper's object-level mapping, all-DRAM/all-NVM bindings) is the
+     * plan argument of runWorkload, not a policy.
      */
-    std::string policy;
+    std::string policy = "autonuma";
 
     /** "key=value" tunable assignments for @ref policy. */
     std::vector<std::string> tunables;
@@ -63,7 +48,6 @@ struct RunConfig
 struct RunResult
 {
     std::string workloadName;
-    Mode mode = Mode::AutoNuma;
 
     double totalSeconds = 0.0;    ///< Simulated execution time.
     double loadSeconds = 0.0;     ///< Input-reading phase.
@@ -143,8 +127,9 @@ struct RunResult
  * Run one experiment.
  *
  * @param config what to run.
- * @param plan placement plan for the Object* modes (ignored otherwise;
- *        required for ObjectStatic/ObjectSpill).
+ * @param plan allocation-time placement advisor (the object-level
+ *        plan, or PlacementPlan::bindAll for the all-DRAM/all-NVM
+ *        bounds); nullptr leaves placement to the kernel and policy.
  */
 RunResult runWorkload(const RunConfig &config,
                       const PlacementPlan *plan = nullptr);

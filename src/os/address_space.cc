@@ -31,6 +31,7 @@ AddressSpace::mmap(std::uint64_t bytes, ObjectId object,
     Vma vma;
     vma.start = nextAddr;
     vma.end = nextAddr + pages * kPageSize;
+    vma.bytes = bytes;
     vma.object = object;
     vma.site = site;
     vma.pageCache = page_cache;

@@ -22,6 +22,7 @@ struct Vma
 {
     Addr start = 0;       ///< First byte (page aligned).
     Addr end = 0;         ///< One past the last byte (page aligned).
+    std::uint64_t bytes = 0;  ///< Requested length (end rounds it up).
     MemPolicy policy;     ///< Placement policy for pages in the region.
     ObjectId object = kNoObject;  ///< Tracked memory object id.
     std::string site;     ///< Allocation call-site tag ("call stack").

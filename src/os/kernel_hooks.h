@@ -20,6 +20,7 @@ namespace memtier {
 
 struct PageMeta;
 struct MetricsView;
+class AccessObserver;
 class TunableRegistry;
 
 /** Sentinel for "no page" in policy/kernel exchanges. */
@@ -77,14 +78,15 @@ using PolicyCounter = std::pair<std::string, std::uint64_t>;
  *
  * The kernel owns the mechanism (faults, placement, reclaim, migration)
  * and consults the installed policy at every decision point. Every hook
- * except @ref onHintFault has a neutral default, so a policy only
- * implements the events it cares about:
+ * has a neutral default, so a policy only implements the events it
+ * cares about:
  *
  *  - @ref onHintFault     a scanner-marked page was touched (promote?).
  *  - @ref scanTick        periodic scan invocation (mark pages).
  *  - @ref onFirstTouchAlloc  first-touch placement of a new page.
  *  - @ref onDemotionRequest  reclaim proposes a demotion (veto/redirect?).
  *  - @ref snapshotStats   export policy-private counters for reports.
+ *  - @ref accessObserver  receive every access the engine executes.
  */
 class TieringPolicy
 {
@@ -101,9 +103,17 @@ class TieringPolicy
      * @param now fault time (the "hint page fault time").
      * @param meta the page's metadata (scanTime holds the scan time).
      * @return extra cycles charged to the faulting thread (e.g. the
-     *         synchronous cost of a promotion migration).
+     *         synchronous cost of a promotion migration). Policies that
+     *         never scan never see one and keep the default.
      */
-    virtual Cycles onHintFault(PageNum vpn, Cycles now, PageMeta &meta) = 0;
+    virtual Cycles
+    onHintFault(PageNum vpn, Cycles now, PageMeta &meta)
+    {
+        (void)vpn;
+        (void)now;
+        (void)meta;
+        return 0;
+    }
 
     /**
      * Periodic scan invocation, driven by the engine's service clock
@@ -222,6 +232,13 @@ class TieringPolicy
 
     /** Policy-private cumulative counters for reports/CSV export. */
     virtual std::vector<PolicyCounter> snapshotStats() const { return {}; }
+
+    /**
+     * The policy's access feed, or nullptr (the default) when it does
+     * not watch accesses. The engine attaches it as an access observer
+     * for the machine's whole life.
+     */
+    virtual AccessObserver *accessObserver() { return nullptr; }
 
     // -- Live tunable control plane -----------------------------------
 

@@ -104,6 +104,12 @@ class AutoTunePolicy : public TieringPolicy
 
     Cycles scanPeriod() const override { return base_->scanPeriod(); }
 
+    AccessObserver *
+    accessObserver() override
+    {
+        return base_->accessObserver();
+    }
+
     MemNode
     onFirstTouchAlloc(PageNum vpn, Cycles now, MemNode chosen) override
     {

@@ -7,23 +7,26 @@
  * re-ranks objects by accesses-per-byte over a decaying window, and
  * migrates whole objects between tiers under a per-interval budget.
  *
- * It replaces the AutoNUMA scanner (run with autonumaEnabled=false,
- * tieringKernel=true) while reusing the kernel's reclaim/migration
- * machinery and counters.
+ * Registered as "object-dynamic". It replaces the AutoNUMA scanner
+ * (its scan slot is the rebalance) while reusing the kernel's
+ * reclaim/migration machinery and counters. Live objects are the
+ * kernel's application VMAs; the engine attaches it as an access
+ * observer when it installs the policy.
  */
 
-#ifndef MEMTIER_CORE_DYNAMIC_TIERING_H_
-#define MEMTIER_CORE_DYNAMIC_TIERING_H_
+#ifndef MEMTIER_POLICY_DYNAMIC_TIERING_H_
+#define MEMTIER_POLICY_DYNAMIC_TIERING_H_
 
 #include <cstdint>
 #include <unordered_map>
 
-#include "profile/mmap_tracker.h"
-#include "sim/engine.h"
+#include "os/kernel.h"
+#include "os/kernel_hooks.h"
+#include "sim/access_observer.h"
 
 namespace memtier {
 
-/** Tunables of the dynamic object policy. */
+/** Parameters of the dynamic object policy. */
 struct DynamicTieringParams
 {
     /** Rebalance interval. */
@@ -48,23 +51,27 @@ struct DynamicTieringStats
 };
 
 /** The online object-level tiering policy. */
-class DynamicObjectTiering : public AccessObserver
+class DynamicObjectTiering : public TieringPolicy, public AccessObserver
 {
   public:
     /**
-     * @param engine machine to manage.
-     * @param tracker live allocation records (must outlive this).
-     * @param params tunables.
+     * @param kernel kernel whose objects the policy places.
+     * @param params rebalance cadence and budgets.
      */
-    DynamicObjectTiering(Engine &engine, const MmapTracker &tracker,
-                         const DynamicTieringParams &params =
-                             DynamicTieringParams{});
+    explicit DynamicObjectTiering(Kernel &kernel,
+                                  const DynamicTieringParams &params =
+                                      DynamicTieringParams{});
 
-    /**
-     * Attach to the engine: registers as an access observer and as a
-     * periodic service. Call once, before the workload runs.
-     */
-    void install();
+    const char *name() const override { return "object-dynamic"; }
+
+    /** Rebalance: re-rank live objects and migrate mismatched ones. */
+    void scanTick(Cycles now) override;
+
+    Cycles scanPeriod() const override { return cfg.interval; }
+
+    std::vector<PolicyCounter> snapshotStats() const override;
+
+    AccessObserver *accessObserver() override { return this; }
 
     /** AccessObserver: count external accesses per object. */
     void onAccess(const AccessRecord &record) override;
@@ -73,10 +80,7 @@ class DynamicObjectTiering : public AccessObserver
     const DynamicTieringStats &stats() const { return stat; }
 
   private:
-    void rebalance(Cycles now);
-
-    Engine &eng;
-    const MmapTracker &tracker;
+    Kernel &kernel;
     DynamicTieringParams cfg;
     DynamicTieringStats stat;
     std::unordered_map<ObjectId, double> windowCounts;
@@ -84,4 +88,4 @@ class DynamicObjectTiering : public AccessObserver
 
 }  // namespace memtier
 
-#endif  // MEMTIER_CORE_DYNAMIC_TIERING_H_
+#endif  // MEMTIER_POLICY_DYNAMIC_TIERING_H_

@@ -4,6 +4,7 @@
 
 #include "base/logging.h"
 #include "policy/autotune_policy.h"
+#include "policy/dynamic_tiering.h"
 #include "policy/exchange_policy.h"
 #include "policy/static_policies.h"
 #include "policy/tunable_registry.h"
@@ -177,6 +178,15 @@ PolicyRegistry::PolicyRegistry()
             p->registerTunables(reg);
             applyAssignments(ctx, reg);
             return p;
+        });
+
+    add("object-dynamic",
+        "online object-level tiering: ranks live objects by windowed "
+        "external accesses per byte and migrates them whole under a "
+        "per-interval page budget; demotion through reclaim",
+        {},
+        [](const PolicyContext &ctx) -> std::unique_ptr<TieringPolicy> {
+            return std::make_unique<DynamicObjectTiering>(ctx.kernel);
         });
 
     add("autotune",

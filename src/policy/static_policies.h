@@ -30,16 +30,6 @@ struct StaticPolicyStats
 class StaticPolicy : public TieringPolicy
 {
   public:
-    /** Hint faults never happen (no scanner marks pages); no-op. */
-    Cycles
-    onHintFault(PageNum vpn, Cycles now, PageMeta &meta) override
-    {
-        (void)vpn;
-        (void)now;
-        (void)meta;
-        return 0;
-    }
-
     /** Static placement: reclaim must not undo it. */
     DemotionDecision
     onDemotionRequest(PageNum vpn, Cycles now, const PageMeta &meta,

@@ -110,6 +110,11 @@ Engine::Engine(const SystemConfig &config)
         if (tiering == nullptr)
             fatal("%s", error.c_str());
         kern->setTieringPolicy(tiering.get());
+        // A policy that ranks by observed accesses (object-dynamic)
+        // keeps the access feed for the machine's whole life.
+        policyObserver_ = tiering->accessObserver();
+        if (policyObserver_)
+            observers.push_back(policyObserver_);
     }
 
     // Runtime mutations (TunableRegistry::set) land here; the

@@ -92,11 +92,14 @@ class Engine : public TlbShootdownClient
     const TunableRegistry &tunableRegistry() const { return registry_; }
     ///@}
 
-    /** Install the sole access observer (nullptr clears them all). */
+    /** Install the sole observer besides the policy's own feed
+     *  (nullptr clears all but that feed). */
     void
     setObserver(AccessObserver *obs)
     {
         observers.clear();
+        if (policyObserver_)
+            observers.push_back(policyObserver_);
         if (obs)
             observers.push_back(obs);
     }
@@ -394,6 +397,9 @@ class Engine : public TlbShootdownClient
     SetAssocCache l3;
     std::vector<std::unique_ptr<ThreadContext>> threads;
     std::vector<AccessObserver *> observers;
+
+    /** The tiering policy when it also observes accesses, else null. */
+    AccessObserver *policyObserver_ = nullptr;
 
     struct Service
     {

@@ -39,9 +39,8 @@ struct SystemConfig
 
     /**
      * Tiering policy selected by registry name ("autonuma", "exchange",
-     * "dram-only", "interleave", ...). When empty, the legacy
-     * autonumaEnabled flag decides between "autonuma" and no policy,
-     * so existing configurations behave exactly as before.
+     * "object-dynamic", ...). When empty, the autonumaEnabled flag
+     * decides between "autonuma" and no policy.
      */
     std::string policyName;
 
@@ -60,9 +59,8 @@ struct SystemConfig
 
     /**
      * True gives the kernel the tiering reclaim path (demotion to NVM).
-     * Normally tied to autonumaEnabled, but policies that replace the
-     * scanner (e.g. dynamic object-level tiering) keep the demotion
-     * path while disabling AutoNUMA itself.
+     * The experiment runner sets it whenever a policy is selected, so
+     * policies that never scan (object-dynamic) still demote.
      */
     bool tieringKernel = true;
 

@@ -154,17 +154,5 @@ TEST(Runner, SamplingDoesNotPerturbTiming)
     EXPECT_EQ(without.samples.size(), 0u);
 }
 
-TEST(Workloads, ModeNamesDistinct)
-{
-    std::set<std::string> names;
-    for (const Mode m :
-         {Mode::AutoNuma, Mode::NoTiering, Mode::ObjectStatic,
-          Mode::ObjectSpill, Mode::ObjectDynamic, Mode::AllDram,
-          Mode::AllNvm}) {
-        names.insert(modeName(m));
-    }
-    EXPECT_EQ(names.size(), 7u);
-}
-
 }  // namespace
 }  // namespace memtier

@@ -188,13 +188,17 @@ TEST(Modes, ChecksumIdenticalAcrossPlacements)
     rc.sampling = false;
     const RunResult a = runWorkload(rc);
 
+    // All-NVM / all-DRAM bounds: the vanilla kernel plus a bind-all
+    // plan, all-DRAM on a DRAM tier that holds everything.
     RunConfig rc2 = rc;
-    rc2.mode = Mode::AllNvm;
-    const RunResult b = runWorkload(rc2);
+    rc2.policy = "";
+    PlacementPlan all_nvm = PlacementPlan::bindAll(MemNode::NVM);
+    const RunResult b = runWorkload(rc2, &all_nvm);
 
-    RunConfig rc3 = rc;
-    rc3.mode = Mode::AllDram;
-    const RunResult c = runWorkload(rc3);
+    RunConfig rc3 = rc2;
+    rc3.sys.dram.capacityBytes = rc3.sys.nvm.capacityBytes * 4;
+    PlacementPlan all_dram = PlacementPlan::bindAll(MemNode::DRAM);
+    const RunResult c = runWorkload(rc3, &all_dram);
 
     EXPECT_EQ(a.outputChecksum, b.outputChecksum);
     EXPECT_EQ(a.outputChecksum, c.outputChecksum);
@@ -204,12 +208,13 @@ TEST(Modes, AllDramFasterThanAllNvm)
 {
     RunConfig rc = smallConfig(App::BFS, GraphKind::Kron);
     rc.sampling = false;
+    rc.policy = "";
     RunConfig dram_cfg = rc;
-    dram_cfg.mode = Mode::AllDram;
-    RunConfig nvm_cfg = rc;
-    nvm_cfg.mode = Mode::AllNvm;
-    const RunResult dram = runWorkload(dram_cfg);
-    const RunResult nvm = runWorkload(nvm_cfg);
+    dram_cfg.sys.dram.capacityBytes = dram_cfg.sys.nvm.capacityBytes * 4;
+    PlacementPlan all_dram = PlacementPlan::bindAll(MemNode::DRAM);
+    PlacementPlan all_nvm = PlacementPlan::bindAll(MemNode::NVM);
+    const RunResult dram = runWorkload(dram_cfg, &all_dram);
+    const RunResult nvm = runWorkload(rc, &all_nvm);
     EXPECT_LT(dram.totalSeconds, nvm.totalSeconds);
 }
 
@@ -217,7 +222,7 @@ TEST(Modes, NoTieringNeverMigrates)
 {
     // Section 6.6: with AutoNUMA disabled every counter's delta is 0.
     RunConfig rc = smallConfig(App::CC, GraphKind::Urand);
-    rc.mode = Mode::NoTiering;
+    rc.policy = "";  // The vanilla kernel.
     rc.sampling = false;
     const RunResult r = runWorkload(rc);
     EXPECT_EQ(r.vmstat.pgpromoteSuccess, 0u);
@@ -235,9 +240,7 @@ TEST(Modes, ObjectStaticReducesNvmSamplesAndTime)
     const PlacementPlan plan =
         planFromProfile(base, rc.sys.dram.capacityBytes, false);
 
-    RunConfig rc2 = rc;
-    rc2.mode = Mode::ObjectStatic;
-    const RunResult obj = runWorkload(rc2, &plan);
+    const RunResult obj = runWorkload(rc, &plan);
 
     EXPECT_EQ(base.outputChecksum, obj.outputChecksum);
     const ExternalSplit es_base = externalSplit(base.samples);

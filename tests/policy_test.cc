@@ -181,7 +181,7 @@ TEST_F(PolicyKernelTest, RegistryListsBuiltinsSorted)
         PolicyRegistry::instance().names();
     EXPECT_EQ(names, (std::vector<std::string>{
                          "autonuma", "autotune", "dram-only",
-                         "exchange", "interleave"}));
+                         "exchange", "interleave", "object-dynamic"}));
     for (const std::string &name : names) {
         EXPECT_TRUE(PolicyRegistry::instance().contains(name));
         EXPECT_FALSE(
@@ -224,6 +224,32 @@ TEST_F(PolicyKernelTest, RegistryRejectsUnknownTunable)
         PolicyRegistry::instance().create("autonuma", ctx, &error),
         nullptr);
     EXPECT_NE(error.find("exchange_batch"), std::string::npos);
+}
+
+TEST_F(PolicyKernelTest, ObjectDynamicIsRegisteredWithoutTunables)
+{
+    PolicyRegistry &reg = PolicyRegistry::instance();
+    const std::vector<std::string> names = reg.names();
+    EXPECT_NE(std::find(names.begin(), names.end(), "object-dynamic"),
+              names.end());
+    EXPECT_TRUE(reg.tunableKeys("object-dynamic").empty());
+
+    // No key is understood, not even the scanner's.
+    PolicyContext ctx{kern, AutoNumaParams{}, PolicyTunables{}};
+    ctx.tunables.set("scan_period_ms", "7");
+    std::string error;
+    EXPECT_EQ(reg.create("object-dynamic", ctx, &error), nullptr);
+    EXPECT_NE(error.find("scan_period_ms"), std::string::npos);
+
+    // Built with its defaults, it rebalances every 20 ms and asks for
+    // the access feed.
+    const auto policy = reg.create("object-dynamic",
+                                   PolicyContext{kern, AutoNumaParams{},
+                                                 PolicyTunables{}},
+                                   &error);
+    ASSERT_NE(policy, nullptr) << error;
+    EXPECT_EQ(policy->scanPeriod(), secondsToCycles(0.02));
+    EXPECT_NE(policy->accessObserver(), nullptr);
 }
 
 TEST_F(PolicyKernelTest, RegistryAppliesTunables)
