@@ -15,7 +15,9 @@
  *                 [--reps=N] [--out=PATH.json]
  *
  * --scale=N is shorthand for a single-scale sweep. --out writes a
- * machine-readable JSON record (BENCH_hotpath.json in the CI flow).
+ * machine-readable JSON record (BENCH_hotpath.json in the CI flow),
+ * including a "host" object (CPU model, logical CPUs, compiler, build
+ * type) that names the machine and build behind the numbers.
  */
 
 #include <algorithm>
@@ -25,6 +27,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "base/logging.h"
@@ -104,6 +107,39 @@ runScale(int scale, int trials, int reps)
         scalar_r.vmstat.pgmigrateSuccess ==
             batched_r.vmstat.pgmigrateSuccess;
     return res;
+}
+
+/** The host CPU's model name from /proc/cpuinfo, or "unknown". */
+std::string
+cpuModel()
+{
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("model name", 0) != 0)
+            continue;
+        const std::size_t colon = line.find(':');
+        if (colon != std::string::npos)
+            return line.substr(line.find_first_not_of(' ', colon + 1));
+    }
+    return "unknown";
+}
+
+/** JSON object naming the machine and build that produced a record. */
+std::string
+hostJson()
+{
+#if defined(__clang__)
+    const char *compiler = "clang " __clang_version__;
+#else
+    const char *compiler = "gcc " __VERSION__;
+#endif
+    std::ostringstream os;
+    os << "{\"cpu\": \"" << cpuModel() << "\", \"nproc\": "
+       << std::thread::hardware_concurrency() << ", \"compiler\": \""
+       << compiler << "\", \"build_type\": \""
+       << MEMTIER_BUILD_TYPE << "\"}";
+    return os.str();
 }
 
 }  // namespace
@@ -201,6 +237,7 @@ main(int argc, char **argv)
             << "  \"workload\": \"pr_kron_sweep\",\n"
             << "  \"trials\": " << trials << ",\n"
             << "  \"reps\": " << reps << ",\n"
+            << "  \"host\": " << hostJson() << ",\n"
             << "  \"per_scale\": [\n";
         for (std::size_t i = 0; i < sweep.size(); ++i) {
             const ScaleResult &r = sweep[i];

@@ -27,9 +27,10 @@
 #      scalar-vs-batched diff of every golden workload;
 #   7. a perf-regression gate: bench/hotpath_speed re-run at its
 #      committed parameters and compared against the checked-in
-#      BENCH_hotpath.json (fails when batched throughput drops below
-#      80% of the recorded baseline), then bench/scale_sweep
-#      against BENCH_scale.json: the one-segment out-of-core build
+#      BENCH_hotpath.json (prints both records' host, fails when
+#      batched throughput drops below 80% of the recorded baseline),
+#      then bench/scale_sweep against BENCH_scale.json: the
+#      one-segment out-of-core build
 #      must stay bit-identical to the monolithic loader and the
 #      largest committed scale cell must keep >= 80% of its recorded
 #      accesses/sec;
@@ -135,8 +136,20 @@ echo "=== [7/10] perf gate: hotpath throughput vs committed baseline ==="
     > /dev/null
 python3 - BENCH_hotpath.json build-ci/BENCH_hotpath_ci.json <<'EOF'
 import json, sys
-base = json.load(open(sys.argv[1]))["batched_accesses_per_sec"]
-now = json.load(open(sys.argv[2]))["batched_accesses_per_sec"]
+base_rec = json.load(open(sys.argv[1]))
+now_rec = json.load(open(sys.argv[2]))
+
+def host(rec):
+    h = rec.get("host")
+    if h is None:
+        return "not recorded"
+    return (f"{h['cpu']}, {h['nproc']} CPUs, {h['compiler']}, "
+            f"{h['build_type']}")
+
+print(f"perf gate: baseline host: {host(base_rec)}")
+print(f"perf gate: current host:  {host(now_rec)}")
+base = base_rec["batched_accesses_per_sec"]
+now = now_rec["batched_accesses_per_sec"]
 ratio = now / base
 print(f"perf gate: baseline {base:.3e} acc/s, now {now:.3e} acc/s "
       f"({ratio:.2f}x)")

@@ -64,4 +64,18 @@ std::string strprintf(const char *fmt, ...)
         }                                                                  \
     } while (0)
 
+/**
+ * MEMTIER_ASSERT in builds without NDEBUG (Debug, the sanitizer CI
+ * stage); compiled out, with @p cond unevaluated, otherwise. For
+ * preconditions whose check would cost the hot path a scan.
+ */
+#ifdef NDEBUG
+#define MEMTIER_DEBUG_ASSERT(cond, msg)                                    \
+    do {                                                                   \
+        (void)sizeof(cond);                                                \
+    } while (0)
+#else
+#define MEMTIER_DEBUG_ASSERT(cond, msg) MEMTIER_ASSERT(cond, msg)
+#endif
+
 #endif  // MEMTIER_BASE_LOGGING_H_

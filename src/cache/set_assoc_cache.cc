@@ -1,38 +1,48 @@
 #include "cache/set_assoc_cache.h"
 
-#include <bit>
-
 #include "base/logging.h"
 
 namespace memtier {
 
-SetAssocCache::SetAssocCache(std::string name, std::uint64_t size_bytes,
-                             unsigned ways_)
-    : label(std::move(name)), assoc(ways_)
+namespace {
+
+std::uint64_t
+setCount(std::uint64_t size_bytes, unsigned ways)
 {
-    MEMTIER_ASSERT(assoc > 0, "cache needs at least one way");
-    MEMTIER_ASSERT(size_bytes % (assoc * kLineSize) == 0,
+    MEMTIER_ASSERT(ways > 0, "cache needs at least one way");
+    MEMTIER_ASSERT(size_bytes % (ways * kLineSize) == 0,
                    "cache size must be a multiple of ways * line size");
-    num_sets = size_bytes / (assoc * kLineSize);
-    MEMTIER_ASSERT(std::has_single_bit(num_sets),
-                   "number of sets must be a power of two");
-    ways.resize(num_sets * assoc);
+    return size_bytes / (ways * kLineSize);
+}
+
+}  // namespace
+
+SetAssocCache::SetAssocCache(std::string name, std::uint64_t size_bytes,
+                             unsigned ways)
+    : label(std::move(name)), lines(setCount(size_bytes, ways), ways)
+{
+}
+
+CacheEviction
+SetAssocCache::evictionOf(const Lines::Victim &victim)
+{
+    CacheEviction evicted;
+    if (victim.valid) {
+        evicted.valid = true;
+        evicted.line = victim.key >> 1;
+        evicted.dirty = victim.key & 1;
+        if (evicted.dirty)
+            ++writeback_count;
+    }
+    return evicted;
 }
 
 bool
 SetAssocCache::access(Addr line, bool is_write)
 {
-    const std::size_t base = setIndex(line) * assoc;
-    ++tick;
-    for (unsigned w = 0; w < assoc; ++w) {
-        Way &way = ways[base + w];
-        if (way.matches(line)) {
-            way.lastUse = tick;
-            if (is_write)
-                way.meta |= Way::kDirty;
-            ++hit_count;
-            return true;
-        }
+    if (lines.touch(key(line, is_write))) {
+        ++hit_count;
+        return true;
     }
     ++miss_count;
     return false;
@@ -41,83 +51,48 @@ SetAssocCache::access(Addr line, bool is_write)
 CacheEviction
 SetAssocCache::insert(Addr line, bool dirty)
 {
-    const std::size_t base = setIndex(line) * assoc;
-    ++tick;
+    return evictionOf(lines.insert(key(line, dirty)));
+}
 
-    // Prefer an invalid way; otherwise evict true-LRU.
-    std::size_t victim = base;
-    for (unsigned w = 0; w < assoc; ++w) {
-        Way &way = ways[base + w];
-        if (!way.valid()) {
-            victim = base + w;
-            break;
-        }
-        if (way.lastUse < ways[victim].lastUse)
-            victim = base + w;
+bool
+SetAssocCache::accessOrInsert(Addr line, bool dirty, CacheEviction &evicted)
+{
+    Lines::Victim victim;
+    if (lines.touchOrInsert(key(line, dirty), victim)) {
+        ++hit_count;
+        return true;
     }
-
-    CacheEviction evicted;
-    Way &slot = ways[victim];
-    if (slot.valid()) {
-        evicted.valid = true;
-        evicted.line = slot.tag();
-        evicted.dirty = slot.dirty();
-        if (slot.dirty())
-            ++writeback_count;
-    }
-    slot.meta = Way::key(line) | (dirty ? Way::kDirty : 0);
-    slot.lastUse = tick;
-    return evicted;
+    ++miss_count;
+    evicted = evictionOf(victim);
+    return false;
 }
 
 void
 SetAssocCache::accessRepeats(Addr line, std::uint64_t count,
                              bool any_write)
 {
-    const std::size_t base = setIndex(line) * assoc;
-    tick += count;
-    for (unsigned w = 0; w < assoc; ++w) {
-        Way &way = ways[base + w];
-        if (way.matches(line)) {
-            way.lastUse = tick;
-            if (any_write)
-                way.meta |= Way::kDirty;
-            hit_count += count;
-            return;
-        }
-    }
-    MEMTIER_ASSERT(false, "repeat accounting for a non-resident line");
+    MEMTIER_DEBUG_ASSERT(count > 0, "repeat accounting for zero accesses");
+    const bool found = lines.touch(key(line, any_write));
+    MEMTIER_ASSERT(found, "repeat accounting for a non-resident line");
+    hit_count += count;
 }
 
 void
 SetAssocCache::invalidate(Addr line)
 {
-    const std::size_t base = setIndex(line) * assoc;
-    for (unsigned w = 0; w < assoc; ++w) {
-        Way &way = ways[base + w];
-        if (way.matches(line)) {
-            way.meta = 0;
-            return;
-        }
-    }
+    lines.invalidate(key(line, false));
 }
 
 void
 SetAssocCache::clear()
 {
-    for (auto &way : ways)
-        way = Way{};
+    lines.clear();
 }
 
 bool
 SetAssocCache::contains(Addr line) const
 {
-    const std::size_t base = setIndex(line) * assoc;
-    for (unsigned w = 0; w < assoc; ++w) {
-        if (ways[base + w].matches(line))
-            return true;
-    }
-    return false;
+    return lines.contains(key(line, false));
 }
 
 }  // namespace memtier

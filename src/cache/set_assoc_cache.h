@@ -1,7 +1,8 @@
 /**
  * @file
- * Generic set-associative, write-back, write-allocate cache with LRU
- * replacement, used for L1/L2 (per logical thread) and the shared L3.
+ * Generic set-associative, write-back, write-allocate cache with true
+ * LRU replacement (kept by LruSets), used for L1/L2 (per logical
+ * thread) and the shared L3.
  *
  * The simulator indexes caches by virtual line address: graph objects are
  * large contiguous mmap regions so virtual and physical locality coincide,
@@ -14,9 +15,9 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "base/types.h"
+#include "cache/lru_sets.h"
 
 namespace memtier {
 
@@ -49,6 +50,7 @@ class SetAssocCache
 
     /**
      * Insert @p line after a miss, evicting the LRU way if needed.
+     * Precondition: @p line is not resident (debug builds check it).
      * @param line line index to insert.
      * @param dirty initial dirty state (true for store-allocate).
      * @return the displaced line, if any.
@@ -56,12 +58,21 @@ class SetAssocCache
     CacheEviction insert(Addr line, bool dirty);
 
     /**
-     * Batch accounting for @p count back-to-back accesses of @p line
-     * that are guaranteed hits (the line was just filled or hit and
-     * nothing evicted it in between). Equivalent to @p count access()
-     * calls: the tick advances by @p count, the way's recency moves to
-     * the final tick, the dirty bit absorbs @p any_write, and the hit
-     * counter grows by @p count -- one way scan instead of @p count.
+     * access() then, on a miss, insert(), in one walk of the set: a hit
+     * merges @p dirty into the resident line, a miss fills it. Counts
+     * hits and misses exactly as access() does.
+     * @param evicted set to the displaced line on a miss.
+     * @return true on hit.
+     */
+    bool accessOrInsert(Addr line, bool dirty, CacheEviction &evicted);
+
+    /**
+     * Batch accounting for @p count >= 1 back-to-back accesses of
+     * @p line that are guaranteed hits (the line was just filled or hit
+     * and nothing evicted it in between). Equivalent to @p count
+     * access() calls: the line becomes MRU, the dirty bit absorbs
+     * @p any_write, and the hit counter grows by @p count -- one set
+     * walk instead of @p count.
      */
     void accessRepeats(Addr line, std::uint64_t count, bool any_write);
 
@@ -78,41 +89,28 @@ class SetAssocCache
     std::uint64_t misses() const { return miss_count; }
     std::uint64_t writebacks() const { return writeback_count; }
     const std::string &name() const { return label; }
-    std::uint64_t sizeBytes() const { return num_sets * assoc * kLineSize; }
+    std::uint64_t sizeBytes() const
+    {
+        return lines.sets() * lines.ways() * kLineSize;
+    }
 
   private:
     /**
-     * One way, packed to 16 bytes so a set scan touches at most two
-     * host cache lines: the tag shares a word with the valid and dirty
-     * bits (line indices are at most 58 bits wide, so the shift loses
-     * nothing).
+     * Keys carry the dirty bit in bit 0 below the line index (line
+     * indices are at most 58 bits wide, so the shift loses nothing).
      */
-    struct Way
+    using Lines = LruSets<1>;
+
+    static Lines::Key key(Addr line, bool dirty)
     {
-        static constexpr std::uint64_t kValid = 1;
-        static constexpr std::uint64_t kDirty = 2;
+        return (line << 1) | (dirty ? 1 : 0);
+    }
 
-        std::uint64_t meta = 0;  ///< (tag << 2) | dirty << 1 | valid.
-        std::uint64_t lastUse = 0;
-
-        static std::uint64_t key(Addr line) { return (line << 2) | kValid; }
-        bool valid() const { return meta & kValid; }
-        bool dirty() const { return meta & kDirty; }
-        Addr tag() const { return meta >> 2; }
-        /** True when valid with tag @p line, regardless of dirtiness. */
-        bool matches(Addr line) const
-        {
-            return (meta & ~kDirty) == key(line);
-        }
-    };
-
-    std::size_t setIndex(Addr line) const { return line & (num_sets - 1); }
+    /** @p victim as a CacheEviction, counting a dirty one's writeback. */
+    CacheEviction evictionOf(const Lines::Victim &victim);
 
     std::string label;
-    std::uint64_t num_sets;
-    unsigned assoc;
-    std::vector<Way> ways;  ///< num_sets * assoc, set-major.
-    std::uint64_t tick = 0;
+    Lines lines;
     std::uint64_t hit_count = 0;
     std::uint64_t miss_count = 0;
     std::uint64_t writeback_count = 0;

@@ -1,96 +1,46 @@
 #include "cache/tlb.h"
 
-#include <bit>
-
 #include "base/logging.h"
 
 namespace memtier {
 
-void
-Tlb::Level::init(unsigned total, unsigned ways_)
+namespace {
+
+std::uint64_t
+setCount(unsigned entries, unsigned ways)
 {
-    MEMTIER_ASSERT(ways_ > 0 && total % ways_ == 0,
+    MEMTIER_ASSERT(ways > 0 && entries % ways == 0,
                    "TLB entries must divide evenly into ways");
-    ways = ways_;
-    sets = total / ways_;
-    MEMTIER_ASSERT(std::has_single_bit(sets),
-                   "TLB set count must be a power of two");
-    entries.assign(total, Entry{});
+    return entries / ways;
 }
 
-bool
-Tlb::Level::lookup(PageNum vpn, std::uint64_t tick)
-{
-    const std::size_t base = (vpn & (sets - 1)) * ways;
-    for (unsigned w = 0; w < ways; ++w) {
-        Entry &e = entries[base + w];
-        if (e.valid && e.vpn == vpn) {
-            e.lastUse = tick;
-            return true;
-        }
-    }
-    return false;
-}
+}  // namespace
 
-void
-Tlb::Level::insert(PageNum vpn, std::uint64_t tick)
+Tlb::Tlb(const TlbParams &params)
+    : cfg(params),
+      l1(setCount(cfg.l1Entries, cfg.l1Ways), cfg.l1Ways),
+      stlb(setCount(cfg.stlbEntries, cfg.stlbWays), cfg.stlbWays),
+      l1Huge(setCount(cfg.l1HugeEntries, cfg.l1HugeWays), cfg.l1HugeWays),
+      stlbHuge(setCount(cfg.stlbHugeEntries, cfg.stlbHugeWays),
+               cfg.stlbHugeWays)
 {
-    const std::size_t base = (vpn & (sets - 1)) * ways;
-    std::size_t victim = base;
-    for (unsigned w = 0; w < ways; ++w) {
-        Entry &e = entries[base + w];
-        if (!e.valid) {
-            victim = base + w;
-            break;
-        }
-        if (e.lastUse < entries[victim].lastUse)
-            victim = base + w;
-    }
-    entries[victim] = Entry{vpn, tick, true};
-}
-
-void
-Tlb::Level::invalidate(PageNum vpn)
-{
-    const std::size_t base = (vpn & (sets - 1)) * ways;
-    for (unsigned w = 0; w < ways; ++w) {
-        Entry &e = entries[base + w];
-        if (e.valid && e.vpn == vpn)
-            e.valid = false;
-    }
-}
-
-void
-Tlb::Level::flush()
-{
-    for (auto &e : entries)
-        e.valid = false;
-}
-
-Tlb::Tlb(const TlbParams &params) : cfg(params)
-{
-    l1.init(cfg.l1Entries, cfg.l1Ways);
-    stlb.init(cfg.stlbEntries, cfg.stlbWays);
-    l1Huge.init(cfg.l1HugeEntries, cfg.l1HugeWays);
-    stlbHuge.init(cfg.stlbHugeEntries, cfg.stlbHugeWays);
 }
 
 TlbOutcome
 Tlb::lookup(PageNum vpn)
 {
-    ++tick;
-    if (l1.lookup(vpn, tick)) {
+    if (l1.touch(vpn)) {
         ++l1_hits;
         return TlbOutcome::L1Hit;
     }
-    if (stlb.lookup(vpn, tick)) {
+    if (stlb.touch(vpn)) {
         ++stlb_hits;
-        l1.insert(vpn, tick);
+        l1.insert(vpn);
         return TlbOutcome::StlbHit;
     }
     ++miss_count;
-    l1.insert(vpn, tick);
-    stlb.insert(vpn, tick);
+    l1.insert(vpn);
+    stlb.insert(vpn);
     return TlbOutcome::Miss;
 }
 
@@ -100,27 +50,26 @@ Tlb::lookupHuge(PageNum base_vpn)
     // Key by huge-page number, not base vpn: a 2 MiB base has nine zero
     // low bits, which would otherwise alias every range onto set 0.
     const PageNum key = base_vpn >> kPagesPerHugeShift;
-    ++tick;
-    if (l1Huge.lookup(key, tick)) {
+    if (l1Huge.touch(key)) {
         ++huge_l1_hits;
         return TlbOutcome::L1Hit;
     }
-    if (stlbHuge.lookup(key, tick)) {
+    if (stlbHuge.touch(key)) {
         ++huge_stlb_hits;
-        l1Huge.insert(key, tick);
+        l1Huge.insert(key);
         return TlbOutcome::StlbHit;
     }
     ++huge_miss_count;
-    l1Huge.insert(key, tick);
-    stlbHuge.insert(key, tick);
+    l1Huge.insert(key);
+    stlbHuge.insert(key);
     return TlbOutcome::Miss;
 }
 
 void
 Tlb::repeatHits(PageNum vpn, std::uint64_t count)
 {
-    tick += count;
-    const bool found = l1.lookup(vpn, tick);
+    MEMTIER_DEBUG_ASSERT(count > 0, "TLB repeat accounting for zero hits");
+    const bool found = l1.touch(vpn);
     MEMTIER_ASSERT(found, "TLB repeat accounting for a non-resident vpn");
     l1_hits += count;
 }
@@ -128,9 +77,9 @@ Tlb::repeatHits(PageNum vpn, std::uint64_t count)
 void
 Tlb::repeatHitsHuge(PageNum base_vpn, std::uint64_t count)
 {
+    MEMTIER_DEBUG_ASSERT(count > 0, "TLB repeat accounting for zero hits");
     const PageNum key = base_vpn >> kPagesPerHugeShift;
-    tick += count;
-    const bool found = l1Huge.lookup(key, tick);
+    const bool found = l1Huge.touch(key);
     MEMTIER_ASSERT(found,
                    "TLB repeat accounting for a non-resident huge range");
     huge_l1_hits += count;
@@ -139,10 +88,13 @@ Tlb::repeatHitsHuge(PageNum base_vpn, std::uint64_t count)
 void
 Tlb::insertHuge(PageNum base_vpn)
 {
+    // Unlike the lookup fills, this one does not follow a miss of the
+    // same key, so refresh a resident entry rather than insert a
+    // duplicate (LruSets::insert requires the key to be absent).
     const PageNum key = base_vpn >> kPagesPerHugeShift;
-    ++tick;
-    l1Huge.insert(key, tick);
-    stlbHuge.insert(key, tick);
+    Level::Victim unused;
+    l1Huge.touchOrInsert(key, unused);
+    stlbHuge.touchOrInsert(key, unused);
 }
 
 void
@@ -163,10 +115,10 @@ Tlb::invalidateHuge(PageNum base_vpn)
 void
 Tlb::flushAll()
 {
-    l1.flush();
-    stlb.flush();
-    l1Huge.flush();
-    stlbHuge.flush();
+    l1.clear();
+    stlb.clear();
+    l1Huge.clear();
+    stlbHuge.clear();
 }
 
 }  // namespace memtier

@@ -11,9 +11,9 @@
 #define MEMTIER_CACHE_TLB_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "base/types.h"
+#include "cache/lru_sets.h"
 
 namespace memtier {
 
@@ -47,9 +47,10 @@ struct TlbParams
 };
 
 /**
- * A two-level, set-associative, LRU TLB with separate 4 KiB and 2 MiB
- * entry classes per level. The 4 KiB path (@ref lookup) never touches
- * the huge arrays, keeping THP-off runs bit-identical.
+ * A two-level, set-associative, true-LRU TLB (each level an LruSets)
+ * with separate 4 KiB and 2 MiB entry classes per level. The 4 KiB path
+ * (@ref lookup) never touches the huge arrays, keeping THP-off runs
+ * bit-identical.
  */
 class Tlb
 {
@@ -69,17 +70,20 @@ class Tlb
      */
     TlbOutcome lookupHuge(PageNum base_vpn);
 
-    /** Install the 2 MiB translation at @p base_vpn in both levels
-     *  (used when a fault upgraded a range under a 4 KiB lookup). */
+    /**
+     * Install the 2 MiB translation at @p base_vpn in both levels as
+     * MRU (used when a fault upgraded a range under a 4 KiB lookup). A
+     * level that already holds it refreshes the entry instead of
+     * keeping a duplicate.
+     */
     void insertHuge(PageNum base_vpn);
 
     /**
      * Batch accounting for @p count back-to-back lookups of @p vpn that
      * are guaranteed L1 hits (the entry was just filled or hit and no
      * shootdown intervened). Equivalent to @p count lookup() calls:
-     * the tick advances by @p count, the entry's recency moves to the
-     * final tick, and the L1 hit counter grows by @p count -- one way
-     * scan instead of @p count.
+     * the entry becomes MRU and the L1 hit counter grows by @p count --
+     * one set walk instead of @p count.
      */
     void repeatHits(PageNum vpn, std::uint64_t count);
 
@@ -109,32 +113,14 @@ class Tlb
     std::uint64_t hugeMisses() const { return huge_miss_count; }
 
   private:
-    struct Entry
-    {
-        PageNum vpn = 0;
-        std::uint64_t lastUse = 0;
-        bool valid = false;
-    };
-
-    struct Level
-    {
-        std::vector<Entry> entries;
-        std::uint64_t sets = 0;
-        unsigned ways = 0;
-
-        void init(unsigned total, unsigned ways);
-        bool lookup(PageNum vpn, std::uint64_t tick);
-        void insert(PageNum vpn, std::uint64_t tick);
-        void invalidate(PageNum vpn);
-        void flush();
-    };
+    /** One TLB level of one entry class, keyed by page number. */
+    using Level = LruSets<0>;
 
     TlbParams cfg;
     Level l1;
     Level stlb;
     Level l1Huge;
     Level stlbHuge;
-    std::uint64_t tick = 0;
     std::uint64_t l1_hits = 0;
     std::uint64_t stlb_hits = 0;
     std::uint64_t miss_count = 0;

@@ -53,6 +53,30 @@ bfsSources(const SegmentedCsrView &g, int trials, std::uint64_t seed)
     return out;
 }
 
+HierarchyCounters
+hierarchyCounters(Engine &eng)
+{
+    HierarchyCounters c;
+    const auto addLevel = [&c](int l, const SetAssocCache &cache) {
+        c.hits[l] += cache.hits();
+        c.misses[l] += cache.misses();
+        c.writebacks[l] += cache.writebacks();
+    };
+    for (std::uint32_t i = 0; i < eng.threadCount(); ++i) {
+        const ThreadContext &t = eng.thread(i);
+        addLevel(0, t.l1);
+        addLevel(1, t.l2);
+        c.tlbL1Hits += t.tlb.l1Hits();
+        c.tlbStlbHits += t.tlb.stlbHits();
+        c.tlbMisses += t.tlb.misses();
+        c.tlbHugeL1Hits += t.tlb.hugeL1Hits();
+        c.tlbHugeStlbHits += t.tlb.hugeStlbHits();
+        c.tlbHugeMisses += t.tlb.hugeMisses();
+    }
+    addLevel(2, eng.sharedL3());
+    return c;
+}
+
 }  // namespace
 
 /** Graph path of runWorkload: load, run, free. @return load seconds. */
@@ -135,6 +159,7 @@ runWorkload(const RunConfig &config, const PlacementPlan *plan)
         out.levelCounts[l] = eng.levelCount(static_cast<MemLevel>(l));
         out.totalAccesses += out.levelCounts[l];
     }
+    out.hierarchy = hierarchyCounters(eng);
     out.copyBytes = eng.kernel().copyEngine().bytesCopied();
     out.copyChargedCycles = eng.kernel().copyEngine().chargedCycles();
     if (eng.faultInjector())

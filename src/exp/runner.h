@@ -44,6 +44,23 @@ struct RunConfig
     std::vector<std::string> tunables;
 };
 
+/**
+ * Cache-model and TLB counters of one run: L1, L2 and the TLB summed
+ * over the logical threads, plus the shared L3.
+ */
+struct HierarchyCounters
+{
+    std::uint64_t hits[3] = {};        ///< Indexed L1, L2, L3.
+    std::uint64_t misses[3] = {};
+    std::uint64_t writebacks[3] = {};
+    std::uint64_t tlbL1Hits = 0;
+    std::uint64_t tlbStlbHits = 0;
+    std::uint64_t tlbMisses = 0;
+    std::uint64_t tlbHugeL1Hits = 0;
+    std::uint64_t tlbHugeStlbHits = 0;
+    std::uint64_t tlbHugeMisses = 0;
+};
+
 /** Everything harvested from one run. */
 struct RunResult
 {
@@ -79,6 +96,7 @@ struct RunResult
 
     std::uint64_t levelCounts[kNumMemLevels] = {};
     std::uint64_t totalAccesses = 0;
+    HierarchyCounters hierarchy;
 
     /** Order-independent digest of the application output, used to
      *  check that placement policy never changes results. */

@@ -293,9 +293,9 @@ Engine::pushVictim(ThreadContext &t, SetAssocCache &lower,
 {
     if (!victim.valid)
         return;
-    if (lower.access(victim.line, victim.dirty))
-        return;  // Already present; dirty bit merged by access().
-    const CacheEviction next = lower.insert(victim.line, victim.dirty);
+    CacheEviction next;
+    if (lower.accessOrInsert(victim.line, victim.dirty, next))
+        return;  // Already present; dirty bit merged.
     if (&lower == &l3) {
         if (next.valid && next.dirty)
             writebackLine(t, next.line);
@@ -311,13 +311,11 @@ Engine::fillOnMiss(ThreadContext &t, Addr line, bool dirty, MemLevel from)
     // Install the line at every level above the servicing one; victims
     // trickle downward and dirty L3 victims write back to memory.
     if (from == MemLevel::DRAM || from == MemLevel::NVM) {
-        if (!l3.contains(line)) {
-            const CacheEviction ev = l3.insert(line, false);
-            if (ev.valid && ev.dirty)
-                writebackLine(t, ev.line);
-        }
+        const CacheEviction ev = l3.insert(line, false);
+        if (ev.valid && ev.dirty)
+            writebackLine(t, ev.line);
     }
-    if (from != MemLevel::L2 && !t.l2.contains(line)) {
+    if (from != MemLevel::L2) {
         const CacheEviction ev = t.l2.insert(line, false);
         pushVictim(t, l3, ev);
     }

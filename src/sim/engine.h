@@ -379,8 +379,23 @@ class Engine : public TlbShootdownClient
                    bool is_store, std::uint64_t &consumed,
                    bool &prologue_next);
     void auditTranslationCaches(Cycles now) const;
+    /**
+     * Install @p line in L1 and every level above @p from (L2 when it
+     * serviced from L3 or memory, L3 too when from memory), pushing
+     * each level's victim down the non-inclusive hierarchy.
+     * Precondition: @p line just missed in every level it is installed
+     * in -- accessCore's L2-hit, L3-hit and memory paths and the
+     * prefetch (guarded by three contains) all call it so -- which lets
+     * the fills skip residency probes. SetAssocCache::insert's debug
+     * assertion checks it.
+     */
     void fillOnMiss(ThreadContext &t, Addr line, bool dirty,
                     MemLevel from);
+    /**
+     * Merge a displaced @p victim into @p lower (L2 or the shared L3):
+     * a hit absorbs its dirty bit, a miss fills it and cascades the
+     * fill's own victim one level down; a dirty L3 victim writes back.
+     */
     void pushVictim(ThreadContext &t, SetAssocCache &lower,
                     const CacheEviction &victim);
     void writebackLine(ThreadContext &t, Addr line);

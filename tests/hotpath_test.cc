@@ -4,12 +4,13 @@
  * every remap class, micro-cache staleness rejection, the invariant-
  * checker audit of per-thread translation caches, the translation-
  * epoch race stress (remaps and migrations interleaved with batched
- * sweeps, 4 KiB and THP), and the golden scalar-vs-batched bit-
- * identity of whole workload runs.
+ * sweeps, 4 KiB and THP), the golden scalar-vs-batched bit-identity
+ * of whole workload runs, and absolute cache/TLB counter goldens.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 
 #include "exp/runner.h"
@@ -412,6 +413,89 @@ TEST(HotpathGolden, PageRankScalarAndBatchedBitIdentical)
     rc.sys.scalarPath = true;
     const RunResult scalar = runWorkload(rc);
     expectBitIdentical(batched, scalar);
+}
+
+// ------------------------------------ Absolute cache and TLB golden
+//
+// HotpathGolden compares two paths that drive the same cache and TLB
+// model, so a semantic drift inside that model would pass it. These
+// pin absolute counters captured from the original tick-stamped
+// true-LRU implementation; the scalar-path CI pass checks them too.
+
+struct HierarchyGolden
+{
+    /** L1, L2, L3 as {hits, misses, writebacks}. */
+    std::array<std::uint64_t, 9> cache;
+    /** 4 KiB {l1Hits, stlbHits, misses}, then the 2 MiB class. */
+    std::array<std::uint64_t, 6> tlb;
+    std::array<std::uint64_t, kNumMemLevels> levels;
+    double totalSeconds;
+};
+
+void
+expectHierarchy(const RunResult &r, const HierarchyGolden &g)
+{
+    const HierarchyCounters &h = r.hierarchy;
+    for (int l = 0; l < 3; ++l) {
+        EXPECT_EQ(h.hits[l], g.cache[3 * l]) << "L" << l + 1 << " hits";
+        EXPECT_EQ(h.misses[l], g.cache[3 * l + 1])
+            << "L" << l + 1 << " misses";
+        EXPECT_EQ(h.writebacks[l], g.cache[3 * l + 2])
+            << "L" << l + 1 << " writebacks";
+    }
+    const std::array<std::uint64_t, 6> tlb = {
+        h.tlbL1Hits,     h.tlbStlbHits,     h.tlbMisses,
+        h.tlbHugeL1Hits, h.tlbHugeStlbHits, h.tlbHugeMisses};
+    EXPECT_EQ(tlb, g.tlb);
+    for (int l = 0; l < kNumMemLevels; ++l)
+        EXPECT_EQ(r.levelCounts[l], g.levels[l]) << "level " << l;
+    EXPECT_EQ(r.totalSeconds, g.totalSeconds);
+}
+
+TEST(HierarchyGolden, PageRankKron12)
+{
+    if (thpForcedByEnv())
+        GTEST_SKIP() << "golden values captured with THP off";
+    expectHierarchy(
+        runWorkload(hotpathConfig(App::PR)),
+        {{458110u, 82911u, 8673u, 146007u, 22857u, 6797u, 10960u, 30367u,
+          6761u},
+         {540455u, 0u, 566u, 0u, 0u, 0u},
+         {238040u, 220070u, 60111u, 7762u, 13191u, 1847u},
+         0.0022043603846153845});
+}
+
+TEST(HierarchyGolden, BfsKron12)
+{
+    if (thpForcedByEnv())
+        GTEST_SKIP() << "golden values captured with THP off";
+    expectHierarchy(
+        runWorkload(hotpathConfig(App::BFS)),
+        {{213935u, 15548u, 8096u, 16934u, 15003u, 6359u, 4759u, 23004u,
+          6181u},
+         {228750u, 0u, 733u, 0u, 0u, 0u},
+         {100125u, 113810u, 578u, 3652u, 9625u, 1693u},
+         0.0016342738461538461});
+}
+
+// THP set in the config (not through MEMTIER_THP), so every CI build
+// runs it. kron 2^15 so the arrays span whole 2 MiB ranges: the run
+// drives the 2 MiB TLB classes and the fault-time insertHuge upgrade.
+TEST(HierarchyGolden, PageRankKron15Thp)
+{
+    RunConfig rc = hotpathConfig(App::PR);
+    rc.workload.scale = 15;
+    rc.sys.dram = makeDramParams(4 * kMiB);
+    rc.sys.nvm = makeNvmParams(16 * kMiB);
+    rc.sys.autonuma.rateLimitBytesPerSec = 16 * kMiB;
+    rc.sys.thp.enabled = true;
+    expectHierarchy(
+        runWorkload(rc),
+        {{3440994u, 1436291u, 80319u, 1732366u, 1241218u, 78186u,
+          1272826u, 1077070u, 78155u},
+         {3283111u, 11491u, 9820u, 1572780u, 0u, 83u},
+         {628160u, 2812834u, 414812u, 444637u, 550647u, 26195u},
+         0.036499884230769233});
 }
 
 // ------------------------------------------------------- Chaos sweep
