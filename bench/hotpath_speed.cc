@@ -25,12 +25,11 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "base/logging.h"
+#include "bench_common.h"
 #include "exp/runner.h"
 
 using namespace memtier;
@@ -107,39 +106,6 @@ runScale(int scale, int trials, int reps)
         scalar_r.vmstat.pgmigrateSuccess ==
             batched_r.vmstat.pgmigrateSuccess;
     return res;
-}
-
-/** The host CPU's model name from /proc/cpuinfo, or "unknown". */
-std::string
-cpuModel()
-{
-    std::ifstream in("/proc/cpuinfo");
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.rfind("model name", 0) != 0)
-            continue;
-        const std::size_t colon = line.find(':');
-        if (colon != std::string::npos)
-            return line.substr(line.find_first_not_of(' ', colon + 1));
-    }
-    return "unknown";
-}
-
-/** JSON object naming the machine and build that produced a record. */
-std::string
-hostJson()
-{
-#if defined(__clang__)
-    const char *compiler = "clang " __clang_version__;
-#else
-    const char *compiler = "gcc " __VERSION__;
-#endif
-    std::ostringstream os;
-    os << "{\"cpu\": \"" << cpuModel() << "\", \"nproc\": "
-       << std::thread::hardware_concurrency() << ", \"compiler\": \""
-       << compiler << "\", \"build_type\": \""
-       << MEMTIER_BUILD_TYPE << "\"}";
-    return os.str();
 }
 
 }  // namespace

@@ -5,7 +5,10 @@
  * multi-GB footprints (scale 24-25, two orders of magnitude above the
  * scale-18 default), reporting simulated accesses/second, migration
  * volume and DRAM-hit fraction per {scale, kind, mode} cell, plus the
- * host peak RSS that the segment-by-segment build keeps bounded.
+ * host peak RSS that the segment-by-segment build keeps bounded. Each
+ * row also times the out-of-core build (spill + sort) separately as
+ * build_sec -- near zero when an earlier row at the same scale already
+ * built the artifacts -- and the record names its host.
  *
  * Also self-checks the subsystem's golden property: a one-segment
  * out-of-core build must be bit-identical (simulated cycles, output,
@@ -82,6 +85,7 @@ struct RowResult
     double loadSimSec = 0.0;
     double computeSimSec = 0.0;
     std::uint64_t totalAccesses = 0;
+    double buildSec = 0.0;  ///< Spill + sort; ~0 when already cached.
     double wallSec = 0.0;
     double accessesPerSec = 0.0;
     std::uint64_t copyBytes = 0;
@@ -168,7 +172,8 @@ runRow(const SweepRow &row, int trials)
     // Prewarm the spill artifacts so wall_sec times materialization +
     // simulated execution, not the one-off generate/sort pipeline --
     // otherwise the first mode at each scale pays generation and its
-    // accesses/sec is not comparable to the cache-hitting second.
+    // accesses/sec is not comparable to the cache-hitting second. The
+    // prewarm is timed on its own as build_sec.
     const BigraphSpec bs{row.kind == GraphKind::Kron
                              ? BigraphKind::Kron
                              : BigraphKind::Urand,
@@ -178,7 +183,11 @@ runRow(const SweepRow &row, int trials)
                          static_cast<std::uint32_t>(row.segments),
                          false,
                          false};
+    const auto b0 = std::chrono::steady_clock::now();
     const BigraphArtifacts &art = prepareBigraph(bs);
+    const double build_sec = std::chrono::duration<double>(
+                                 std::chrono::steady_clock::now() - b0)
+                                 .count();
 
     std::cerr << "running scale " << row.scale << " "
               << graphKindName(row.kind) << " [" << row.mode
@@ -190,6 +199,7 @@ runRow(const SweepRow &row, int trials)
     RowResult out;
     out.row = row;
     out.nodes = 1LL << row.scale;
+    out.buildSec = build_sec;
     out.loadSimSec = r.loadSeconds;
     out.computeSimSec = r.computeSeconds;
     out.totalAccesses = r.totalAccesses;
@@ -351,7 +361,8 @@ main(int argc, char **argv)
                   << r.totalAccesses << " accesses, "
                   << static_cast<std::uint64_t>(r.accessesPerSec)
                   << " accesses/s, dram_hit "
-                  << r.dramHitFraction << ", migrated "
+                  << r.dramHitFraction << ", build "
+                  << r.buildSec << " s, migrated "
                   << (r.copyBytes >> 20) << " MiB, peak rss "
                   << (r.peakRss >> 20) << " MiB\n";
     }
@@ -366,6 +377,7 @@ main(int argc, char **argv)
         << "  \"bench\": \"scale_sweep\",\n"
         << "  \"app\": \"pr\",\n"
         << "  \"trials\": " << trials << ",\n"
+        << "  \"host\": " << hostJson() << ",\n"
         << "  \"segment1_bit_identical\": "
         << (golden ? "true" : "false") << ",\n"
         << "  \"rows\": [\n";
@@ -379,7 +391,8 @@ main(int argc, char **argv)
             << r.footprintBytes << ", \"load_sim_sec\": "
             << r.loadSimSec << ", \"compute_sim_sec\": "
             << r.computeSimSec << ", \"total_accesses\": "
-            << r.totalAccesses << ", \"wall_sec\": " << r.wallSec
+            << r.totalAccesses << ", \"build_sec\": " << r.buildSec
+            << ", \"wall_sec\": " << r.wallSec
             << ", \"accesses_per_sec\": " << r.accessesPerSec
             << ", \"copy_bytes\": " << r.copyBytes
             << ", \"dram_hit_fraction\": " << r.dramHitFraction

@@ -33,7 +33,8 @@
 #      one-segment out-of-core build
 #      must stay bit-identical to the monolithic loader and the
 #      largest committed scale cell must keep >= 80% of its recorded
-#      accesses/sec;
+#      accesses/sec (its out-of-core build time and both records'
+#      hosts are printed beside it, ungated);
 #   8. an ECC chaos pass: the memory-failure end-to-end tests (BFS
 #      under an ecc_ce/ecc_ue plan) and one hot cell of the KV
 #      degradation sweep, both with the invariant checker forced on,
@@ -181,9 +182,20 @@ if not now_rec.get("segment1_bit_identical", False):
 base = max(base_rec["rows"], key=lambda r: r["scale"])
 now = now_rec["rows"][0]
 ratio = now["accesses_per_sec"] / base["accesses_per_sec"]
+
+def host(rec):
+    h = rec.get("host")
+    if h is None:
+        return "not recorded"
+    return (f"{h['cpu']}, {h['nproc']} CPUs, {h['compiler']}, "
+            f"{h['build_type']}")
+
+print(f"scale gate: baseline host: {host(base_rec)}")
+print(f"scale gate: current host:  {host(now_rec)}")
 print(f"scale gate: scale {base['scale']} {base['kind']} "
       f"[{base['mode']}] baseline {base['accesses_per_sec']:.3e} "
-      f"acc/s, now {now['accesses_per_sec']:.3e} acc/s ({ratio:.2f}x)")
+      f"acc/s, now {now['accesses_per_sec']:.3e} acc/s ({ratio:.2f}x); "
+      f"out-of-core build {now['build_sec']:.1f} s (not gated)")
 if ratio < 0.8:
     sys.exit("scale gate FAILED: segmented-path throughput regressed "
              ">20% vs BENCH_scale.json at the largest committed scale "

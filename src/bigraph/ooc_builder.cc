@@ -1,11 +1,13 @@
 #include "bigraph/ooc_builder.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <utility>
 
 #include <unistd.h>
 
@@ -187,24 +189,60 @@ spillEdges(const BigraphSpec &spec, BigraphArtifacts &art)
 }
 
 /**
- * Phase 2: per bucket, sort by (u, v), deduplicate, rewrite in place
- * and record the edge counts -- global dedup falls out of per-bucket
- * dedup because a directed edge's bucket is a function of its source.
+ * Sort the @p n targets at @p a whose set bits all lie below
+ * @p key_bits: an LSD radix sort on 8-bit digits through @p scratch
+ * (room for @p n), skipping digits on which every key agrees. Rows
+ * shorter than 16 keys per digit (~the break-even on a Xeon host) use
+ * a comparison sort instead.
+ */
+void
+sortTargets(std::uint32_t *a, std::size_t n, std::uint32_t *scratch,
+            int key_bits)
+{
+    const int digits = (key_bits + 7) / 8;
+    if (n < 16 * static_cast<std::size_t>(digits)) {
+        std::sort(a, a + n);
+        return;
+    }
+    std::size_t count[4][256] = {};
+    for (std::size_t i = 0; i < n; ++i) {
+        for (int d = 0; d < digits; ++d)
+            ++count[d][(a[i] >> (8 * d)) & 0xff];
+    }
+    std::uint32_t *src = a;
+    std::uint32_t *dst = scratch;
+    for (int d = 0; d < digits; ++d) {
+        const int shift = 8 * d;
+        std::size_t *bins = count[d];
+        if (bins[(src[0] >> shift) & 0xff] == n)
+            continue;
+        std::size_t sum = 0;
+        for (int b = 0; b < 256; ++b)
+            sum += std::exchange(bins[b], sum);
+        for (std::size_t i = 0; i < n; ++i)
+            dst[bins[(src[i] >> shift) & 0xff]++] = src[i];
+        std::swap(src, dst);
+    }
+    if (src != a)
+        std::copy(src, src + n, a);
+}
+
+/**
+ * Phase 2: sort and deduplicate every bucket and record the edge
+ * counts -- global dedup falls out of per-bucket dedup because a
+ * directed edge's bucket is a function of its source.
  */
 void
 sortAndDedup(BigraphArtifacts &art)
 {
     for (std::uint32_t k = 0; k < art.segments; ++k) {
-        std::vector<std::uint64_t> pairs =
-            readPairFile(art.segFiles[k]);
-        std::sort(pairs.begin(), pairs.end());
-        pairs.erase(std::unique(pairs.begin(), pairs.end()),
-                    pairs.end());
-        FilePtr f(std::fopen(art.segFiles[k].c_str(), "wb"));
-        if (!f)
-            fatal("bigraph: cannot rewrite %s", art.segFiles[k].c_str());
-        writeAll(f.get(), pairs.data(), pairs.size(), art.segFiles[k]);
-        art.edgeCounts[k] = static_cast<std::int64_t>(pairs.size());
+        const std::int64_t first =
+            static_cast<std::int64_t>(k) * art.rowsPerSegment;
+        const std::int64_t end = std::min<std::int64_t>(
+            first + art.rowsPerSegment, art.nodes);
+        art.edgeCounts[k] = static_cast<std::int64_t>(sortAndDedupBucket(
+            art.segFiles[k], static_cast<NodeId>(first),
+            static_cast<NodeId>(end - first)));
     }
     art.edgeBases.assign(art.segments + 1, 0);
     for (std::uint32_t k = 0; k < art.segments; ++k)
@@ -224,6 +262,93 @@ fnv1a(std::uint64_t h, std::uint64_t word)
 }
 
 }  // namespace
+
+std::uint64_t
+sortAndDedupBucket(const std::string &path, NodeId first_row,
+                   NodeId row_count)
+{
+    constexpr std::size_t kChunkPairs = 1 << 15;  // 256 KiB.
+    std::vector<std::uint64_t> chunk(kChunkPairs);
+    const auto rows = static_cast<std::size_t>(row_count);
+    const auto rowOf = [&](std::uint64_t p) {
+        return static_cast<std::size_t>(pairU(p) - first_row);
+    };
+    const auto forEachChunk = [&](auto &&fn) {
+        FilePtr f(std::fopen(path.c_str(), "rb"));
+        if (!f)
+            fatal("bigraph: cannot open %s", path.c_str());
+        std::size_t got;
+        while ((got = std::fread(chunk.data(), sizeof(std::uint64_t),
+                                 kChunkPairs, f.get())) > 0)
+            fn(got);
+        if (std::ferror(f.get()))
+            fatal("bigraph: read error on %s", path.c_str());
+    };
+
+    // Count pass: per-row counts and the targets' significant bits,
+    // then an inclusive prefix sum, so start[r] is the end of row r
+    // and start[rows] the pair count.
+    std::vector<std::size_t> start(rows + 1, 0);
+    std::uint32_t target_bits = 0;
+    forEachChunk([&](std::size_t got) {
+        for (std::size_t i = 0; i < got; ++i) {
+            const std::size_t r = rowOf(chunk[i]);
+            MEMTIER_ASSERT(r < rows, "bigraph: pair outside its bucket");
+            ++start[r];
+            target_bits |= static_cast<std::uint32_t>(pairV(chunk[i]));
+        }
+    });
+    const std::size_t longest =
+        *std::max_element(start.begin(), start.end());
+    for (std::size_t r = 1; r <= rows; ++r)
+        start[r] += start[r - 1];
+
+    // Scatter pass: fill each row backwards, which leaves start[r] at
+    // the beginning of row r. Only the 4-byte targets stay resident.
+    std::vector<std::uint32_t> targets(start[rows]);
+    forEachChunk([&](std::size_t got) {
+        for (std::size_t i = 0; i < got; ++i)
+            targets[--start[rowOf(chunk[i])]] =
+                static_cast<std::uint32_t>(pairV(chunk[i]));
+    });
+
+    // Sort + unique each row, compacting the survivors to the front:
+    // afterwards row r's kept targets are [start[r], start[r + 1]).
+    std::vector<std::uint32_t> scratch(longest);
+    const int key_bits = std::bit_width(target_bits);
+    std::size_t kept = 0;
+    for (std::size_t r = 0; r < rows; ++r) {
+        std::uint32_t *const begin = targets.data() + start[r];
+        const std::size_t n = start[r + 1] - start[r];
+        sortTargets(begin, n, scratch.data(), key_bits);
+        std::uint32_t *const end = std::unique(begin, begin + n);
+        if (begin != targets.data() + kept)
+            std::copy(begin, end, targets.data() + kept);
+        start[r] = kept;
+        kept += static_cast<std::size_t>(end - begin);
+    }
+    start[rows] = kept;
+
+    // Rewrite the bucket as packed pairs in (u, v) order -- the order
+    // a sort of the packed words gives.
+    FilePtr f(std::fopen(path.c_str(), "wb"));
+    if (!f)
+        fatal("bigraph: cannot rewrite %s", path.c_str());
+    std::size_t buffered = 0;
+    for (std::size_t r = 0; r < rows; ++r) {
+        const auto u = static_cast<NodeId>(first_row + r);
+        for (std::size_t i = start[r]; i < start[r + 1]; ++i) {
+            chunk[buffered++] =
+                packPair(u, static_cast<NodeId>(targets[i]));
+            if (buffered == kChunkPairs) {
+                writeAll(f.get(), chunk.data(), buffered, path);
+                buffered = 0;
+            }
+        }
+    }
+    writeAll(f.get(), chunk.data(), buffered, path);
+    return kept;
+}
 
 const char *
 bigraphKindName(BigraphKind kind)

@@ -88,6 +88,18 @@ std::string bigraphSpillDir();
 const BigraphArtifacts &prepareBigraph(const BigraphSpec &spec);
 
 /**
+ * Phase 2 for one spill bucket at @p path whose sources all lie in
+ * [@p first_row, @p first_row + @p row_count): sort by (u, v), drop
+ * duplicates and rewrite the file in place. A per-row counting sort
+ * over two streaming passes (count, then scatter the 4-byte targets),
+ * then a sort + unique within each row. Host memory is the targets,
+ * one offset per row and a sort scratch as long as the longest row.
+ * Returns the deduplicated pair count.
+ */
+std::uint64_t sortAndDedupBucket(const std::string &path,
+                                 NodeId first_row, NodeId row_count);
+
+/**
  * Drop the artifact cache and delete its spill files (tests and
  * RSS-sensitive sweeps). Process exit does the same.
  */

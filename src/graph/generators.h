@@ -12,7 +12,8 @@
  * EdgeList builders below, and streaming forEach*Edge visitors that
  * emit edges one at a time without materializing the list -- the form
  * the out-of-core segmented builder (src/bigraph) consumes, where the
- * full edge list at scale 24+ would not fit the host RSS budget.
+ * full edge list at scale 24+ would not fit the host RSS budget. The
+ * builders are thin wrappers over the visitors.
  */
 
 #ifndef MEMTIER_GRAPH_GENERATORS_H_
@@ -26,12 +27,55 @@
 
 namespace memtier {
 
+/** Graph500 R-MAT quadrant probabilities; D takes the remainder. */
+inline constexpr double kKronA = 0.57;
+inline constexpr double kKronB = 0.19;
+inline constexpr double kKronC = 0.19;
+
+/**
+ * Integer form of the draw test `nextDouble() < p`. nextDouble() is
+ * exactly k * 2^-53 with k = next() >> 11, and scaling @p p by 2^53 is
+ * exact, so r < p holds exactly when k < ceil(p * 2^53).
+ */
+constexpr std::uint64_t
+kronThreshold(double p)
+{
+    const double x = p * 0x1.0p53;
+    const auto t = static_cast<std::uint64_t>(x);
+    return static_cast<double>(t) == x ? t : t + 1;
+}
+
+/** Cumulative quadrant thresholds, from the double sums A, A+B and
+ *  A+B+C that a floating-point quadrant chain compares r against. */
+inline constexpr std::uint64_t kKronThresholdA = kronThreshold(kKronA);
+inline constexpr std::uint64_t kKronThresholdAB =
+    kronThreshold(kKronA + kKronB);
+inline constexpr std::uint64_t kKronThresholdABC =
+    kronThreshold(kKronA + kKronB + kKronC);
+static_assert(0 < kKronThresholdA && kKronThresholdA < kKronThresholdAB &&
+              kKronThresholdAB < kKronThresholdABC &&
+              kKronThresholdABC < (1ULL << 53));
+
+/**
+ * R-MAT quadrant of one 53-bit draw @p k, branch-free: bit 1 is the
+ * source's bit, bit 0 the target's. Quadrant A (k < T_A) sets neither,
+ * B sets the target's, C the source's, D both.
+ */
+constexpr std::uint64_t
+kronQuadrant(std::uint64_t k)
+{
+    const std::uint64_t ge_a = k >= kKronThresholdA;
+    const std::uint64_t ge_ab = k >= kKronThresholdAB;
+    const std::uint64_t ge_abc = k >= kKronThresholdABC;
+    return ge_ab << 1 | (ge_a ^ ge_ab ^ ge_abc);
+}
+
 /**
  * Stream the Kronecker (R-MAT) edge sequence with Graph500
- * probabilities (A=0.57, B=0.19, C=0.19): calls @p fn(u, v) for each
- * of the degree*2^scale generated edges, in generation order.
- * Identical RNG draws to generateKron, so the emitted sequence is the
- * edge list element for element.
+ * probabilities: calls @p fn(u, v) for each of the degree*2^scale
+ * generated edges, in generation order. One draw per bit, the same
+ * draws a floating-point `r < p` quadrant chain makes; an absolute
+ * stream golden (tests/graph_test.cc) pins the sequence.
  */
 template <typename Fn>
 void
@@ -42,26 +86,13 @@ forEachKronEdge(int scale, int degree, std::uint64_t seed, Fn &&fn)
     const std::uint64_t m = n * static_cast<std::uint64_t>(degree);
     Rng rng(seed);
 
-    // Graph500 R-MAT quadrant probabilities.
-    constexpr double kA = 0.57;
-    constexpr double kB = 0.19;
-    constexpr double kC = 0.19;
-
     for (std::uint64_t e = 0; e < m; ++e) {
         std::uint64_t u = 0;
         std::uint64_t v = 0;
         for (int bit = 0; bit < scale; ++bit) {
-            const double r = rng.nextDouble();
-            if (r < kA) {
-                // Top-left quadrant: no bits set.
-            } else if (r < kA + kB) {
-                v |= 1ULL << bit;
-            } else if (r < kA + kB + kC) {
-                u |= 1ULL << bit;
-            } else {
-                u |= 1ULL << bit;
-                v |= 1ULL << bit;
-            }
+            const std::uint64_t q = kronQuadrant(rng.next() >> 11);
+            u |= (q >> 1) << bit;
+            v |= (q & 1) << bit;
         }
         fn(static_cast<NodeId>(u), static_cast<NodeId>(v));
     }
@@ -70,7 +101,7 @@ forEachKronEdge(int scale, int degree, std::uint64_t seed, Fn &&fn)
 /**
  * Stream the uniform-random edge sequence: calls @p fn(u, v) for each
  * of the degree*2^scale edges with independently uniform endpoints.
- * Identical RNG draws to generateUrand.
+ * Pinned by the same absolute stream golden.
  */
 template <typename Fn>
 void

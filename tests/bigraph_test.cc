@@ -6,15 +6,21 @@
  * a chaos run with faults and invariants armed under pressured DRAM.
  */
 
+#include <algorithm>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include "apps/bfs.h"
 #include "apps/pagerank.h"
 #include "apps/sssp.h"
+#include "base/rng.h"
 #include "bigraph/ooc_builder.h"
 #include "bigraph/segmented_csr.h"
 #include "exp/runner.h"
@@ -178,6 +184,158 @@ TEST(SegmentedCsr, OocBuildDeterministicAndOrderIndependent)
     EXPECT_EQ(b.numEdges(), edges_a);
     b.free(heap_b, eng_b.thread(0));
     clearBigraphArtifacts();
+}
+
+// --------------------------------------------------- Artifact golden
+
+/**
+ * Byte-wise FNV-1a over every spill file of @p art in segment order,
+ * each followed by its recorded edge count, then maxSpillBytes.
+ */
+std::uint64_t
+artifactHash(const BigraphArtifacts &art)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    const auto mix = [&](std::uint64_t word) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (word >> (i * 8)) & 0xff;
+            h *= 0x100000001b3ULL;
+        }
+    };
+    for (std::uint32_t k = 0; k < art.segments; ++k) {
+        std::ifstream in(art.segFiles[k], std::ios::binary);
+        EXPECT_TRUE(in) << art.segFiles[k];
+        char c;
+        while (in.get(c)) {
+            h ^= static_cast<unsigned char>(c);
+            h *= 0x100000001b3ULL;
+        }
+        mix(static_cast<std::uint64_t>(art.edgeCounts[k]));
+    }
+    mix(art.maxSpillBytes);
+    return h;
+}
+
+TEST(SegmentedCsr, SpillArtifactsMatchAbsoluteGolden)
+{
+    // Absolute hashes of the sorted, deduplicated spill files, captured
+    // from the original whole-bucket std::sort build. Three segments
+    // split the rows unevenly; 64 leave some rows without edges.
+    struct Golden
+    {
+        BigraphKind kind;
+        int scale;
+        std::uint32_t segments;
+        std::uint64_t hash;
+        std::int64_t totalEdges;
+        std::uint64_t maxSpillBytes;
+    };
+    const Golden goldens[] = {
+        {BigraphKind::Kron, 10, 1, 0x86f55f73aedd5e8cULL, 20872, 259856},
+        {BigraphKind::Kron, 10, 3, 0x5fc2791b305fd967ULL, 20872, 183520},
+        {BigraphKind::Kron, 10, 8, 0x13459af04be37a49ULL, 20872, 113592},
+        {BigraphKind::Kron, 10, 64, 0xab7ade42d968dfa5ULL, 20872, 49840},
+        {BigraphKind::Kron, 14, 1, 0xc68d2121b9176c35ULL, 426630, 4189024},
+        {BigraphKind::Kron, 14, 3, 0x80c10927dcf755e2ULL, 426630, 2962128},
+        {BigraphKind::Kron, 14, 8, 0x539604829dc2585fULL, 426630, 1833232},
+        {BigraphKind::Kron, 14, 64, 0xb4354da209041486ULL, 426630, 802752},
+        {BigraphKind::Urand, 10, 1, 0xf7962f190d0dbda2ULL, 32210, 261936},
+        {BigraphKind::Urand, 10, 3, 0x91fbfff04ef2f9ddULL, 32210, 88336},
+        {BigraphKind::Urand, 10, 8, 0x4fdf5bcbf7f65684ULL, 32210, 33472},
+        {BigraphKind::Urand, 10, 64, 0x719afd150cfa3fa3ULL, 32210, 4528},
+        {BigraphKind::Urand, 14, 1, 0x759d3e77c14954fdULL, 523742, 4194112},
+        {BigraphKind::Urand, 14, 3, 0x70616101fa53cdd4ULL, 523742, 1401920},
+        {BigraphKind::Urand, 14, 8, 0x68ffc60aaa61c308ULL, 523742, 527264},
+        {BigraphKind::Urand, 14, 64, 0x1e69a67ff8909a4eULL, 523742, 67480},
+    };
+    for (const Golden &g : goldens) {
+        BigraphSpec spec;
+        spec.kind = g.kind;
+        spec.scale = g.scale;
+        spec.segments = g.segments;
+        const BigraphArtifacts &art = prepareBigraph(spec);
+        const std::uint64_t hash = artifactHash(art);
+        EXPECT_EQ(hash, g.hash)
+            << art.key << " got 0x" << std::hex << hash;
+        EXPECT_EQ(art.totalEdges, g.totalEdges) << art.key;
+        EXPECT_EQ(art.maxSpillBytes, g.maxSpillBytes) << art.key;
+        clearBigraphArtifacts();
+    }
+}
+
+// ------------------------------------------------- Bucket sort edges
+
+std::string
+writeBucket(const std::string &name, const std::vector<std::uint64_t> &pairs)
+{
+    const std::string path = bigraphSpillDir() + "/" + name + ".p" +
+                             std::to_string(::getpid()) + ".pairs";
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char *>(pairs.data()),
+              static_cast<std::streamsize>(pairs.size() *
+                                           sizeof(std::uint64_t)));
+    return path;
+}
+
+std::vector<std::uint64_t>
+readBucket(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::vector<std::uint64_t> pairs;
+    std::uint64_t p;
+    while (in.read(reinterpret_cast<char *>(&p), sizeof(p)))
+        pairs.push_back(p);
+    return pairs;
+}
+
+std::uint64_t
+packed(std::uint32_t u, std::uint32_t v)
+{
+    return static_cast<std::uint64_t>(u) << 32 | v;
+}
+
+TEST(SegmentedCsr, BucketSortHandlesEmptyBucket)
+{
+    const std::string path = writeBucket("bucket_empty", {});
+    EXPECT_EQ(sortAndDedupBucket(path, 96, 32), 0u);
+    EXPECT_TRUE(readBucket(path).empty());
+    std::filesystem::remove(path);
+}
+
+TEST(SegmentedCsr, BucketSortMatchesWholeBucketSort)
+{
+    // Rows [1000, 1100): a hub row with thousands of copies of a few
+    // targets, rows without edges (including the first and the last),
+    // and scattered random pairs -- more than one 256 KiB I/O chunk.
+    const std::uint32_t first = 1000;
+    const std::uint32_t rows = 100;
+    std::vector<std::uint64_t> pairs;
+    Rng rng(7);
+    for (int i = 0; i < 60000; ++i)
+        pairs.push_back(packed(first + 42,
+                               static_cast<std::uint32_t>(
+                                   rng.nextBounded(5)) * 1000));
+    for (int i = 0; i < 40000; ++i) {
+        const auto r = static_cast<std::uint32_t>(
+            1 + rng.nextBounded(rows - 2));
+        if (r % 7 == 0)
+            continue;
+        pairs.push_back(
+            packed(first + r, static_cast<std::uint32_t>(
+                                  rng.nextBounded(1u << 31))));
+    }
+    pairs.push_back(packed(first + 5, 0));
+    pairs.push_back(packed(first + 5, 0));
+    pairs.push_back(packed(first + 5, 0xffffffffu >> 1));
+
+    std::vector<std::uint64_t> expect = pairs;
+    std::sort(expect.begin(), expect.end());
+    expect.erase(std::unique(expect.begin(), expect.end()), expect.end());
+
+    const std::string path = writeBucket("bucket_hub", pairs);
+    EXPECT_EQ(sortAndDedupBucket(path, first, rows), expect.size());
+    EXPECT_EQ(readBucket(path), expect);
+    std::filesystem::remove(path);
 }
 
 // ---------------------------------------------- Traversal correctness

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "base/rng.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "graph/sim_graph.h"
@@ -144,8 +145,8 @@ TEST(Generators, SeedsProduceDifferentGraphs)
 
 TEST(Generators, StreamingEmissionMatchesMaterialized)
 {
-    // The streaming emitters are the materializing generators' RNG
-    // loops extracted verbatim; the edge sequences must be identical.
+    // The materializing generators wrap the streaming emitters; the
+    // edge sequences must be identical.
     const EdgeList kron = generateKron(9, 6, 17);
     std::size_t i = 0;
     forEachKronEdge(9, 6, 17, [&](NodeId u, NodeId v) {
@@ -190,6 +191,114 @@ TEST(Generators, SeedStableAtScale20)
     const std::uint64_t a = checksum(9241);
     EXPECT_EQ(checksum(9241), a);
     EXPECT_NE(checksum(9242), a);
+}
+
+/** Byte-wise FNV-1a over each emitted edge packed as (u << 32 | v). */
+template <typename Emit>
+std::uint64_t
+streamHash(Emit &&emit)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    emit([&](NodeId u, NodeId v) {
+        const std::uint64_t packed =
+            (static_cast<std::uint64_t>(static_cast<std::uint32_t>(u))
+             << 32) |
+            static_cast<std::uint32_t>(v);
+        for (int i = 0; i < 8; ++i) {
+            h ^= (packed >> (i * 8)) & 0xff;
+            h *= 0x100000001b3ULL;
+        }
+    });
+    return h;
+}
+
+TEST(Generators, StreamsMatchAbsoluteGolden)
+{
+    // Absolute hashes of the emitted edge sequences, captured from the
+    // original double-compare R-MAT loop. Unlike the self-comparisons
+    // above, these catch any drift in the draws or the quadrant test.
+    struct Golden
+    {
+        int scale;
+        std::uint64_t seed;
+        std::uint64_t kron;
+        std::uint64_t urand;
+    };
+    const Golden goldens[] = {
+        {1, 1, 0x10412e0580205a04ULL,
+         0xeffec5f78091e3b4ULL},
+        {2, 3, 0x726fdf6131621bd6ULL,
+         0xd72f59479be76ce5ULL},
+        {13, 3, 0x0d54467ec5c4c4d0ULL,
+         0x4515abd391ef3b0aULL},
+        {13, 9241, 0x600b12172669d16dULL,
+         0x06851236a8cd6f53ULL},
+        {16, 9, 0x402e9f76fb9f56cbULL,
+         0xd4dd59499ea0bab8ULL},
+        {20, 9241, 0x98a39245e5c49ea5ULL,
+         0x4bf6a984a9207e37ULL},
+    };
+    for (const Golden &g : goldens) {
+        const std::uint64_t kron = streamHash([&](auto &&fn) {
+            forEachKronEdge(g.scale, 16, g.seed, fn);
+        });
+        const std::uint64_t urand = streamHash([&](auto &&fn) {
+            forEachUrandEdge(g.scale, 16, g.seed, fn);
+        });
+        EXPECT_EQ(kron, g.kron)
+            << "kron scale " << g.scale << " seed " << g.seed
+            << " got 0x" << std::hex << kron;
+        EXPECT_EQ(urand, g.urand)
+            << "urand scale " << g.scale << " seed " << g.seed
+            << " got 0x" << std::hex << urand;
+    }
+}
+
+/**
+ * Oracle: the original floating-point R-MAT quadrant chain over
+ * r = k * 2^-53 (what nextDouble() returns), in kronQuadrant's
+ * encoding (bit 1 = source bit, bit 0 = target bit).
+ */
+std::uint64_t
+doubleQuadrant(std::uint64_t k)
+{
+    const double r = static_cast<double>(k) * 0x1.0p-53;
+    if (r < kKronA)
+        return 0;
+    if (r < kKronA + kKronB)
+        return 1;
+    if (r < kKronA + kKronB + kKronC)
+        return 2;
+    return 3;
+}
+
+TEST(Generators, KronQuadrantMatchesDoubleOracle)
+{
+    // Around each threshold and at both ends of the 53-bit range.
+    for (const std::uint64_t t :
+         {kKronThresholdA, kKronThresholdAB, kKronThresholdABC}) {
+        for (const std::uint64_t k :
+             {std::uint64_t{0}, t - 1, t, t + 1,
+              (std::uint64_t{1} << 53) - 1}) {
+            EXPECT_EQ(kronQuadrant(k), doubleQuadrant(k))
+                << "k " << k << " threshold " << t;
+        }
+    }
+    // The thresholds sit exactly on the double boundaries.
+    EXPECT_EQ(doubleQuadrant(kKronThresholdA - 1), 0u);
+    EXPECT_EQ(doubleQuadrant(kKronThresholdA), 1u);
+    EXPECT_EQ(doubleQuadrant(kKronThresholdAB - 1), 1u);
+    EXPECT_EQ(doubleQuadrant(kKronThresholdAB), 2u);
+    EXPECT_EQ(doubleQuadrant(kKronThresholdABC - 1), 2u);
+    EXPECT_EQ(doubleQuadrant(kKronThresholdABC), 3u);
+
+    Rng rng(20221);
+    std::uint64_t mismatches = 0;
+    for (int i = 0; i < 1000000; ++i) {
+        const std::uint64_t k = rng.next() >> 11;
+        mismatches += kronQuadrant(k) != doubleQuadrant(k);
+    }
+    EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(Generators, DegreeDistributionSaneAtScale20)
