@@ -15,11 +15,11 @@
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <thread>
 
 #include "base/logging.h"
 #include "exp/report.h"
 #include "exp/runner.h"
+#include "exp/sweep.h"
 #include "profile/analysis.h"
 
 namespace memtier {
@@ -111,7 +111,11 @@ cpuModel()
     return "unknown";
 }
 
-/** JSON object naming the machine and build that produced a record. */
+/**
+ * JSON object naming the machine and build that produced a record;
+ * "nproc" is the CPUs this process may run on (its affinity mask),
+ * the width a sweep's cell pool defaults to.
+ */
 inline std::string
 hostJson()
 {
@@ -122,7 +126,7 @@ hostJson()
 #endif
     std::ostringstream os;
     os << "{\"cpu\": \"" << cpuModel() << "\", \"nproc\": "
-       << std::thread::hardware_concurrency() << ", \"compiler\": \""
+       << affinityCpuCount() << ", \"compiler\": \""
        << compiler << "\", \"build_type\": \""
        << MEMTIER_BUILD_TYPE << "\"}";
     return os.str();

@@ -4,12 +4,13 @@
  *
  * Usage:
  *   policy_sweep [--policy=NAME] [--tunable KEY=V1,V2,...]...
- *                [--workload APP:KIND]... [--out=PATH.csv]
+ *                [--workload APP:KIND]... [--out=PATH.csv] [--jobs=N]
  *
  * Every --tunable flag contributes one sweep axis (comma-separated
  * values); the harness runs the full cross product over the workload
- * list and writes one CSV per sweep. Defaults reproduce the AutoNUMA
- * scan-period sweep on pr:kron.
+ * list, N cells at a time, and writes one CSV per sweep (identical for
+ * every N). Defaults reproduce the AutoNUMA scan-period sweep on
+ * pr:kron.
  */
 
 #include <fstream>
@@ -34,7 +35,8 @@ usage()
         << "usage: policy_sweep [--policy=NAME] "
            "[--tunable KEY=V1,V2,...]...\n"
            "                    [--workload APP:KIND]... "
-           "[--out=PATH.csv] [--faults PLAN] [--thp]\n\n"
+           "[--out=PATH.csv] [--faults PLAN] [--thp]\n"
+           "                    [--jobs=N]\n\n"
            "  --policy=NAME    registry policy to sweep "
            "(default autonuma)\n"
            "  --thp            map anonymous memory with 2 MiB PMD "
@@ -50,7 +52,12 @@ usage()
            "(default results/sweep_<policy>.csv)\n"
            "  --faults PLAN    fault-injection plan applied to every "
            "point,\n"
-           "                   e.g. 'migrate:p=0.2,burst=8;seed=7'\n\n"
+           "                   e.g. 'migrate:p=0.2,burst=8;seed=7'\n"
+           "  --jobs=N         sweep cells run at once (default 0 = "
+           "the CPUs this\n"
+           "                   process may run on; 1 = one at a time); "
+           "output is\n"
+           "                   the same for every N\n\n"
            "registered policies:\n";
     for (const std::string &name : PolicyRegistry::instance().names()) {
         std::cout << "  " << name << " -- "
@@ -170,6 +177,11 @@ main(int argc, char **argv)
             out_path = value_of("--out");
         } else if (arg.rfind("--faults", 0) == 0) {
             spec.sys.faults = FaultPlan::parseOrDie(value_of("--faults"));
+        } else if (arg.rfind("--jobs", 0) == 0) {
+            const int jobs = std::stoi(value_of("--jobs"));
+            if (jobs < 0)
+                fatal("--jobs needs a count >= 0");
+            spec.jobs = static_cast<unsigned>(jobs);
         } else {
             usage();
             fatal("unknown argument '%s'", arg.c_str());

@@ -6,26 +6,29 @@
 #      checker, so every example-reachable selection runs end to end;
 #   2. an ASan/UBSan build of the test suite, to catch memory and UB
 #      bugs the functional tests would miss;
-#   3. a serving smoke pass: a short data-serving tail sweep (KV + LSM,
+#   3. a ThreadSanitizer pass: the test binaries holding the sweep
+#      cell pool, bigraph artifact cache and dataset LRU tests, built
+#      with -fsanitize=thread, run those tests; any data race fails;
+#   4. a serving smoke pass: a short data-serving tail sweep (KV + LSM,
 #      two policies) run under the ASan/UBSan build, so the open-loop
 #      driver, the stores and the latency histograms get a sanitizer
 #      pass on every change;
-#   4. a chaos pass: the tier-1 binaries re-run with the kernel
+#   5. a chaos pass: the tier-1 binaries re-run with the kernel
 #      invariant checker forced on and a moderate fault-injection plan
 #      pushed into the chaos-aware tests, plus a segmented-CSR smoke
 #      cell (PageRank on the out-of-core path at 4 segments) under the
 #      invariant checker;
-#   5. a THP pass: the tier-1 binaries re-run with transparent huge
+#   6. a THP pass: the tier-1 binaries re-run with transparent huge
 #      pages forced on (MEMTIER_THP=ON) under the invariant checker, so
 #      every run exercises PMD mappings, collapse and splits. Tests
 #      whose golden values need the 4 KiB-only baseline skip
 #      themselves;
-#   6. a scalar-path pass: the tier-1 binaries re-run with
+#   7. a scalar-path pass: the tier-1 binaries re-run with
 #      MEMTIER_SCALAR_PATH=ON, forcing the element-at-a-time reference
 #      pipeline. The hotpath golden tests pin both paths to the same
 #      captured observables, so this pass plus pass 1 is a full
 #      scalar-vs-batched diff of every golden workload;
-#   7. a perf-regression gate: bench/hotpath_speed re-run at its
+#   8. a perf-regression gate: bench/hotpath_speed re-run at its
 #      committed parameters and compared against the checked-in
 #      BENCH_hotpath.json (prints both records' host, fails when
 #      batched throughput drops below 80% of the recorded baseline),
@@ -35,19 +38,19 @@
 #      largest committed scale cell must keep >= 80% of its recorded
 #      accesses/sec (its out-of-core build time and both records'
 #      hosts are printed beside it, ungated);
-#   8. an ECC chaos pass: the memory-failure end-to-end tests (BFS
+#   9. an ECC chaos pass: the memory-failure end-to-end tests (BFS
 #      under an ecc_ce/ecc_ue plan) and one hot cell of the KV
 #      degradation sweep, both with the invariant checker forced on,
 #      asserting that frames actually retired and requests were
 #      actually killed (nonzero hwpoison_* counters) while every
 #      poisoned-frame invariant held;
-#   9. an autotune pass: a short tuned PageRank + KV cell under the
+#  10. an autotune pass: a short tuned PageRank + KV cell under the
 #      invariant checker asserting the online tuner actually moved at
 #      least one tunable, then a perf gate on the committed
 #      BENCH_autotune.json: tuned autonuma must be >= 1.0x the default
 #      configuration on every committed cell and keep a >5% win on at
 #      least one;
-#  10. a benchmark smoke pass: perfbench/smoke_test.py builds the
+#  11. a benchmark smoke pass: perfbench/smoke_test.py builds the
 #      repository benchmark from src/ and runs every workload at tiny
 #      sizes, so an engine API change cannot silently break it.
 #
@@ -58,7 +61,7 @@ cd "$(dirname "$0")"
 
 JOBS=$(nproc 2>/dev/null || echo 4)
 
-echo "=== [1/10] tier-1: RelWithDebInfo -Werror build + ctest ==="
+echo "=== [1/11] tier-1: RelWithDebInfo -Werror build + ctest ==="
 cmake -B build-ci -S . -DMEMTIER_WERROR=ON
 cmake --build build-ci -j "$JOBS"
 ctest --test-dir build-ci --output-on-failure -j "$JOBS"
@@ -68,14 +71,30 @@ for mode in autonuma notiering object_static object_spill \
         ./build-ci/examples/policy_explorer bfs kron "$mode" 12 > /dev/null
 done
 
-echo "=== [2/10] sanitizers: ASan/UBSan build + ctest ==="
+echo "=== [2/11] sanitizers: ASan/UBSan build + ctest ==="
 cmake -B build-asan -S . -DMEMTIER_WERROR=ON \
     -DCMAKE_BUILD_TYPE=Debug \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"
 cmake --build build-asan -j "$JOBS"
 ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 
-echo "=== [3/10] serving smoke: short tail sweep under ASan/UBSan ==="
+echo "=== [3/11] tsan: sweep cell pool and shared caches under ThreadSanitizer ==="
+# runSweep runs cells on host threads that share the bigraph artifact
+# cache and the dataset LRU. The two binaries holding the concurrent
+# tests are built with -fsanitize=thread in their own directory; the
+# pool, single-flight and dataset-cache tests run under it and
+# halt_on_error turns any reported race into a failure.
+cmake -B build-tsan -S . -DMEMTIER_WERROR=ON \
+    -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer"
+cmake --build build-tsan -j "$JOBS" --target exp_test bigraph_test
+TSAN_OPTIONS=halt_on_error=1 MEMTIER_SPILL_DIR=build-tsan/spill \
+    ./build-tsan/tests/exp_test \
+    --gtest_filter='Sweep.*:Workloads.DatasetCache*'
+TSAN_OPTIONS=halt_on_error=1 MEMTIER_SPILL_DIR=build-tsan/spill \
+    ./build-tsan/tests/bigraph_test \
+    --gtest_filter='SegmentedCsr.Concurrent*'
+
+echo "=== [4/11] serving smoke: short tail sweep under ASan/UBSan ==="
 # One trial, two policies, THP off: small enough to stay fast under
 # the sanitizers, big enough to drive the generator, both stores, the
 # LSM flush/compaction path and the phase histograms end to end.
@@ -84,7 +103,7 @@ echo "=== [3/10] serving smoke: short tail sweep under ASan/UBSan ==="
     --out=build-asan/BENCH_serving_smoke.json \
     --csv=build-asan/serving_smoke.csv
 
-echo "=== [4/10] chaos: invariant checker on + fault plan, tier-1 binaries ==="
+echo "=== [5/11] chaos: invariant checker on + fault plan, tier-1 binaries ==="
 # MEMTIER_CHECK_INVARIANTS=ON arms the kernel invariant checker in
 # every Engine (observer-only: results stay bit-identical), and
 # MEMTIER_FAULT_PLAN overrides the chaos-aware tests' default plan.
@@ -95,7 +114,7 @@ MEMTIER_FAULT_PLAN="migrate:p=0.1,burst=6;alloc:p=0.03;seed=97" \
 # path with the invariant checker armed (bigraph_test covers faults on
 # this path; this covers the sweep driver end to end). Spill buckets go
 # under build-ci/, so no .bigraph_spill is left in the checkout for the
-# stage-10 smoke test to trip on.
+# stage-11 smoke test to trip on.
 MEMTIER_CHECK_INVARIANTS=ON MEMTIER_SPILL_DIR=build-ci/spill \
     ./build-ci/bench/scale_sweep --rows=16:kron:autonuma:4 --trials=2 \
     --no-check --out=build-ci/BENCH_scale_smoke.json > /dev/null
@@ -112,7 +131,7 @@ print(f"scale smoke: {row['pgpromote']} promotions, dram_hit "
       f"{row['dram_hit_fraction']:.3f} under the invariant checker")
 EOF
 
-echo "=== [5/10] thp: MEMTIER_THP=ON + invariant checker, tier-1 binaries ==="
+echo "=== [6/11] thp: MEMTIER_THP=ON + invariant checker, tier-1 binaries ==="
 # MEMTIER_THP=ON force-enables the THP model in every Engine; the
 # extended invariant sweep (PMD/PTE consistency, THP counter identity)
 # runs continuously. Golden-value tests captured with THP off skip.
@@ -120,7 +139,7 @@ MEMTIER_THP=ON \
 MEMTIER_CHECK_INVARIANTS=ON \
     ctest --test-dir build-ci --output-on-failure -j "$JOBS"
 
-echo "=== [6/10] scalar path: MEMTIER_SCALAR_PATH=ON, tier-1 binaries ==="
+echo "=== [7/11] scalar path: MEMTIER_SCALAR_PATH=ON, tier-1 binaries ==="
 # MEMTIER_SCALAR_PATH=ON forces the element-at-a-time reference path in
 # every Engine. The hotpath golden tests assert exact captured
 # observables in both modes, so any scalar-vs-batched divergence fails
@@ -128,7 +147,7 @@ echo "=== [6/10] scalar path: MEMTIER_SCALAR_PATH=ON, tier-1 binaries ==="
 MEMTIER_SCALAR_PATH=ON \
     ctest --test-dir build-ci --output-on-failure -j "$JOBS"
 
-echo "=== [7/10] perf gate: hotpath throughput vs committed baseline ==="
+echo "=== [8/11] perf gate: hotpath throughput vs committed baseline ==="
 # Re-measure the batched hot path at the baseline's parameters and
 # fail on a >20% throughput regression. The bench itself also fails
 # when the scalar and batched paths stop being bit-identical, so this
@@ -203,7 +222,7 @@ if ratio < 0.8:
              "is intentional)")
 EOF
 
-echo "=== [8/10] ecc chaos: memory failures under the invariant checker ==="
+echo "=== [9/11] ecc chaos: memory failures under the invariant checker ==="
 # The BFS side: the memory-failure end-to-end tests replay an
 # ecc_ce/ecc_ue plan twice and assert bit-identity plus nonzero
 # hwpoison counters; forcing the checker on makes every other test in
@@ -238,7 +257,7 @@ print(f"ecc gate: {hot['frames_retired']} frames retired, "
       f"{float(hot['availability']):.4f} (baseline clean)")
 EOF
 
-echo "=== [9/10] autotune: tuner smoke + tuned-vs-default perf gate ==="
+echo "=== [10/11] autotune: tuner smoke + tuned-vs-default perf gate ==="
 # Smoke: one graph cell and one serving cell under the invariant
 # checker. The run itself proves tuning keeps every kernel invariant;
 # the assertion below proves the tuner actually moved something (an
@@ -285,7 +304,7 @@ if best["speedup"] <= 1.05:
              f"cell)")
 EOF
 
-echo "=== [10/10] benchmark smoke: perfbench at tiny sizes ==="
+echo "=== [11/11] benchmark smoke: perfbench at tiny sizes ==="
 # The benchmark builds its own copy of src/ (into .bench_build/) and
 # drives it through the public entry points; a tiny run of every
 # workload checks names, units and oracles end to end.

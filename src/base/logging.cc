@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <mutex>
 #include <vector>
 
 namespace memtier {
@@ -9,6 +10,12 @@ namespace memtier {
 namespace {
 
 LogLevel g_level = LogLevel::Normal;
+
+/**
+ * Taken by the first fatal() and never released: one thread prints and
+ * runs exit(), a concurrent caller blocks until the process is gone.
+ */
+std::mutex g_fatal_mu;
 
 std::string
 vformat(const char *fmt, va_list args)
@@ -45,6 +52,7 @@ fatal(const char *fmt, ...)
     va_start(args, fmt);
     const std::string msg = vformat(fmt, args);
     va_end(args);
+    g_fatal_mu.lock();
     std::fprintf(stderr, "fatal: %s\n", msg.c_str());
     std::exit(1);
 }

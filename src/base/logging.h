@@ -27,7 +27,9 @@ void setLogLevel(LogLevel level);
 LogLevel logLevel();
 
 /**
- * Terminate because of a user/configuration error (exit(1)).
+ * Terminate because of a user/configuration error (exit(1)). Safe to
+ * call from several threads at once: the first caller prints and
+ * exits, any other blocks until the process is gone.
  * @param fmt printf-style format for the error message.
  */
 [[noreturn]] void fatal(const char *fmt, ...)

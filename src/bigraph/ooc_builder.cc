@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <utility>
 
 #include <unistd.h>
@@ -59,24 +60,33 @@ using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 std::string
 specKey(const BigraphSpec &s)
 {
-    return std::string(bigraphKindName(s.kind)) +
-           std::to_string(s.scale) + "d" + std::to_string(s.degree) +
-           "s" + std::to_string(s.seed) + "x" +
-           std::to_string(s.segments);
+    std::string key = bigraphKindName(s.kind);
+    key += std::to_string(s.scale);
+    key += 'd';
+    key += std::to_string(s.degree);
+    key += 's';
+    key += std::to_string(s.seed);
+    key += 'x';
+    key += std::to_string(s.segments);
+    return key;
 }
 
 /**
  * Process-wide artifact cache, keyed by spec identity. Its spill files
  * carry the process id, so concurrent processes sharing a spill
  * directory never truncate each other's buckets; they are deleted when
- * the cache is cleared or the process exits.
+ * the cache is cleared or the process exits. @c mu is held across
+ * lookup and build, so concurrent callers of one spec build it once.
  */
 struct ArtifactCache
 {
+    std::mutex mu;
     std::map<std::string, BigraphArtifacts> byKey;
 
     ~ArtifactCache() { clear(); }
 
+    /** Delete every spill file and entry; the caller holds @c mu (or
+     *  the process is exiting). */
     void
     clear()
     {
@@ -109,23 +119,27 @@ writeAll(std::FILE *f, const std::uint64_t *data, std::size_t count,
         fatal("bigraph: short write to %s", path.c_str());
 }
 
-std::vector<std::uint64_t>
-readPairFile(const std::string &path)
+/** Pairs per read/write chunk of a bucket file (256 KiB). */
+constexpr std::size_t kChunkPairs = 1 << 15;
+
+/**
+ * Stream the packed pairs of the bucket at @p path through @p chunk
+ * (kChunkPairs long): @p fn(got) sees chunk[0, got) for each read.
+ */
+template <typename Fn>
+void
+forEachPairChunk(const std::string &path,
+                 std::vector<std::uint64_t> &chunk, Fn &&fn)
 {
-    std::error_code ec;
-    const auto bytes = std::filesystem::file_size(path, ec);
-    if (ec)
-        fatal("bigraph: cannot stat %s", path.c_str());
-    std::vector<std::uint64_t> pairs(bytes / sizeof(std::uint64_t));
     FilePtr f(std::fopen(path.c_str(), "rb"));
     if (!f)
         fatal("bigraph: cannot open %s", path.c_str());
-    if (!pairs.empty() &&
-        std::fread(pairs.data(), sizeof(std::uint64_t), pairs.size(),
-                   f.get()) != pairs.size()) {
-        fatal("bigraph: short read from %s", path.c_str());
-    }
-    return pairs;
+    std::size_t got;
+    while ((got = std::fread(chunk.data(), sizeof(std::uint64_t),
+                             kChunkPairs, f.get())) > 0)
+        fn(got);
+    if (std::ferror(f.get()))
+        fatal("bigraph: read error on %s", path.c_str());
 }
 
 /**
@@ -267,22 +281,10 @@ std::uint64_t
 sortAndDedupBucket(const std::string &path, NodeId first_row,
                    NodeId row_count)
 {
-    constexpr std::size_t kChunkPairs = 1 << 15;  // 256 KiB.
     std::vector<std::uint64_t> chunk(kChunkPairs);
     const auto rows = static_cast<std::size_t>(row_count);
     const auto rowOf = [&](std::uint64_t p) {
         return static_cast<std::size_t>(pairU(p) - first_row);
-    };
-    const auto forEachChunk = [&](auto &&fn) {
-        FilePtr f(std::fopen(path.c_str(), "rb"));
-        if (!f)
-            fatal("bigraph: cannot open %s", path.c_str());
-        std::size_t got;
-        while ((got = std::fread(chunk.data(), sizeof(std::uint64_t),
-                                 kChunkPairs, f.get())) > 0)
-            fn(got);
-        if (std::ferror(f.get()))
-            fatal("bigraph: read error on %s", path.c_str());
     };
 
     // Count pass: per-row counts and the targets' significant bits,
@@ -290,7 +292,7 @@ sortAndDedupBucket(const std::string &path, NodeId first_row,
     // and start[rows] the pair count.
     std::vector<std::size_t> start(rows + 1, 0);
     std::uint32_t target_bits = 0;
-    forEachChunk([&](std::size_t got) {
+    forEachPairChunk(path, chunk, [&](std::size_t got) {
         for (std::size_t i = 0; i < got; ++i) {
             const std::size_t r = rowOf(chunk[i]);
             MEMTIER_ASSERT(r < rows, "bigraph: pair outside its bucket");
@@ -306,7 +308,7 @@ sortAndDedupBucket(const std::string &path, NodeId first_row,
     // Scatter pass: fill each row backwards, which leaves start[r] at
     // the beginning of row r. Only the 4-byte targets stay resident.
     std::vector<std::uint32_t> targets(start[rows]);
-    forEachChunk([&](std::size_t got) {
+    forEachPairChunk(path, chunk, [&](std::size_t got) {
         for (std::size_t i = 0; i < got; ++i)
             targets[--start[rowOf(chunk[i])]] =
                 static_cast<std::uint32_t>(pairV(chunk[i]));
@@ -377,8 +379,9 @@ prepareBigraph(const BigraphSpec &spec)
     MEMTIER_ASSERT(spec.segments >= 1, "bigraph needs >= 1 segment");
 
     const std::string key = specKey(spec);
-    auto &cache = artifactCache().byKey;
-    if (const auto it = cache.find(key); it != cache.end())
+    ArtifactCache &cache = artifactCache();
+    const std::lock_guard<std::mutex> lock(cache.mu);
+    if (const auto it = cache.byKey.find(key); it != cache.byKey.end())
         return it->second;
 
     BigraphArtifacts art;
@@ -396,10 +399,17 @@ prepareBigraph(const BigraphSpec &spec)
     const std::string dir = bigraphSpillDir();
     art.segFiles.resize(art.segments);
     art.edgeCounts.assign(art.segments, 0);
-    const std::string stem =
-        dir + "/" + key + ".p" + std::to_string(::getpid()) + ".seg";
-    for (std::uint32_t k = 0; k < art.segments; ++k)
-        art.segFiles[k] = stem + std::to_string(k) + ".pairs";
+    std::string stem = dir;
+    stem += '/';
+    stem += key;
+    stem += ".p";
+    stem += std::to_string(::getpid());
+    stem += ".seg";
+    for (std::uint32_t k = 0; k < art.segments; ++k) {
+        art.segFiles[k] = stem;
+        art.segFiles[k] += std::to_string(k);
+        art.segFiles[k] += ".pairs";
+    }
 
     inform("bigraph: spilling %s scale %d into %u segment buckets",
            bigraphKindName(spec.kind), spec.scale, art.segments);
@@ -410,13 +420,15 @@ prepareBigraph(const BigraphSpec &spec)
            static_cast<long long>(art.totalEdges), art.segments,
            static_cast<unsigned long long>(art.maxSpillBytes >> 20));
 
-    return cache.emplace(key, std::move(art)).first->second;
+    return cache.byKey.emplace(key, std::move(art)).first->second;
 }
 
 void
 clearBigraphArtifacts()
 {
-    artifactCache().clear();
+    ArtifactCache &cache = artifactCache();
+    const std::lock_guard<std::mutex> lock(cache.mu);
+    cache.clear();
 }
 
 SegmentedCsrGraph
@@ -439,11 +451,10 @@ SegmentedCsrGraph::generate(Engine &engine, SimHeap &heap,
     for (std::uint32_t k = 0; k < art.segments; ++k)
         order[k] = spec.reverseBuild ? art.segments - 1 - k : k;
 
-    // Host staging, reused across segments: the build's RSS bound is
-    // one segment's pairs + arrays, never the whole graph.
-    std::vector<std::int64_t> idx;
-    std::vector<NodeId> adj;
-    std::vector<std::int32_t> wts;
+    // The only host staging is one bucket chunk, reused across
+    // segments: values are written straight into each allocation's
+    // host storage, then the timed stores are issued over it.
+    std::vector<std::uint64_t> chunk(kChunkPairs);
 
     for (const std::uint32_t k : order) {
         CsrSegment &seg = g.segs_[k];
@@ -455,52 +466,9 @@ SegmentedCsrGraph::generate(Engine &engine, SimHeap &heap,
                                    art.nodes));
         seg.edgeBase = art.edgeBases[k];
         seg.edgeEnd = art.edgeBases[k + 1];
-
-        const std::vector<std::uint64_t> pairs =
-            readPairFile(art.segFiles[k]);
-        MEMTIER_ASSERT(static_cast<std::int64_t>(pairs.size()) ==
-                           art.edgeCounts[k],
-                       "bigraph: spill file changed size");
+        const std::string &path = art.segFiles[k];
         const auto rows = static_cast<std::uint64_t>(seg.rowCount());
-        const auto cnt = pairs.size();
-
-        // Local index with global offsets: count per row, prefix-sum,
-        // rebase onto the segment's global edge base.
-        idx.assign(rows + 1, 0);
-        for (const std::uint64_t p : pairs)
-            ++idx[static_cast<std::uint64_t>(pairU(p) - seg.firstRow) +
-                  1];
-        idx[0] = seg.edgeBase;
-        for (std::uint64_t r = 1; r <= rows; ++r)
-            idx[r] += idx[r - 1];
-        adj.resize(cnt);
-        for (std::size_t i = 0; i < cnt; ++i)
-            adj[i] = pairV(pairs[i]);
-        if (spec.weighted) {
-            wts.resize(cnt);
-            for (std::size_t i = 0; i < cnt; ++i) {
-                const NodeId u = pairU(pairs[i]);
-                const NodeId v = adj[i];
-                // Symmetric endpoint hash: both directions of an
-                // undirected edge get the same weight (matches
-                // CsrGraph::generateWeights).
-                const auto lo =
-                    static_cast<std::uint64_t>(std::min(u, v));
-                const auto hi =
-                    static_cast<std::uint64_t>(std::max(u, v));
-                SplitMix64 h(wseed ^ (lo << 32 | hi));
-                wts[i] =
-                    static_cast<std::int32_t>(h.next() % 255 + 1);
-            }
-        }
-
-        std::uint64_t sum = 0xcbf29ce484222325ULL;
-        for (const std::int64_t o : idx)
-            sum = fnv1a(sum, static_cast<std::uint64_t>(o));
-        for (const NodeId v : adj)
-            sum = fnv1a(sum, static_cast<std::uint64_t>(
-                                 static_cast<std::uint32_t>(v)));
-        g.checksums_[k] = sum;
+        const auto cnt = static_cast<std::uint64_t>(art.edgeCounts[k]);
 
         // Timed materialization, mirroring the monolithic loader's
         // layout per segment: header + index + adjacency (+ weights)
@@ -509,29 +477,91 @@ SegmentedCsrGraph::generate(Engine &engine, SimHeap &heap,
             3 * sizeof(std::int64_t) +
             (rows + 1) * sizeof(std::int64_t) + cnt * sizeof(NodeId) +
             (spec.weighted ? cnt * sizeof(std::int32_t) : 0);
-        SimFile file(engine, name + ".seg" + std::to_string(k) + ".sg",
-                     file_bytes);
+        std::string file_name = name;
+        file_name += ".seg";
+        file_name += std::to_string(k);
+        file_name += ".sg";
+        SimFile file(engine, file_name, file_bytes);
         file.read(t, 0, 3 * sizeof(std::int64_t));
         std::uint64_t file_pos = 3 * sizeof(std::int64_t);
+        std::string suffix = ".";
+        suffix += std::to_string(k);
 
-        const std::string suffix = "." + std::to_string(k);
+        // Count pass: the local index with global offsets -- count per
+        // row, prefix-sum, rebase onto the segment's global edge base.
         seg.index = heap.alloc<std::int64_t>(t, "csr.index" + suffix,
                                              rows + 1);
-        streamInto(file, t, file_pos, seg.index, idx.data(), rows + 1);
+        std::int64_t *const idx = seg.index.host();
+        std::fill(idx, idx + rows + 1, 0);
+        std::uint64_t seen = 0;
+        forEachPairChunk(path, chunk, [&](std::size_t got) {
+            for (std::size_t i = 0; i < got; ++i) {
+                const auto r = static_cast<std::uint64_t>(
+                    pairU(chunk[i]) - seg.firstRow);
+                MEMTIER_ASSERT(r < rows, "bigraph: pair outside its "
+                                         "segment");
+                ++idx[r + 1];
+            }
+            seen += got;
+        });
+        MEMTIER_ASSERT(seen == cnt, "bigraph: spill file changed size");
+        idx[0] = seg.edgeBase;
+        for (std::uint64_t r = 1; r <= rows; ++r)
+            idx[r] += idx[r - 1];
+
+        std::uint64_t sum = 0xcbf29ce484222325ULL;
+        for (std::uint64_t r = 0; r <= rows; ++r)
+            sum = fnv1a(sum, static_cast<std::uint64_t>(idx[r]));
+        streamInPlace(file, t, file_pos, seg.index);
         file_pos += (rows + 1) * sizeof(std::int64_t);
 
         if (cnt > 0) {
-            seg.adj =
-                heap.alloc<NodeId>(t, "csr.adj" + suffix, cnt);
-            streamInto(file, t, file_pos, seg.adj, adj.data(), cnt);
+            // Fill pass: the bucket is sorted by (u, v), so its targets
+            // in file order are the adjacency array.
+            seg.adj = heap.alloc<NodeId>(t, "csr.adj" + suffix, cnt);
+            NodeId *const adj = seg.adj.host();
+            std::uint64_t filled = 0;
+            forEachPairChunk(path, chunk, [&](std::size_t got) {
+                MEMTIER_ASSERT(filled + got <= cnt,
+                               "bigraph: spill file changed size");
+                for (std::size_t i = 0; i < got; ++i) {
+                    const NodeId v = pairV(chunk[i]);
+                    adj[filled++] = v;
+                    sum = fnv1a(sum, static_cast<std::uint64_t>(
+                                         static_cast<std::uint32_t>(v)));
+                }
+            });
+            MEMTIER_ASSERT(filled == cnt,
+                           "bigraph: spill file changed size");
+            streamInPlace(file, t, file_pos, seg.adj);
             file_pos += cnt * sizeof(NodeId);
+
             if (spec.weighted) {
                 seg.weights = heap.alloc<std::int32_t>(
                     t, "csr.wts" + suffix, cnt);
-                streamInto(file, t, file_pos, seg.weights, wts.data(),
-                           cnt);
+                std::int32_t *const wts = seg.weights.host();
+                for (std::uint64_t r = 0; r < rows; ++r) {
+                    const NodeId u =
+                        seg.firstRow + static_cast<NodeId>(r);
+                    for (std::int64_t e = idx[r] - seg.edgeBase;
+                         e < idx[r + 1] - seg.edgeBase; ++e) {
+                        // Symmetric endpoint hash: both directions of
+                        // an undirected edge get the same weight
+                        // (matches CsrGraph::generateWeights).
+                        const NodeId v = adj[e];
+                        const auto lo =
+                            static_cast<std::uint64_t>(std::min(u, v));
+                        const auto hi =
+                            static_cast<std::uint64_t>(std::max(u, v));
+                        SplitMix64 h(wseed ^ (lo << 32 | hi));
+                        wts[e] = static_cast<std::int32_t>(
+                            h.next() % 255 + 1);
+                    }
+                }
+                streamInPlace(file, t, file_pos, seg.weights);
             }
         }
+        g.checksums_[k] = sum;
         g.footprint_ += (rows + 1) * sizeof(std::int64_t) +
                         cnt * sizeof(NodeId) +
                         (spec.weighted ? cnt * sizeof(std::int32_t)

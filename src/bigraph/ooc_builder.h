@@ -5,7 +5,9 @@
  * each bucket is sorted, deduplicated and materialized independently,
  * so host RSS is bounded by the largest single segment instead of the
  * whole edge list + CSR (which at scale 24+ would dwarf the machine
- * the monolithic datasetGraph path was built for).
+ * the monolithic datasetGraph path was built for). Materialization
+ * streams each bucket straight into the simulated allocations' host
+ * storage, so it holds no copy of a segment of its own.
  *
  * The spill pipeline applies exactly CsrGraph::fromEdgeList's rules
  * (symmetrize, drop self loops, sort by (u, v), deduplicate) per
@@ -83,7 +85,11 @@ std::string bigraphSpillDir();
  * Run (or fetch from the process-wide cache) phases 1-2 for @p spec:
  * stream-generate, bucket to disk, sort + deduplicate per bucket.
  * reverseBuild does not participate in the cache key -- it only
- * affects materialization order.
+ * affects materialization order. Thread-safe and single-flight: the
+ * cache lock is held across lookup and build, so concurrent callers
+ * of one spec build it once and get the same artifacts. The one lock
+ * covers every spec: a build blocks every other call, including
+ * lookups of specs already cached.
  */
 const BigraphArtifacts &prepareBigraph(const BigraphSpec &spec);
 
@@ -101,7 +107,9 @@ std::uint64_t sortAndDedupBucket(const std::string &path,
 
 /**
  * Drop the artifact cache and delete its spill files (tests and
- * RSS-sensitive sweeps). Process exit does the same.
+ * RSS-sensitive sweeps). Process exit does the same. Takes the cache
+ * lock, but must not race a live run: a run materializing a graph
+ * reads the spill files and holds references into the cache.
  */
 void clearBigraphArtifacts();
 

@@ -85,9 +85,10 @@ class SegmentedCsrGraph
      * generator into per-segment disk spill buckets, sorted and
      * deduplicated per segment, then each segment is loaded through its
      * own timed SimFile ("<name>.seg<k>.sg") into its own mmap objects.
-     * Host RSS is bounded by the largest single segment, never the
-     * whole graph. With spec.segments == 1 the timed access sequence is
-     * bit-identical to SimCsrGraph::load of the equivalent host graph.
+     * Each bucket is read in chunks straight into the objects' host
+     * storage; beyond the graph itself the load holds one chunk. With
+     * spec.segments == 1 the timed access sequence is bit-identical to
+     * SimCsrGraph::load of the equivalent host graph.
      */
     static SegmentedCsrGraph generate(Engine &engine, SimHeap &heap,
                                       ThreadContext &t,

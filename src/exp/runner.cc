@@ -83,12 +83,15 @@ hierarchyCounters(Engine &eng)
 static double runGraphWorkload(const RunConfig &config, Engine &eng,
                                SimHeap &heap, RunResult *out);
 
-RunResult
-runWorkload(const RunConfig &config, const PlacementPlan *plan)
+/**
+ * The machine runWorkload builds for @p config. The registry decides
+ * what runs; the tiering kernel's demotion path exists whenever a
+ * policy does, and the policy itself decides whether to use it.
+ * fatal() on a tunable assignment that does not parse.
+ */
+static SystemConfig
+runSystem(const RunConfig &config)
 {
-    // The registry decides what runs; the tiering kernel's demotion
-    // path exists whenever a policy does, and the policy itself decides
-    // whether to use it.
     SystemConfig sys = config.sys;
     sys.autonumaEnabled = false;
     sys.tieringKernel = !config.policy.empty();
@@ -103,8 +106,35 @@ runWorkload(const RunConfig &config, const PlacementPlan *plan)
                   perr.c_str());
         }
     }
+    return sys;
+}
 
-    Engine eng(sys);
+/** fatal() unless @p w fits the monolithic (dataset cache) path. */
+static void
+checkMonolithicScale(const WorkloadSpec &w)
+{
+    if (w.scale > w.maxScale) {
+        fatal("workload %s: scale %d exceeds the monolithic limit "
+              "%d; set segments > 1 for the out-of-core path",
+              w.name().c_str(), w.scale, w.maxScale);
+    }
+}
+
+void
+checkRunConfig(const RunConfig &config)
+{
+    const WorkloadSpec &w = config.workload;
+    if (!isServingApp(w.app) && w.segments <= 1)
+        checkMonolithicScale(w);
+    // Building the machine resolves the policy through the registry
+    // and applies every tunable, fatal() on the first that fails.
+    const Engine eng(runSystem(config));
+}
+
+RunResult
+runWorkload(const RunConfig &config, const PlacementPlan *plan)
+{
+    Engine eng(runSystem(config));
     MmapTracker tracker;
     eng.kernel().setSyscallObserver(&tracker);
 
@@ -200,11 +230,7 @@ runGraphWorkload(const RunConfig &config, Engine &eng, SimHeap &heap,
         seg = SegmentedCsrGraph::generate(eng, heap, t0, bs, w.name());
         g = seg;
     } else {
-        if (w.scale > w.maxScale) {
-            fatal("workload %s: scale %d exceeds the monolithic limit "
-                  "%d; set segments > 1 for the out-of-core path",
-                  w.name().c_str(), w.scale, w.maxScale);
-        }
+        checkMonolithicScale(w);
         host = w.app == App::SSSP
                    ? weightedDatasetGraph(w.kind, w.scale, w.degree,
                                           w.seed)

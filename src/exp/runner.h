@@ -153,6 +153,15 @@ RunResult runWorkload(const RunConfig &config,
                       const PlacementPlan *plan = nullptr);
 
 /**
+ * The configuration checks runWorkload makes before it runs anything
+ * -- the policy name, every tunable key and value, and the monolithic
+ * scale limit -- without running: fatal() on the first that fails.
+ * Builds the run's Engine (so the policy's own parse is the one
+ * checked) and discards it.
+ */
+void checkRunConfig(const RunConfig &config);
+
+/**
  * Serving scenario derived from a KV/LSM WorkloadSpec: scale is log2
  * keys, kind picks zipfian vs. uniform popularity, and trials scales
  * the request count (5000 requests per trial). Exposed so benches and

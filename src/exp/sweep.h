@@ -5,7 +5,10 @@
  * size, ...) with a workload list, runs every combination, and emits
  * one CSV per sweep -- the experiment design of "From Good to Great:
  * Improving Memory Tiering Performance Through Parameter Tuning"
- * applied to the scaled testbed.
+ * applied to the scaled testbed. The cells of a sweep share nothing
+ * but the process-wide input caches, so they run on a pool of host
+ * threads, each cell on its own Engine; results do not depend on the
+ * worker count.
  */
 
 #ifndef MEMTIER_EXP_SWEEP_H_
@@ -37,6 +40,13 @@ struct SweepSpec
     std::vector<WorkloadSpec> workloads;
     SystemConfig sys;                 ///< Base machine for every run.
     bool sampling = false;            ///< Samples are off by default.
+
+    /**
+     * Host threads running cells: 0 = the CPUs in the process's
+     * affinity mask, 1 = one cell at a time on the caller's thread.
+     * Always capped at the cell count.
+     */
+    unsigned jobs = 0;
 };
 
 /** One completed sweep point. */
@@ -77,12 +87,22 @@ struct SweepPoint
 std::vector<std::vector<std::pair<std::string, std::string>>>
 sweepCombinations(const std::vector<SweepAxis> &axes);
 
+/** CPUs in this process's affinity mask (at least 1). */
+unsigned affinityCpuCount();
+
 /**
- * Run the sweep: every tunable combination x every workload.
+ * Run the sweep: every tunable combination x every workload, cells in
+ * that order (combinations slowest). spec.jobs workers each claim the
+ * next cell and run it on an Engine of their own; a cell's progress
+ * line is printed when it is claimed, so lines come in cell order. The
+ * points, and so writeSweepCsv's output, are identical for every
+ * worker count. An exception thrown by a cell is rethrown once every
+ * worker has finished (the lowest-numbered cell's, as the serial loop
+ * would have thrown); no cell is claimed after one has thrown.
  *
  * @param spec what to sweep.
  * @param progress stream for per-run progress lines (nullptr = quiet).
- * @return one point per run, in execution order.
+ * @return one point per run, in cell order.
  */
 std::vector<SweepPoint> runSweep(const SweepSpec &spec,
                                  std::ostream *progress = nullptr);

@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <tuple>
 
 #include "base/logging.h"
@@ -95,9 +96,14 @@ struct DatasetEntry
     std::uint64_t lastUse = 0;  ///< LRU tick of the latest hit.
 };
 
-/** Shared-state of the capped LRU dataset cache. */
+/**
+ * Shared state of the capped LRU dataset cache. Every public entry
+ * point holds @c mu for its whole call, builds included, so callers
+ * of one graph from several threads build it once.
+ */
 struct DatasetCache
 {
+    std::mutex mu;
     std::map<DatasetKey, DatasetEntry> entries;
     std::uint64_t totalBytes = 0;
     std::uint64_t tick = 0;
@@ -133,6 +139,60 @@ struct DatasetCache
             entries.erase(victim);
         }
     }
+
+    /** Drop every entry. */
+    void
+    clear()
+    {
+        entries.clear();
+        totalBytes = 0;
+    }
+
+    /**
+     * The graph for @p key, built and retained on a miss. The caller
+     * holds @c mu; the weighted build recurses for its unweighted base
+     * without taking it again.
+     */
+    std::shared_ptr<const CsrGraph>
+    get(const DatasetKey &key)
+    {
+        if (auto it = entries.find(key); it != entries.end()) {
+            it->second.lastUse = ++tick;
+            return it->second.graph;
+        }
+
+        std::shared_ptr<const CsrGraph> graph;
+        if (key.weighted) {
+            // Copy the (possibly cached) unweighted graph, then weight it.
+            DatasetKey plain = key;
+            plain.weighted = false;
+            auto weighted_graph = std::make_shared<CsrGraph>(*get(plain));
+            weighted_graph->generateWeights(key.seed ^ 0x5eed);
+            graph = std::move(weighted_graph);
+        } else {
+            inform("generating %s graph, scale %d, degree %d",
+                   graphKindName(key.kind), key.scale, key.degree);
+            EdgeList edges =
+                key.kind == GraphKind::Kron
+                    ? generateKron(key.scale, key.degree, key.seed)
+                    : generateUrand(key.scale, key.degree, key.seed);
+            graph = std::make_shared<CsrGraph>(CsrGraph::fromEdgeList(
+                static_cast<NodeId>(1LL << key.scale), edges));
+        }
+
+        DatasetEntry entry;
+        entry.graph = graph;
+        entry.bytes = graph->serializedBytes();
+        entry.lastUse = ++tick;
+        totalBytes += entry.bytes;
+        entries.emplace(key, std::move(entry));
+        enforceCap(key);
+        if (capBytes == 0) {
+            // Zero cap: hand the graph out but retain nothing.
+            clear();
+        }
+        return graph;
+    }
 };
 
 DatasetCache &
@@ -147,41 +207,8 @@ cachedDataset(GraphKind kind, int scale, int degree, std::uint64_t seed,
               bool weighted)
 {
     DatasetCache &cache = datasetCache();
-    const DatasetKey key{kind, scale, degree, seed, weighted};
-    if (auto it = cache.entries.find(key); it != cache.entries.end()) {
-        it->second.lastUse = ++cache.tick;
-        return it->second.graph;
-    }
-
-    std::shared_ptr<const CsrGraph> graph;
-    if (weighted) {
-        // Copy the (possibly cached) unweighted graph, then weight it.
-        auto weighted_graph = std::make_shared<CsrGraph>(
-            *cachedDataset(kind, scale, degree, seed, false));
-        weighted_graph->generateWeights(seed ^ 0x5eed);
-        graph = std::move(weighted_graph);
-    } else {
-        inform("generating %s graph, scale %d, degree %d",
-               graphKindName(kind), scale, degree);
-        EdgeList edges = kind == GraphKind::Kron
-                             ? generateKron(scale, degree, seed)
-                             : generateUrand(scale, degree, seed);
-        graph = std::make_shared<CsrGraph>(CsrGraph::fromEdgeList(
-            static_cast<NodeId>(1LL << scale), edges));
-    }
-
-    DatasetEntry entry;
-    entry.graph = graph;
-    entry.bytes = graph->serializedBytes();
-    entry.lastUse = ++cache.tick;
-    cache.totalBytes += entry.bytes;
-    cache.entries.emplace(key, std::move(entry));
-    cache.enforceCap(key);
-    if (cache.capBytes == 0) {
-        // Zero cap: hand the graph out but retain nothing.
-        clearDatasetCache();
-    }
-    return graph;
+    const std::lock_guard<std::mutex> lock(cache.mu);
+    return cache.get({kind, scale, degree, seed, weighted});
 }
 
 }  // namespace
@@ -202,41 +229,47 @@ weightedDatasetGraph(GraphKind kind, int scale, int degree,
 void
 setDatasetCacheCapBytes(std::uint64_t bytes)
 {
-    datasetCache().capBytes = bytes;
-    if (!datasetCache().entries.empty()) {
+    DatasetCache &cache = datasetCache();
+    const std::lock_guard<std::mutex> lock(cache.mu);
+    cache.capBytes = bytes;
+    if (!cache.entries.empty()) {
         // Re-apply the cap with the most recent entry protected.
-        DatasetKey newest = datasetCache().entries.begin()->first;
+        DatasetKey newest = cache.entries.begin()->first;
         std::uint64_t best = 0;
-        for (const auto &[key, entry] : datasetCache().entries) {
+        for (const auto &[key, entry] : cache.entries) {
             if (entry.lastUse >= best) {
                 best = entry.lastUse;
                 newest = key;
             }
         }
-        datasetCache().enforceCap(newest);
+        cache.enforceCap(newest);
         if (bytes == 0)
-            clearDatasetCache();
+            cache.clear();
     }
 }
 
 std::uint64_t
 datasetCacheBytes()
 {
-    return datasetCache().totalBytes;
+    DatasetCache &cache = datasetCache();
+    const std::lock_guard<std::mutex> lock(cache.mu);
+    return cache.totalBytes;
 }
 
 std::size_t
 datasetCacheCount()
 {
-    return datasetCache().entries.size();
+    DatasetCache &cache = datasetCache();
+    const std::lock_guard<std::mutex> lock(cache.mu);
+    return cache.entries.size();
 }
 
 void
 clearDatasetCache()
 {
     DatasetCache &cache = datasetCache();
-    cache.entries.clear();
-    cache.totalBytes = 0;
+    const std::lock_guard<std::mutex> lock(cache.mu);
+    cache.clear();
 }
 
 }  // namespace memtier

@@ -83,7 +83,9 @@ std::vector<WorkloadSpec> paperWorkloads(int scale = 18);
  * held in a capped LRU cache (the "converter" step). The returned
  * shared_ptr keeps the graph alive across eviction, so callers may
  * hold it for as long as they need; the cache only bounds what *it*
- * retains between calls.
+ * retains between calls. Thread-safe: every cache function holds one
+ * lock for its whole call, builds included, so concurrent callers of
+ * one graph build it once.
  */
 std::shared_ptr<const CsrGraph> datasetGraph(GraphKind kind, int scale,
                                              int degree,

@@ -26,19 +26,21 @@ SimCsrGraph::load(Engine &engine, SimHeap &heap, ThreadContext &t,
 
     g.index = heap.alloc<std::int64_t>(t, "csr.index", offs.size());
     std::uint64_t file_pos = 3 * sizeof(std::int64_t);
-    streamInto(file, t, file_pos, g.index, offs.data(), offs.size());
+    std::copy(offs.begin(), offs.end(), g.index.host());
+    streamInPlace(file, t, file_pos, g.index);
     file_pos += offs.size() * sizeof(std::int64_t);
 
     g.adjacency = heap.alloc<NodeId>(t, "csr.adjacency", adj.size());
-    streamInto(file, t, file_pos, g.adjacency, adj.data(), adj.size());
+    std::copy(adj.begin(), adj.end(), g.adjacency.host());
+    streamInPlace(file, t, file_pos, g.adjacency);
     file_pos += adj.size() * sizeof(NodeId);
 
     if (host.hasWeights()) {
         const auto &wts = host.weights();
         g.weights =
             heap.alloc<std::int32_t>(t, "csr.weights", wts.size());
-        streamInto(file, t, file_pos, g.weights, wts.data(),
-                   wts.size());
+        std::copy(wts.begin(), wts.end(), g.weights.host());
+        streamInPlace(file, t, file_pos, g.weights);
     }
     return g;
 }

@@ -20,14 +20,17 @@
 namespace memtier {
 
 /**
- * Stream @p count elements of type T from @p file at @p file_offset
- * into @p dst, reading @p values from host memory.
+ * Stream all of @p dst from @p file at @p file_offset: page by page,
+ * one page-granular file.read, then timed stores of the elements that
+ * page carries. The values must already be in @p dst's host storage
+ * (written untimed through host()); only the accesses are issued.
  */
 template <typename T>
 void
-streamInto(SimFile &file, ThreadContext &t, std::uint64_t file_offset,
-           const SimVector<T> &dst, const T *values, std::uint64_t count)
+streamInPlace(SimFile &file, ThreadContext &t, std::uint64_t file_offset,
+              const SimVector<T> &dst)
 {
+    const std::uint64_t count = dst.size();
     std::uint64_t copied = 0;
     while (copied < count) {
         const std::uint64_t bytes_done = copied * sizeof(T);
@@ -36,7 +39,7 @@ streamInto(SimFile &file, ThreadContext &t, std::uint64_t file_offset,
                                     (count - copied) * sizeof(T));
         file.read(t, file_offset + bytes_done, chunk_bytes);
         const std::uint64_t chunk_elems = chunk_bytes / sizeof(T);
-        dst.putRange(t, copied, values + copied, chunk_elems);
+        dst.storeRange(t, copied, chunk_elems);
         copied += chunk_elems;
     }
 }

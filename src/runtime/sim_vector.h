@@ -156,16 +156,28 @@ class SimVector
     putRange(ThreadContext &t, std::uint64_t begin, const T *src,
              std::uint64_t count) const
     {
+        storeRange(t, begin, count);
+        if (count > 0)
+            std::memcpy(hostPtr + begin, src, count * sizeof(T));
+    }
+
+    /**
+     * Timed stores of @p count elements at @p begin whose values are
+     * already in host storage (written untimed through host()): the
+     * accesses of putRange without its copy.
+     */
+    void
+    storeRange(ThreadContext &t, std::uint64_t begin,
+               std::uint64_t count) const
+    {
         MEMTIER_ASSERT(begin + count <= n,
-                       "SimVector putRange out of range");
+                       "SimVector storeRange out of range");
         for (std::uint64_t c = begin; c < begin + count;) {
             const std::uint64_t stop =
                 std::min(begin + count, c + kBulkChunk);
             issueRange(t, c, stop, MemOp::Store);
             c = stop;
         }
-        if (count > 0)
-            std::memcpy(hostPtr + begin, src, count * sizeof(T));
     }
 
     /**

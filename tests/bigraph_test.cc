@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -29,6 +30,7 @@
 #include "graph/graph.h"
 #include "graph/sim_graph.h"
 #include "runtime/sim_heap.h"
+#include "thp/thp_params.h"
 
 namespace memtier {
 namespace {
@@ -261,6 +263,151 @@ TEST(SegmentedCsr, SpillArtifactsMatchAbsoluteGolden)
         EXPECT_EQ(art.maxSpillBytes, g.maxSpillBytes) << art.key;
         clearBigraphArtifacts();
     }
+}
+
+// ------------------------------------------------- Artifact cache
+
+TEST(SegmentedCsr, ConcurrentPrepareIsSingleFlight)
+{
+    // Four threads ask for one spec at once: the cache builds it once
+    // and hands every caller the same artifacts.
+    clearBigraphArtifacts();
+    BigraphSpec spec;
+    spec.scale = 12;
+    spec.degree = 8;
+    spec.segments = 4;
+    spec.seed = 4242;
+    constexpr int kThreads = 4;
+    std::vector<const BigraphArtifacts *> got(kThreads, nullptr);
+    testing::internal::CaptureStderr();
+    std::vector<std::thread> threads;
+    for (int i = 0; i < kThreads; ++i)
+        threads.emplace_back([&, i] { got[i] = &prepareBigraph(spec); });
+    for (std::thread &t : threads)
+        t.join();
+    const std::string log = testing::internal::GetCapturedStderr();
+
+    for (int i = 1; i < kThreads; ++i)
+        EXPECT_EQ(got[i], got[0]) << "thread " << i;
+    std::size_t builds = 0;
+    for (std::size_t at = log.find("spilling"); at != std::string::npos;
+         at = log.find("spilling", at + 1))
+        ++builds;
+    EXPECT_EQ(builds, 1u) << log;
+
+    // Exactly one set of spill files for the spec.
+    const BigraphArtifacts &art = *got[0];
+    const std::string prefix =
+        art.key + ".p" + std::to_string(::getpid()) + ".seg";
+    std::size_t files = 0;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(bigraphSpillDir())) {
+        if (entry.path().filename().string().rfind(prefix, 0) == 0)
+            ++files;
+    }
+    EXPECT_EQ(files, art.segments);
+    for (const std::string &path : art.segFiles)
+        EXPECT_TRUE(std::filesystem::exists(path)) << path;
+    clearBigraphArtifacts();
+}
+
+// ---------------------------------------------- Materialization golden
+
+TEST(SegmentedCsr, MaterializedGraphMatchesAbsoluteGolden)
+{
+    if (thpForcedByEnv())
+        GTEST_SKIP() << "golden values captured with THP off";
+    // Absolute values after generate, captured from the build that
+    // staged each segment in host vectors: a hash of the per-segment
+    // checksums (plus every weight of a weighted graph), the
+    // footprint, the engine clock, the load's page faults and a hash
+    // of where its accesses hit. DRAM is smaller than every graph, so
+    // the load spills onto NVM.
+    struct Golden
+    {
+        BigraphKind kind;
+        bool weighted;
+        std::uint32_t segments;
+        std::uint64_t content;
+        std::uint64_t footprint;
+        std::uint64_t cycles;
+        std::uint64_t pgfault;
+        std::uint64_t levels;  ///< Hash of the per-level access counts.
+    };
+    const Golden goldens[] = {
+        {BigraphKind::Kron, false, 1, 0xc7ab4f893c72cb1cULL,
+         91688, 948808, 24, 0xd51a8283e2e9f9f1ULL},
+        {BigraphKind::Kron, false, 3, 0xc912b44cc559657bULL,
+         91704, 962536, 25, 0x4dc275721ba97474ULL},
+        {BigraphKind::Kron, false, 8, 0xa52a175b36d1cf86ULL,
+         91744, 1048000, 35, 0x59e3854435c4fd9aULL},
+        {BigraphKind::Kron, true, 1, 0xbe89f7a29289cadcULL,
+         175176, 1809416, 45, 0x0810a7665ed91401ULL},
+        {BigraphKind::Kron, true, 3, 0x8d9044418aed4d57ULL,
+         175192, 1845992, 47, 0x3488a334ef509290ULL},
+        {BigraphKind::Kron, true, 8, 0xe4d906cc036eb1d2ULL,
+         175232, 1951816, 62, 0x97b2417e698f2cd5ULL},
+        {BigraphKind::Urand, false, 1, 0xf03ff0a781ab3a52ULL,
+         137040, 1415184, 35, 0xa4d55aee16554a6cULL},
+        {BigraphKind::Urand, false, 3, 0xbcaae7e53a63ed45ULL,
+         137056, 1443360, 36, 0xa6ef6dea460b5016ULL},
+        {BigraphKind::Urand, false, 8, 0x694834a88833f2a8ULL,
+         137096, 1512656, 41, 0x37c14fbec19bdb74ULL},
+        {BigraphKind::Urand, true, 1, 0xd953f58c821d8072ULL,
+         265880, 2741608, 67, 0x4a8157dbba43ab8eULL},
+        {BigraphKind::Urand, true, 3, 0x2e7d46e35fe9cb81ULL,
+         265896, 2771224, 69, 0x467ba9ec5f86479eULL},
+        {BigraphKind::Urand, true, 8, 0x15af4caa4c3d99fcULL,
+         265936, 2860560, 74, 0xa633e324cf0cf756ULL},
+    };
+    for (const Golden &g : goldens) {
+        BigraphSpec spec;
+        spec.kind = g.kind;
+        spec.scale = 10;
+        spec.segments = g.segments;
+        spec.weighted = g.weighted;
+        SystemConfig cfg;
+        cfg.dram = makeDramParams(8 * kPageSize);
+        cfg.nvm = makeNvmParams(4096 * kPageSize);
+        Engine eng(cfg);
+        SimHeap heap(eng);
+        SegmentedCsrGraph seg = SegmentedCsrGraph::generate(
+            eng, heap, eng.thread(0), spec, "bg_gold");
+
+        std::uint64_t h = 0xcbf29ce484222325ULL;
+        const auto mix = [&](std::uint64_t word) {
+            for (int i = 0; i < 8; ++i) {
+                h ^= (word >> (i * 8)) & 0xff;
+                h *= 0x100000001b3ULL;
+            }
+        };
+        for (std::uint32_t k = 0; k < seg.segmentCount(); ++k) {
+            mix(seg.segmentChecksum(k));
+            const CsrSegment &s = seg.segments()[k];
+            if (!g.weighted || !s.weights.valid())
+                continue;
+            for (std::uint64_t e = 0; e < s.weights.size(); ++e)
+                mix(static_cast<std::uint64_t>(s.weights.raw(e)));
+        }
+        const std::uint64_t content = h;
+        h = 0xcbf29ce484222325ULL;
+        for (int l = 0; l < kNumMemLevels; ++l)
+            mix(eng.levelCount(static_cast<MemLevel>(l)));
+        const std::uint64_t levels = h;
+        const VmStat &vs = eng.kernel().vmstat();
+        const std::string what = std::string(bigraphKindName(g.kind)) +
+                                 (g.weighted ? " weighted" : "") +
+                                 " x" + std::to_string(g.segments);
+        EXPECT_EQ(content, g.content)
+            << what << " got 0x" << std::hex << content;
+        EXPECT_EQ(seg.footprintBytes(), g.footprint) << what;
+        EXPECT_EQ(eng.globalTime(), g.cycles) << what;
+        EXPECT_EQ(vs.pgfault, g.pgfault) << what;
+        EXPECT_EQ(levels, g.levels)
+            << what << " got 0x" << std::hex << levels;
+        seg.free(heap, eng.thread(0));
+    }
+    clearBigraphArtifacts();
 }
 
 // ------------------------------------------------- Bucket sort edges
