@@ -3,12 +3,19 @@
  * Host-side throughput of the access hot path: the same PageRank sweep
  * executed through the forced scalar reference path and through the
  * batched pipeline (same-line coalescing, translation micro-cache,
- * hoisted service checks, batch observer dispatch). The two runs are
- * bit-identical in every simulated observable -- this bench verifies
- * that, then reports wall-clock accesses/second and the speedup.
+ * hoisted service checks, batch observer dispatch), plus the batched
+ * pipeline again with the perf-mem sampler attached (period 61). The
+ * three runs are bit-identical in every simulated observable -- this
+ * bench verifies that, then reports wall-clock accesses/second, the
+ * batched speedup and the sampled run's throughput relative to the
+ * unsampled one (what observing costs, measured on one host in one
+ * run).
  *
- * The sweep covers several graph scales; the headline speedup is the
- * aggregate over the whole sweep (total accesses / total wall).
+ * The sweep covers several graph scales; the headline ratios are
+ * aggregates over the whole sweep (total accesses / total wall):
+ * throughputs and the speedup from each path's best-of-reps walls,
+ * sampled_over_batched as the median over reps of each rep's ratio,
+ * whose batched and sampled runs ran back to back.
  *
  * Usage:
  *   hotpath_speed [--scales=A,B,...] [--scale=N] [--trials=N]
@@ -23,9 +30,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/logging.h"
@@ -37,16 +46,26 @@ using namespace memtier;
 namespace {
 
 RunConfig
-benchConfig(int scale, int trials, bool scalar)
+benchConfig(int scale, int trials, bool scalar, bool sampled = false)
 {
     RunConfig rc;
     rc.workload.app = App::PR;
     rc.workload.kind = GraphKind::Kron;
     rc.workload.scale = scale;
     rc.workload.trials = trials;
-    rc.sampling = false;  // Measure the raw hot path.
+    rc.sampling = sampled;  // Off: measure the raw hot path.
     rc.sys.scalarPath = scalar;
     return rc;
+}
+
+/** Same simulated time, output, accesses and every vmstat counter. */
+bool
+sameRun(const RunResult &a, const RunResult &b)
+{
+    return a.totalSeconds == b.totalSeconds &&
+           a.outputChecksum == b.outputChecksum &&
+           a.totalAccesses == b.totalAccesses &&
+           std::memcmp(&a.vmstat, &b.vmstat, sizeof(VmStat)) == 0;
 }
 
 /** Wall-clock seconds of one runWorkload invocation. */
@@ -66,6 +85,9 @@ struct ScaleResult
     std::uint64_t accesses = 0;
     double scalarWall = 0.0;
     double batchedWall = 0.0;
+    double sampledWall = 0.0;  ///< Batched, sampler on.
+    /** Each rep's {batched, sampled} wall, run back to back. */
+    std::vector<std::pair<double, double>> repWalls;
     bool identical = false;
 };
 
@@ -77,17 +99,21 @@ runScale(int scale, int trials, int reps)
     RunResult warm;
     (void)timedRun(benchConfig(scale, 1, false), warm);
 
-    // Best-of-reps wall clock for each path; simulated results are
-    // checked for bit-identity across every rep.
+    // Best-of-reps wall clock for each path; the best runs are checked
+    // for bit-identity (every run is deterministic).
     ScaleResult res;
     res.scale = scale;
     RunResult scalar_r;
     RunResult batched_r;
+    RunResult sampled_r;
     for (int r = 0; r < reps; ++r) {
         RunResult sr;
         RunResult br;
+        RunResult pr;
         const double sw = timedRun(benchConfig(scale, trials, true), sr);
         const double bw = timedRun(benchConfig(scale, trials, false), br);
+        const double pw =
+            timedRun(benchConfig(scale, trials, false, true), pr);
         if (r == 0 || sw < res.scalarWall) {
             res.scalarWall = sw;
             scalar_r = sr;
@@ -96,15 +122,16 @@ runScale(int scale, int trials, int reps)
             res.batchedWall = bw;
             batched_r = br;
         }
+        res.repWalls.emplace_back(bw, pw);
+        if (r == 0 || pw < res.sampledWall) {
+            res.sampledWall = pw;
+            sampled_r = pr;
+        }
     }
     res.accesses = scalar_r.totalAccesses;
-    res.identical =
-        scalar_r.totalSeconds == batched_r.totalSeconds &&
-        scalar_r.outputChecksum == batched_r.outputChecksum &&
-        scalar_r.totalAccesses == batched_r.totalAccesses &&
-        scalar_r.vmstat.pgfault == batched_r.vmstat.pgfault &&
-        scalar_r.vmstat.pgmigrateSuccess ==
-            batched_r.vmstat.pgmigrateSuccess;
+    res.identical = sameRun(scalar_r, batched_r) &&
+                    sameRun(sampled_r, batched_r) &&
+                    !sampled_r.samples.empty();
     return res;
 }
 
@@ -153,24 +180,26 @@ main(int argc, char **argv)
     std::uint64_t accesses = 0;
     double scalar_wall = 0.0;
     double batched_wall = 0.0;
+    double sampled_wall = 0.0;
     bool identical = true;
     for (const int scale : scales) {
         const ScaleResult res = runScale(scale, trials, reps);
         accesses += res.accesses;
         scalar_wall += res.scalarWall;
         batched_wall += res.batchedWall;
+        sampled_wall += res.sampledWall;
         identical = identical && res.identical;
         const double s = (res.scalarWall / res.batchedWall);
         std::cout << "  scale " << res.scale << ": " << res.accesses
                   << " accesses, scalar " << res.scalarWall
                   << " s, batched " << res.batchedWall << " s, "
-                  << s << "x\n";
+                  << s << "x, sampled " << res.sampledWall << " s\n";
         sweep.push_back(res);
     }
 
     if (!identical) {
-        std::cerr << "hotpath_speed: scalar and batched runs diverged"
-                     " -- the pipeline is broken\n";
+        std::cerr << "hotpath_speed: scalar, batched and sampled runs"
+                     " diverged -- the pipeline is broken\n";
         return 1;
     }
 
@@ -179,6 +208,25 @@ main(int argc, char **argv)
     const double batched_aps =
         static_cast<double>(accesses) / batched_wall;
     const double speedup = batched_aps / scalar_aps;
+    // Within one rep the batched and sampled runs of a scale run back
+    // to back, so their ratio sees the same host state; the headline is
+    // the median over reps of each rep's ratio over the whole sweep.
+    std::vector<double> rep_ratios;
+    for (int r = 0; r < reps; ++r) {
+        double bw = 0.0;
+        double pw = 0.0;
+        for (const ScaleResult &res : sweep) {
+            bw += res.repWalls[r].first;
+            pw += res.repWalls[r].second;
+        }
+        rep_ratios.push_back(bw / pw);
+    }
+    std::sort(rep_ratios.begin(), rep_ratios.end());
+    const std::size_t mid = rep_ratios.size() / 2;
+    const double sampled_over_batched =
+        rep_ratios.size() % 2 == 1
+            ? rep_ratios[mid]
+            : (rep_ratios[mid - 1] + rep_ratios[mid]) / 2.0;
 
     std::cout << "  accesses            " << accesses << "\n";
     std::cout << "  scalar   wall (s)   " << scalar_wall << "  ("
@@ -187,7 +235,10 @@ main(int argc, char **argv)
     std::cout << "  batched  wall (s)   " << batched_wall << "  ("
               << static_cast<std::uint64_t>(batched_aps)
               << " accesses/s)\n";
+    std::cout << "  sampled  wall (s)   " << sampled_wall << "\n";
     std::cout << "  speedup             " << speedup << "x\n";
+    std::cout << "  sampled_over_batched " << sampled_over_batched
+              << "x\n";
     std::cout << "  bit_identical       "
               << (identical ? "true" : "false") << "\n";
 
@@ -210,7 +261,8 @@ main(int argc, char **argv)
             out << "    {\"scale\": " << r.scale << ", \"accesses\": "
                 << r.accesses << ", \"scalar_wall_sec\": "
                 << r.scalarWall << ", \"batched_wall_sec\": "
-                << r.batchedWall << ", \"speedup\": "
+                << r.batchedWall << ", \"sampled_wall_sec\": "
+                << r.sampledWall << ", \"speedup\": "
                 << (r.scalarWall / r.batchedWall) << "}"
                 << (i + 1 < sweep.size() ? "," : "") << "\n";
         }
@@ -218,10 +270,13 @@ main(int argc, char **argv)
             << "  \"accesses\": " << accesses << ",\n"
             << "  \"scalar_wall_sec\": " << scalar_wall << ",\n"
             << "  \"batched_wall_sec\": " << batched_wall << ",\n"
+            << "  \"sampled_wall_sec\": " << sampled_wall << ",\n"
             << "  \"scalar_accesses_per_sec\": " << scalar_aps << ",\n"
             << "  \"batched_accesses_per_sec\": " << batched_aps
             << ",\n"
             << "  \"speedup\": " << speedup << ",\n"
+            << "  \"sampled_over_batched\": " << sampled_over_batched
+            << ",\n"
             << "  \"bit_identical\": "
             << (identical ? "true" : "false") << "\n"
             << "}\n";

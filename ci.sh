@@ -31,7 +31,9 @@
 #   8. a perf-regression gate: bench/hotpath_speed re-run at its
 #      committed parameters and compared against the checked-in
 #      BENCH_hotpath.json (prints both records' host, fails when
-#      batched throughput drops below 80% of the recorded baseline),
+#      batched throughput drops below 80% of the recorded baseline,
+#      and when the same run's sampled throughput -- perf-mem sampler
+#      on -- drops below 70% of its unsampled throughput),
 #      then bench/scale_sweep against BENCH_scale.json: the
 #      one-segment out-of-core build
 #      must stay bit-identical to the monolithic loader and the
@@ -149,8 +151,9 @@ MEMTIER_SCALAR_PATH=ON \
 
 echo "=== [8/11] perf gate: hotpath throughput vs committed baseline ==="
 # Re-measure the batched hot path at the baseline's parameters and
-# fail on a >20% throughput regression. The bench itself also fails
-# when the scalar and batched paths stop being bit-identical, so this
+# fail on a >20% throughput regression, or when the sampled run is
+# below 70% of the unsampled one. The bench itself also fails when the
+# scalar, batched and sampled runs stop being bit-identical, so this
 # gate checks correctness and speed in one run.
 ./build-ci/bench/hotpath_speed --out=build-ci/BENCH_hotpath_ci.json \
     > /dev/null
@@ -173,10 +176,20 @@ now = now_rec["batched_accesses_per_sec"]
 ratio = now / base
 print(f"perf gate: baseline {base:.3e} acc/s, now {now:.3e} acc/s "
       f"({ratio:.2f}x)")
+# What observing costs, measured within this one run on this host:
+# the sampler keeps ~1 load in 61 and must not cost the batched path
+# more than that warrants.
+sampled = now_rec["sampled_over_batched"]
+print(f"perf gate: sampled/batched throughput {sampled:.2f}x "
+      f"(same run; baseline record {base_rec.get('sampled_over_batched', 'n/a')})")
 if ratio < 0.8:
     sys.exit("perf gate FAILED: batched hot path regressed >20% "
              "vs BENCH_hotpath.json (refresh the baseline via "
              "run_benches.sh if the change is intentional)")
+if sampled < 0.7:
+    sys.exit("perf gate FAILED: with the perf-mem sampler on, the "
+             "batched hot path ran below 70% of its unsampled "
+             "throughput in the same run")
 EOF
 # Footprint-scale gate: re-run the largest committed cell of the
 # segmented-CSR sweep (the run starts with the segment-1 bit-identity

@@ -40,9 +40,10 @@ for b in $binaries; do
         "$b" --benchmark_min_time=0.1 2>/dev/null
     elif [ "$name" = "hotpath_speed" ]; then
         # Hot-path throughput: forced-scalar vs batched pipeline on the
-        # PageRank sweep. Writes the machine-readable record future PRs
-        # compare against; the binary itself fails when the two paths
-        # stop being bit-identical.
+        # PageRank sweep, and batched with the sampler on. Writes the
+        # machine-readable record future PRs compare against; the
+        # binary itself fails when the three runs stop being
+        # bit-identical.
         "$b" --out=BENCH_hotpath.json 2>/dev/null
     elif [ "$name" = "scale_sweep" ]; then
         # Footprint-vs-scale on the segmented CSR path: out-of-core

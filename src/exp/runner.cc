@@ -83,13 +83,7 @@ hierarchyCounters(Engine &eng)
 static double runGraphWorkload(const RunConfig &config, Engine &eng,
                                SimHeap &heap, RunResult *out);
 
-/**
- * The machine runWorkload builds for @p config. The registry decides
- * what runs; the tiering kernel's demotion path exists whenever a
- * policy does, and the policy itself decides whether to use it.
- * fatal() on a tunable assignment that does not parse.
- */
-static SystemConfig
+SystemConfig
 runSystem(const RunConfig &config)
 {
     SystemConfig sys = config.sys;
@@ -135,12 +129,20 @@ RunResult
 runWorkload(const RunConfig &config, const PlacementPlan *plan)
 {
     Engine eng(runSystem(config));
-    MmapTracker tracker;
-    eng.kernel().setSyscallObserver(&tracker);
-
     PerfMemSampler sampler(config.sampler);
     if (config.sampling)
         eng.addObserver(&sampler);
+    RunResult out = runWorkloadOn(eng, config, plan);
+    out.samples = sampler.takeSamples();
+    return out;
+}
+
+RunResult
+runWorkloadOn(Engine &eng, const RunConfig &config,
+              const PlacementPlan *plan)
+{
+    MmapTracker tracker;
+    eng.kernel().setSyscallObserver(&tracker);
 
     SimHeap heap(eng);
     if (plan != nullptr)
@@ -165,7 +167,6 @@ runWorkload(const RunConfig &config, const PlacementPlan *plan)
 
     out.totalSeconds = cyclesToSeconds(eng.globalTime());
     out.computeSeconds = out.totalSeconds - out.loadSeconds;
-    out.samples = sampler.takeSamples();
     out.tracker = std::move(tracker);
     out.timeline = eng.timeline();
     out.vmstat = eng.kernel().vmstat();

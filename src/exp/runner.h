@@ -153,6 +153,23 @@ RunResult runWorkload(const RunConfig &config,
                       const PlacementPlan *plan = nullptr);
 
 /**
+ * The machine runWorkload builds for @p config. The registry decides
+ * what runs; the tiering kernel's demotion path exists whenever a
+ * policy does, and the policy itself decides whether to use it.
+ * fatal() on a tunable assignment that does not parse.
+ */
+SystemConfig runSystem(const RunConfig &config);
+
+/**
+ * runWorkload on a machine the caller built from runSystem(@p config)
+ * and attached its own access observers to. config.sampling and
+ * config.sampler are not read and RunResult::samples stays empty, so
+ * a test can watch a run through an observer of its own.
+ */
+RunResult runWorkloadOn(Engine &eng, const RunConfig &config,
+                        const PlacementPlan *plan = nullptr);
+
+/**
  * The configuration checks runWorkload makes before it runs anything
  * -- the policy name, every tunable key and value, and the monolithic
  * scale limit -- without running: fatal() on the first that fails.

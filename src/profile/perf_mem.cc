@@ -1,5 +1,7 @@
 #include "profile/perf_mem.h"
 
+#include "base/logging.h"
+
 namespace memtier {
 
 PerfMemSampler::PerfMemSampler(const SamplerParams &params)
@@ -22,6 +24,17 @@ void
 PerfMemSampler::onAccess(const AccessRecord &record)
 {
     sample(record);
+}
+
+void
+PerfMemSampler::passOver(ThreadId tid, std::uint64_t n)
+{
+    MEMTIER_ASSERT(n <= loadsToSkip(tid),
+                   "passOver past the next due load");
+    if (n == 0)
+        return;  // tid may be a thread this sampler has not seen.
+    countdown[tid] -= static_cast<std::uint32_t>(n);
+    loads_seen += n;
 }
 
 void

@@ -1,9 +1,11 @@
 /**
  * @file
- * PerfMemSampler: the perf-mem equivalent. Observes every load the
+ * PerfMemSampler: the perf-mem equivalent. Counts every load the
  * engine executes and records every N-th one per thread (sampling, not
  * tracing -- Section 3.1 stresses that tracing all accesses is not
  * practical, and neither is keeping them all in a simulator run).
+ * Unless it records stores, it takes the load-skip contract, so the
+ * engine builds a record only for the loads it keeps.
  */
 
 #ifndef MEMTIER_PROFILE_PERF_MEM_H_
@@ -51,6 +53,24 @@ class PerfMemSampler : public AccessObserver
         for (std::size_t i = 0; i < count; ++i)
             sample(records[i]);
     }
+
+    /** AccessObserver: takes the load-skip contract unless stores are
+     *  recorded. */
+    bool skipsLoads() const override { return !cfg.recordStores; }
+
+    /** AccessObserver: loads of @p tid before its next sample. */
+    std::uint64_t
+    loadsToSkip(ThreadId tid) const override
+    {
+        return tid < countdown.size() ? countdown[tid] : 0;
+    }
+
+    /**
+     * AccessObserver: @p n unsampled loads of @p tid, counted exactly
+     * as sample() counts them; no gap is drawn, so the draws stay in
+     * sample order.
+     */
+    void passOver(ThreadId tid, std::uint64_t n) override;
 
     /** Collected samples in completion order per thread interleaving. */
     const std::vector<MemorySample> &samples() const { return store; }

@@ -44,9 +44,10 @@ class SimVector
      * Elements per accessBatch issued by the bulk operations. Chunking
      * bounds the request scratch buffer; batch boundaries are free to
      * move because the batched path is bit-identical to per-element
-     * issue regardless of where a batch starts or ends.
+     * issue regardless of where a batch starts or ends. The engine's
+     * own materialized chunks use the same size.
      */
-    static constexpr std::uint64_t kBulkChunk = 4096;
+    static constexpr std::uint64_t kBulkChunk = kAccessChunk;
 
     /** Empty (invalid) handle. */
     SimVector() = default;

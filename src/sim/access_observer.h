@@ -1,14 +1,15 @@
 /**
  * @file
  * Engine -> profiler notification interface. The PEBS-style sampler
- * implements this to see every memory operation and decide which to
- * record, mirroring perf-mem's position between the core and the tools.
+ * implements this to see the memory operations it may record,
+ * mirroring perf-mem's position between the core and the tools.
  */
 
 #ifndef MEMTIER_SIM_ACCESS_OBSERVER_H_
 #define MEMTIER_SIM_ACCESS_OBSERVER_H_
 
 #include <cstddef>
+#include <cstdint>
 
 #include "base/types.h"
 
@@ -33,7 +34,10 @@ struct AccessRecord
     Cycles time = 0;                ///< Completion time (thread clock).
 };
 
-/** Receives every access the engine executes. */
+/**
+ * Receives the accesses the engine executes: every one by default, or
+ * only the loads it asks for under the load-skip contract below.
+ */
 class AccessObserver
 {
   public:
@@ -50,6 +54,9 @@ class AccessObserver
      * periodic services that fire mid-batch. The default loops over
      * onAccess so existing observers keep working unchanged; observers
      * on the hot path override this to skip per-record virtual dispatch.
+     *
+     * Under the load-skip contract every record arrives on its own, a
+     * batch of one delivered as soon as its access completes.
      */
     virtual void
     onBatch(const AccessRecord *records, std::size_t count)
@@ -57,6 +64,52 @@ class AccessObserver
         for (std::size_t i = 0; i < count; ++i)
             onAccess(records[i]);
     }
+
+    /**
+     * @name Load-skip contract
+     * An observer that keeps a few accesses of many (a sampler) opts
+     * in by returning true from skipsLoads(). It then declares that it
+     * needs no record of any store, and per thread it names how many
+     * upcoming loads it needs no record of. The engine runs those
+     * accesses without building records, reports the loads it passed
+     * over, and delivers the next due load at once. The engine takes
+     * the contract only when every attached observer opts in, and
+     * reads skipsLoads() once, when the observer is attached, so the
+     * answer must not change afterwards. With several observers the
+     * soonest due load is due for all: a record can arrive while this
+     * observer still had loads to skip, and then counts as one of
+     * them. Observers that keep the defaults see every access in
+     * onBatch's framing.
+     */
+    ///@{
+
+    /** True when this observer takes the load-skip contract. */
+    virtual bool skipsLoads() const { return false; }
+
+    /**
+     * Upcoming loads of thread @p tid, counted from the next one, that
+     * this observer needs no record of (0 = the next load is due).
+     */
+    virtual std::uint64_t
+    loadsToSkip(ThreadId tid) const
+    {
+        (void)tid;
+        return 0;
+    }
+
+    /**
+     * The engine executed @p n loads of thread @p tid without a record
+     * (never more than loadsToSkip(tid) said). Called before the next
+     * record of that thread is delivered, and before the engine call
+     * that executed them returns.
+     */
+    virtual void
+    passOver(ThreadId tid, std::uint64_t n)
+    {
+        (void)tid;
+        (void)n;
+    }
+    ///@}
 };
 
 }  // namespace memtier

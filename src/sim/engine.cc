@@ -45,6 +45,16 @@ positiveIntFromEnv(const char *name)
     return static_cast<std::uint32_t>(v);
 }
 
+/** Engine::splitAtDueLoads' next_due for a call of @p n loads. */
+auto
+allLoads(std::uint64_t n)
+{
+    return [n](std::uint64_t from, std::uint64_t &skip) {
+        skip = std::min(skip, n - from);
+        return from + skip;
+    };
+}
+
 }  // namespace
 
 Engine::Engine(const SystemConfig &config)
@@ -113,8 +123,10 @@ Engine::Engine(const SystemConfig &config)
         // A policy that ranks by observed accesses (object-dynamic)
         // keeps the access feed for the machine's whole life.
         policyObserver_ = tiering->accessObserver();
-        if (policyObserver_)
+        if (policyObserver_) {
             observers.push_back(policyObserver_);
+            observersChanged();
+        }
     }
 
     // Runtime mutations (TunableRegistry::set) land here; the
@@ -518,10 +530,20 @@ Engine::accessCore(ThreadContext &t, Addr addr, MemOp op, bool assists)
     return out;
 }
 
-Cycles
-Engine::accessBatch(ThreadContext &t, std::span<const AccessRequest> reqs)
+void
+Engine::observersChanged()
 {
-    const bool record = !observers.empty();
+    skipLoads_ = !observers.empty() &&
+                 std::all_of(observers.begin(), observers.end(),
+                             [](const AccessObserver *obs) {
+                                 return obs->skipsLoads();
+                             });
+}
+
+inline Cycles
+Engine::batchBody(ThreadContext &t, std::span<const AccessRequest> reqs,
+                  bool record)
+{
     if (record)
         recScratch_.clear();
     const bool assists = !cfg.scalarPath;
@@ -775,33 +797,10 @@ Engine::accessBatch(ThreadContext &t, std::span<const AccessRequest> reqs)
     return total;
 }
 
-Cycles
-Engine::accessRange(ThreadContext &t, Addr base, std::uint64_t count,
-                    std::uint32_t stride, MemOp op)
+inline Cycles
+Engine::rangeBody(ThreadContext &t, Addr base, std::uint64_t count,
+                  std::uint32_t stride, MemOp op)
 {
-    MEMTIER_ASSERT(stride > 0, "accessRange needs a positive stride");
-    if (!observers.empty()) {
-        // Observer records are staged per element; materialize chunks
-        // and reuse the batch path so staging and onBatch delivery live
-        // in one place. Chunk size matches the runtime's bulk-op chunk,
-        // keeping batch boundaries (and thus observer batch framing)
-        // identical to a materialized issue of the same range.
-        constexpr std::uint64_t kChunk = 4096;
-        Cycles total = 0;
-        auto &reqs = t.reqScratch;
-        for (std::uint64_t c = 0; c < count;) {
-            const std::uint64_t stop =
-                std::min<std::uint64_t>(count, c + kChunk);
-            reqs.clear();
-            reqs.reserve(stop - c);
-            for (std::uint64_t k = c; k < stop; ++k)
-                reqs.push_back({base + k * stride, op});
-            total += accessBatch(t, std::span<const AccessRequest>(reqs));
-            c = stop;
-        }
-        return total;
-    }
-
     Cycles total = 0;
     if (cfg.scalarPath) {
         // Reference semantics: the legacy element-at-a-time loop.
@@ -998,30 +997,9 @@ Engine::tailRun(ThreadContext &t, Addr line, PageNum vpn, bool huge,
     return total;
 }
 
-Cycles
-Engine::accessMany(ThreadContext &t, std::span<const Addr> addrs, MemOp op)
+inline Cycles
+Engine::manyBody(ThreadContext &t, std::span<const Addr> addrs, MemOp op)
 {
-    if (!observers.empty()) {
-        // Materialize requests and reuse the batch path so staging and
-        // onBatch delivery live in one place; chunking matches the
-        // runtime's bulk-op chunk so observer batch framing equals a
-        // materialized issue of the same addresses.
-        constexpr std::size_t kChunk = 4096;
-        Cycles total = 0;
-        auto &reqs = t.reqScratch;
-        for (std::size_t c = 0; c < addrs.size();) {
-            const std::size_t stop =
-                std::min(addrs.size(), c + kChunk);
-            reqs.clear();
-            reqs.reserve(stop - c);
-            for (std::size_t k = c; k < stop; ++k)
-                reqs.push_back({addrs[k], op});
-            total += accessBatch(t, std::span<const AccessRequest>(reqs));
-            c = stop;
-        }
-        return total;
-    }
-
     Cycles total = 0;
     if (cfg.scalarPath) {
         // Reference semantics: the legacy element-at-a-time loop.
@@ -1067,6 +1045,136 @@ Engine::accessMany(ThreadContext &t, std::span<const Addr> addrs, MemOp op)
     }
     accessCycles_ += total;
     return total;
+}
+
+Cycles
+Engine::dueAccess(ThreadContext &t, const AccessRequest &req)
+{
+    return batchBody(t, std::span<const AccessRequest>(&req, 1), true);
+}
+
+template <typename NextDue, typename Stretch, typename Due>
+Cycles
+Engine::splitAtDueLoads(ThreadContext &t, std::uint64_t n,
+                        NextDue &&next_due, Stretch &&stretch, Due &&due)
+{
+    // Batch boundaries are free to move (the batched path is
+    // bit-identical to per-element issue wherever a batch starts or
+    // ends), so splitting a call at its due loads changes no simulated
+    // value. With several observers the soonest due load is due for
+    // all of them.
+    const ThreadId tid = t.id();
+    Cycles total = 0;
+    std::uint64_t k = 0;
+    while (k < n) {
+        std::uint64_t skip = UINT64_MAX;
+        for (const AccessObserver *obs : observers)
+            skip = std::min(skip, obs->loadsToSkip(tid));
+        const std::uint64_t d = next_due(k, skip);
+        if (d > k)
+            total += stretch(k, d);
+        if (skip > 0) {
+            for (AccessObserver *obs : observers)
+                obs->passOver(tid, skip);
+        }
+        if (d == n)
+            break;
+        total += due(d);
+        k = d + 1;
+    }
+    return total;
+}
+
+template <typename AddrAt>
+Cycles
+Engine::materializedBatches(ThreadContext &t, std::uint64_t count, MemOp op,
+                            AddrAt &&addr_at)
+{
+    Cycles total = 0;
+    auto &reqs = t.reqScratch;
+    for (std::uint64_t c = 0; c < count;) {
+        const std::uint64_t stop = std::min(count, c + kAccessChunk);
+        reqs.clear();
+        reqs.reserve(stop - c);
+        for (std::uint64_t k = c; k < stop; ++k)
+            reqs.push_back({addr_at(k), op});
+        total += accessBatch(t, std::span<const AccessRequest>(reqs));
+        c = stop;
+    }
+    return total;
+}
+
+Cycles
+Engine::accessBatch(ThreadContext &t, std::span<const AccessRequest> reqs)
+{
+    if (skipLoads_)
+        return skippingBatch(t, reqs);
+    return batchBody(t, reqs, !observers.empty());
+}
+
+Cycles
+Engine::skippingBatch(ThreadContext &t, std::span<const AccessRequest> reqs)
+{
+    // Stores never produce a record, so the due element is the load
+    // after the skipped ones.
+    const auto next_due = [&](std::uint64_t from, std::uint64_t &skip) {
+        std::uint64_t passed = 0;
+        std::uint64_t k = from;
+        for (; k < reqs.size(); ++k) {
+            if (reqs[k].op != MemOp::Load)
+                continue;
+            if (passed == skip)
+                break;
+            ++passed;
+        }
+        skip = passed;
+        return k;
+    };
+    return splitAtDueLoads(
+        t, reqs.size(), next_due,
+        [&](std::uint64_t b, std::uint64_t e) {
+            return batchBody(t, reqs.subspan(b, e - b), false);
+        },
+        [&](std::uint64_t k) { return dueAccess(t, reqs[k]); });
+}
+
+Cycles
+Engine::accessRange(ThreadContext &t, Addr base, std::uint64_t count,
+                    std::uint32_t stride, MemOp op)
+{
+    MEMTIER_ASSERT(stride > 0, "accessRange needs a positive stride");
+    if (observers.empty() || (skipLoads_ && op == MemOp::Store))
+        return rangeBody(t, base, count, stride, op);
+    if (!skipLoads_) {
+        return materializedBatches(t, count, op, [&](std::uint64_t k) {
+            return base + k * stride;
+        });
+    }
+    return splitAtDueLoads(
+        t, count, allLoads(count),
+        [&](std::uint64_t b, std::uint64_t e) {
+            return rangeBody(t, base + b * stride, e - b, stride, op);
+        },
+        [&](std::uint64_t k) {
+            return dueAccess(t, {base + k * stride, op});
+        });
+}
+
+Cycles
+Engine::accessMany(ThreadContext &t, std::span<const Addr> addrs, MemOp op)
+{
+    if (observers.empty() || (skipLoads_ && op == MemOp::Store))
+        return manyBody(t, addrs, op);
+    if (!skipLoads_) {
+        return materializedBatches(t, addrs.size(), op,
+                                   [&](std::uint64_t k) { return addrs[k]; });
+    }
+    return splitAtDueLoads(
+        t, addrs.size(), allLoads(addrs.size()),
+        [&](std::uint64_t b, std::uint64_t e) {
+            return manyBody(t, addrs.subspan(b, e - b), op);
+        },
+        [&](std::uint64_t k) { return dueAccess(t, {addrs[k], op}); });
 }
 
 void

@@ -35,6 +35,14 @@
 
 namespace memtier {
 
+/**
+ * Elements per accessBatch call when a bulk access is staged as a
+ * request list: the runtime's bulk operations and the engine's
+ * materialized fallback for observers both chunk at this size, so the
+ * onBatch framing an observer sees is the same either way.
+ */
+inline constexpr std::uint64_t kAccessChunk = 4096;
+
 /** One sample of the machine-wide timeline (Figures 9 and 10). */
 struct TimelinePoint
 {
@@ -102,10 +110,16 @@ class Engine : public TlbShootdownClient
             observers.push_back(policyObserver_);
         if (obs)
             observers.push_back(obs);
+        observersChanged();
     }
 
     /** Register an additional access observer. */
-    void addObserver(AccessObserver *obs) { observers.push_back(obs); }
+    void
+    addObserver(AccessObserver *obs)
+    {
+        observers.push_back(obs);
+        observersChanged();
+    }
 
     /**
      * Register a periodic service invoked from the engine's service
@@ -129,9 +143,12 @@ class Engine : public TlbShootdownClient
      * coalesces same-line runs so the per-element host work collapses
      * to the LFB attribution, validates translations through the
      * per-thread epoch micro-cache, and delivers observer records once
-     * per batch (AccessObserver::onBatch). SystemConfig::scalarPath or
-     * MEMTIER_SCALAR_PATH=ON forces the reference element-at-a-time
-     * machinery instead.
+     * per batch (AccessObserver::onBatch). When every observer takes
+     * the load-skip contract, the batch is split at each due load: the
+     * stretches between run as if no observer were attached, and each
+     * due load runs as a batch of one whose record is delivered at
+     * once. SystemConfig::scalarPath or MEMTIER_SCALAR_PATH=ON forces
+     * the reference element-at-a-time machinery instead.
      *
      * @return the summed latency charged (excluding issue cycles).
      */
@@ -144,9 +161,12 @@ class Engine : public TlbShootdownClient
      * The addresses are synthesized on the fly, so neither path
      * materializes a request list: the batched pipeline walks line runs
      * arithmetically and the forced scalar reference runs the legacy
-     * element-at-a-time loop. With observers attached the range falls
-     * back to materialized accessBatch chunks so record staging and
-     * batch delivery stay in one place.
+     * element-at-a-time loop. Observers under the load-skip contract
+     * keep that: the range is split at each due load as accessBatch
+     * splits (a store range produces no record at all). Any other
+     * observer makes the range fall back to materialized accessBatch
+     * chunks of kAccessChunk, so record staging and batch delivery stay
+     * in one place.
      *
      * @return the summed latency charged (excluding issue cycles).
      */
@@ -157,7 +177,8 @@ class Engine : public TlbShootdownClient
      * Execute one same-op access per address in @p addrs, in order --
      * the uniform-op form of accessBatch used by gathers and scatters.
      * Halves the staging traffic of a materialized request list and
-     * lets the batch machinery skip per-element op reads.
+     * lets the batch machinery skip per-element op reads. Observers are
+     * served as accessRange serves them.
      *
      * @return the summed latency charged (excluding issue cycles).
      */
@@ -359,6 +380,58 @@ class Engine : public TlbShootdownClient
     void maybeRunServices(Cycles now);
     void recomputeNextServiceDue();
 
+    /** Recompute skipLoads_ after the observer list changed. */
+    void observersChanged();
+
+    /**
+     * @name Access bodies
+     * The bodies of accessBatch, accessRange and accessMany, inlined
+     * into them so the observer-free path pays no extra call. Only
+     * batchBody builds records (when @p record); the other two run
+     * without records.
+     */
+    ///@{
+    [[gnu::always_inline]] inline Cycles
+    batchBody(ThreadContext &t, std::span<const AccessRequest> reqs,
+              bool record);
+    [[gnu::always_inline]] inline Cycles
+    rangeBody(ThreadContext &t, Addr base, std::uint64_t count,
+              std::uint32_t stride, MemOp op);
+    [[gnu::always_inline]] inline Cycles
+    manyBody(ThreadContext &t, std::span<const Addr> addrs, MemOp op);
+    ///@}
+
+    /** The load-skip splitter of accessBatch, out of its hot path. */
+    Cycles skippingBatch(ThreadContext &t,
+                         std::span<const AccessRequest> reqs);
+
+    /**
+     * Load-skip splitter of the three bulk forms, over elements [0, n) of
+     * one call: asks the observers how many loads to skip, runs the
+     * passed-over stretch through @p stretch(begin, end), reports the
+     * loads it passed over, runs the due load through @p due(k), and
+     * repeats.
+     * @p next_due(from, skip) returns the due element at or after
+     * @p from (n when none) and sets @p skip to the loads before it.
+     */
+    template <typename NextDue, typename Stretch, typename Due>
+    Cycles splitAtDueLoads(ThreadContext &t, std::uint64_t n,
+                           NextDue &&next_due, Stretch &&stretch,
+                           Due &&due);
+
+    /** Execute @p req as a batch of one and deliver its record now. */
+    Cycles dueAccess(ThreadContext &t, const AccessRequest &req);
+
+    /**
+     * Fallback of accessRange and accessMany for observers that see
+     * every access: stage @p addr_at(k) for k in [0, @p count) into
+     * t.reqScratch kAccessChunk elements at a time and accessBatch
+     * each chunk, so onBatch framing equals a materialized issue.
+     */
+    template <typename AddrAt>
+    Cycles materializedBatches(ThreadContext &t, std::uint64_t count,
+                               MemOp op, AddrAt &&addr_at);
+
     void accessPrologue(ThreadContext &t, bool assists);
     AccessOutcome accessCore(ThreadContext &t, Addr addr, MemOp op,
                              bool assists);
@@ -415,6 +488,9 @@ class Engine : public TlbShootdownClient
 
     /** The tiering policy when it also observes accesses, else null. */
     AccessObserver *policyObserver_ = nullptr;
+
+    /** Observers attached and every one takes the load-skip contract. */
+    bool skipLoads_ = false;
 
     struct Service
     {

@@ -5,7 +5,8 @@
  * checker audit of per-thread translation caches, the translation-
  * epoch race stress (remaps and migrations interleaved with batched
  * sweeps, 4 KiB and THP), the golden scalar-vs-batched bit-identity
- * of whole workload runs, and absolute cache/TLB counter goldens.
+ * of whole workload runs, absolute cache/TLB counter and sample-stream
+ * goldens, and the observers' load-skip contract on whole runs.
  */
 
 #include <gtest/gtest.h>
@@ -351,50 +352,135 @@ hotpathConfig(App app)
 }
 
 void
-expectBitIdentical(const RunResult &batched, const RunResult &scalar)
+expectSameStats(const AutoNumaStats &a, const AutoNumaStats &b)
+{
+    const auto counters = [](const AutoNumaStats &s) {
+        return std::array<std::uint64_t, 14>{
+            s.pagesScanned,        s.hintFaults,
+            s.hintFaultsNvm,       s.promotedFreePath,
+            s.promotedThresholdPath, s.rejectedByThreshold,
+            s.rejectedByRateLimit, s.promotionFailures,
+            s.scansPaused,         s.hugeHintFaults,
+            s.thpCollapses,        s.thpSplits,
+            s.memoryFailures,      s.promotionsHeldOff};
+    };
+    EXPECT_EQ(counters(a), counters(b));
+    EXPECT_EQ(a.hintLatencySeconds.count(), b.hintLatencySeconds.count());
+    for (const double q : {0.0, 0.5, 0.99, 1.0}) {
+        EXPECT_EQ(a.hintLatencySeconds.percentile(q),
+                  b.hintLatencySeconds.percentile(q));
+    }
+    const auto &ta = a.thresholdSeconds.points();
+    const auto &tb = b.thresholdSeconds.points();
+    ASSERT_EQ(ta.size(), tb.size());
+    for (std::size_t i = 0; i < ta.size(); ++i) {
+        EXPECT_EQ(ta[i].time, tb[i].time);
+        EXPECT_EQ(ta[i].value, tb[i].value);
+    }
+}
+
+/** Every field of two runs of one config, bit for bit. */
+void
+expectBitIdentical(const RunResult &a, const RunResult &b)
 {
     // Simulated time and output.
-    EXPECT_EQ(batched.totalSeconds, scalar.totalSeconds);
-    EXPECT_EQ(batched.loadSeconds, scalar.loadSeconds);
-    EXPECT_EQ(batched.outputChecksum, scalar.outputChecksum);
-    EXPECT_EQ(batched.totalAccesses, scalar.totalAccesses);
+    EXPECT_EQ(a.workloadName, b.workloadName);
+    EXPECT_EQ(a.totalSeconds, b.totalSeconds);
+    EXPECT_EQ(a.loadSeconds, b.loadSeconds);
+    EXPECT_EQ(a.computeSeconds, b.computeSeconds);
+    EXPECT_EQ(a.outputChecksum, b.outputChecksum);
+    EXPECT_EQ(a.totalAccesses, b.totalAccesses);
+    EXPECT_EQ(a.faultsInjected, b.faultsInjected);
+    EXPECT_EQ(a.iterationsTotal, b.iterationsTotal);
+    EXPECT_EQ(a.iterationsAborted, b.iterationsAborted);
+    EXPECT_EQ(a.invariantChecksRun, b.invariantChecksRun);
+    EXPECT_EQ(a.copyBytes, b.copyBytes);
+    EXPECT_EQ(a.copyChargedCycles, b.copyChargedCycles);
 
-    // Every vmstat counter (plain uint64 struct).
-    EXPECT_EQ(std::memcmp(&batched.vmstat, &scalar.vmstat,
-                          sizeof(VmStat)),
+    // Every vmstat counter (plain uint64 struct), the cache and TLB
+    // counters and the final per-node usage.
+    EXPECT_EQ(std::memcmp(&a.vmstat, &b.vmstat, sizeof(VmStat)), 0);
+    EXPECT_EQ(std::memcmp(&a.hierarchy, &b.hierarchy,
+                          sizeof(HierarchyCounters)),
+              0);
+    EXPECT_EQ(std::memcmp(&a.finalNumastat, &b.finalNumastat,
+                          sizeof(NumaStatSnapshot)),
               0);
 
     // perf-mem attribution per level.
     for (int l = 0; l < kNumMemLevels; ++l)
-        EXPECT_EQ(batched.levelCounts[l], scalar.levelCounts[l]);
+        EXPECT_EQ(a.levelCounts[l], b.levelCounts[l]);
 
-    // Sampled records: the batch observer dispatch must deliver the
-    // exact records the per-element dispatch did.
-    ASSERT_EQ(batched.samples.size(), scalar.samples.size());
-    for (std::size_t i = 0; i < batched.samples.size(); ++i) {
-        EXPECT_EQ(batched.samples[i].time, scalar.samples[i].time);
-        EXPECT_EQ(batched.samples[i].vaddr, scalar.samples[i].vaddr);
-        EXPECT_EQ(batched.samples[i].latency,
-                  scalar.samples[i].latency);
-        EXPECT_EQ(batched.samples[i].level, scalar.samples[i].level);
-        EXPECT_EQ(batched.samples[i].tlbMiss,
-                  scalar.samples[i].tlbMiss);
+    // Sampled records: every path must deliver the exact records the
+    // per-element dispatch did.
+    ASSERT_EQ(a.samples.size(), b.samples.size());
+    for (std::size_t i = 0; i < a.samples.size(); ++i) {
+        EXPECT_EQ(a.samples[i].time, b.samples[i].time);
+        EXPECT_EQ(a.samples[i].vaddr, b.samples[i].vaddr);
+        EXPECT_EQ(a.samples[i].latency, b.samples[i].latency);
+        EXPECT_EQ(a.samples[i].tid, b.samples[i].tid);
+        EXPECT_EQ(a.samples[i].level, b.samples[i].level);
+        EXPECT_EQ(a.samples[i].tlbMiss, b.samples[i].tlbMiss);
+    }
+
+    // Allocations.
+    const auto &ra = a.tracker.records();
+    const auto &rb = b.tracker.records();
+    ASSERT_EQ(ra.size(), rb.size());
+    for (std::size_t i = 0; i < ra.size(); ++i) {
+        EXPECT_EQ(ra[i].object, rb[i].object);
+        EXPECT_EQ(ra[i].site, rb[i].site);
+        EXPECT_EQ(ra[i].start, rb[i].start);
+        EXPECT_EQ(ra[i].bytes, rb[i].bytes);
+        EXPECT_EQ(ra[i].allocTime, rb[i].allocTime);
+        EXPECT_EQ(ra[i].freeTime, rb[i].freeTime);
     }
 
     // The machine-wide timeline, point by point.
-    ASSERT_EQ(batched.timeline.size(), scalar.timeline.size());
-    for (std::size_t i = 0; i < batched.timeline.size(); ++i) {
-        const TimelinePoint &bp = batched.timeline[i];
-        const TimelinePoint &sp = scalar.timeline[i];
-        EXPECT_EQ(bp.sec, sp.sec);
-        EXPECT_EQ(bp.cpuUtil, sp.cpuUtil);
-        EXPECT_EQ(std::memcmp(&bp.vm, &sp.vm, sizeof(VmStat)), 0);
-        for (int n = 0; n < kNumNodes; ++n) {
-            EXPECT_EQ(bp.numa.appPages[n], sp.numa.appPages[n]);
-            EXPECT_EQ(bp.numa.cachePages[n], sp.numa.cachePages[n]);
-            EXPECT_EQ(bp.numa.freePages[n], sp.numa.freePages[n]);
-        }
+    ASSERT_EQ(a.timeline.size(), b.timeline.size());
+    for (std::size_t i = 0; i < a.timeline.size(); ++i) {
+        const TimelinePoint &ap = a.timeline[i];
+        const TimelinePoint &bp = b.timeline[i];
+        EXPECT_EQ(ap.sec, bp.sec);
+        EXPECT_EQ(ap.cpuUtil, bp.cpuUtil);
+        EXPECT_EQ(std::memcmp(&ap.vm, &bp.vm, sizeof(VmStat)), 0);
+        EXPECT_EQ(std::memcmp(&ap.numa, &bp.numa,
+                              sizeof(NumaStatSnapshot)),
+                  0);
     }
+
+    // Policy state and the observation plane.
+    EXPECT_EQ(a.hasAutoNuma, b.hasAutoNuma);
+    expectSameStats(a.numaStats, b.numaStats);
+    EXPECT_EQ(a.policyName, b.policyName);
+    EXPECT_EQ(a.policyCounters, b.policyCounters);
+    EXPECT_EQ(a.effectiveTunables, b.effectiveTunables);
+    ASSERT_EQ(a.metricsEpochs.size(), b.metricsEpochs.size());
+    for (std::size_t i = 0; i < a.metricsEpochs.size(); ++i) {
+        const MetricsView &am = a.metricsEpochs[i];
+        const MetricsView &bm = b.metricsEpochs[i];
+        EXPECT_EQ(am.now, bm.now);
+        EXPECT_EQ(am.accesses, bm.accesses);
+        EXPECT_EQ(am.accessCycles, bm.accessCycles);
+        EXPECT_EQ(std::memcmp(&am.vm, &bm.vm, sizeof(VmStat)), 0);
+        EXPECT_EQ(am.hasServing, bm.hasServing);
+        EXPECT_EQ(am.serveP50Cycles, bm.serveP50Cycles);
+        EXPECT_EQ(am.serveP99Cycles, bm.serveP99Cycles);
+        EXPECT_EQ(am.serveP999Cycles, bm.serveP999Cycles);
+    }
+
+    // Serving report (graph runs leave it empty).
+    EXPECT_EQ(a.hasServing, b.hasServing);
+    EXPECT_EQ(a.serving.requests, b.serving.requests);
+    EXPECT_EQ(a.serving.errors, b.serving.errors);
+    EXPECT_EQ(a.serving.checksum, b.serving.checksum);
+    EXPECT_EQ(a.serving.prefillSeconds, b.serving.prefillSeconds);
+    EXPECT_EQ(a.serving.totalSeconds, b.serving.totalSeconds);
+    for (int op = 0; op < 4; ++op)
+        EXPECT_EQ(a.serving.opCounts[op], b.serving.opCounts[op]);
+    EXPECT_EQ(a.serving.latency.count(), b.serving.latency.count());
+    EXPECT_EQ(a.serving.latency.sum(), b.serving.latency.sum());
+    EXPECT_EQ(a.serving.latency.max(), b.serving.latency.max());
 }
 
 TEST(HotpathGolden, BfsScalarAndBatchedBitIdentical)
@@ -496,6 +582,267 @@ TEST(HierarchyGolden, PageRankKron15Thp)
          {3283111u, 11491u, 9820u, 1572780u, 0u, 83u},
          {628160u, 2812834u, 414812u, 444637u, 550647u, 26195u},
          0.036499884230769233});
+}
+
+// --------------------------------------- Absolute sample-stream golden
+//
+// Every sample field, the loads the sampler saw and the run's headline
+// observables, pinned on the configs that exercise each way a sampler
+// meets the engine: segmented graphs, the forced scalar path, short and
+// long periods, stores recorded, and a policy that observes accesses
+// beside the sampler. Captured from the engine that delivered a record
+// of every access to the sampler.
+
+/** FNV-1a over the bytes of each value added. */
+struct Fnv
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+
+    template <typename T>
+    void
+    add(const T &v)
+    {
+        unsigned char bytes[sizeof(T)];
+        std::memcpy(bytes, &v, sizeof(T));
+        for (const unsigned char b : bytes) {
+            h ^= b;
+            h *= 0x100000001b3ULL;
+        }
+    }
+};
+
+/** A sampled run plus what only the sampler knows. */
+struct SampledRun
+{
+    RunResult result;
+    std::uint64_t loadsSeen = 0;
+};
+
+/** runWorkload with @p attached observing it; @p sampler is the
+ *  sampler @p attached is or forwards to. */
+SampledRun
+sampledRun(const RunConfig &rc, PerfMemSampler &sampler,
+           AccessObserver &attached)
+{
+    Engine eng(runSystem(rc));
+    eng.addObserver(&attached);
+    SampledRun out;
+    out.result = runWorkloadOn(eng, rc);
+    out.loadsSeen = sampler.loadsSeen();
+    out.result.samples = sampler.takeSamples();
+    return out;
+}
+
+/** runWorkload with the sampler attached directly. */
+SampledRun
+sampledRun(const RunConfig &rc)
+{
+    PerfMemSampler sampler(rc.sampler);
+    return sampledRun(rc, sampler, sampler);
+}
+
+struct SampleGolden
+{
+    std::uint64_t sampleHash;  ///< Every field of every sample, in order.
+    std::uint64_t samples;
+    std::uint64_t loadsSeen;
+    double totalSeconds;
+    std::array<std::uint64_t, kNumMemLevels> levels;
+    std::uint64_t vmstatHash;
+};
+
+void
+expectSampleGolden(const SampledRun &run, const SampleGolden &g)
+{
+    Fnv samples;
+    for (const MemorySample &s : run.result.samples) {
+        samples.add(s.time);
+        samples.add(s.vaddr);
+        samples.add(s.latency);
+        samples.add(s.tid);
+        samples.add(s.level);
+        samples.add(s.tlbMiss);
+    }
+    static_assert(sizeof(VmStat) % sizeof(std::uint64_t) == 0,
+                  "VmStat hashes as plain uint64 counters");
+    Fnv vm;
+    vm.add(run.result.vmstat);
+    EXPECT_EQ(samples.h, g.sampleHash);
+    EXPECT_EQ(run.result.samples.size(), g.samples);
+    EXPECT_EQ(run.loadsSeen, g.loadsSeen);
+    EXPECT_EQ(run.result.totalSeconds, g.totalSeconds);
+    for (int l = 0; l < kNumMemLevels; ++l)
+        EXPECT_EQ(run.result.levelCounts[l], g.levels[l]) << "level " << l;
+    EXPECT_EQ(vm.h, g.vmstatHash);
+}
+
+/** One golden config: hotpathConfig's machine, @p app on @p kind. */
+RunConfig
+sampleConfig(App app, GraphKind kind, std::uint32_t period)
+{
+    RunConfig rc = hotpathConfig(app);
+    rc.workload.kind = kind;
+    rc.sampler.period = period;
+    return rc;
+}
+
+/** The seven golden configs, by name. */
+std::vector<std::pair<std::string, RunConfig>>
+sampleConfigs()
+{
+    std::vector<std::pair<std::string, RunConfig>> out;
+    RunConfig rc = sampleConfig(App::BFS, GraphKind::Urand, 61);
+    rc.workload.segments = 4;
+    out.emplace_back("bfs_urand_seg4_p61", rc);
+    rc = sampleConfig(App::PR, GraphKind::Kron, 61);
+    rc.workload.segments = 4;
+    out.emplace_back("pr_kron_seg4_p61", rc);
+    out.emplace_back("bc_kron_p7", sampleConfig(App::BC, GraphKind::Kron, 7));
+    rc = sampleConfig(App::BFS, GraphKind::Kron, 3);
+    rc.sys.scalarPath = true;
+    out.emplace_back("bfs_kron_scalar_p3", rc);
+    rc = sampleConfig(App::SSSP, GraphKind::Kron, 1);
+    rc.policy = "exchange";
+    out.emplace_back("sssp_kron_exchange_p1", rc);
+    rc = sampleConfig(App::CC, GraphKind::Kron, 61);
+    rc.sampler.recordStores = true;
+    out.emplace_back("cc_kron_stores_p61", rc);
+    rc = sampleConfig(App::BFS, GraphKind::Kron, 61);
+    rc.policy = "object-dynamic";
+    out.emplace_back("bfs_kron_object_dynamic_p61", rc);
+    return out;
+}
+
+TEST(SampleGolden, EveryConfigMatchesCapturedStream)
+{
+    if (thpForcedByEnv())
+        GTEST_SKIP() << "golden values captured with THP off";
+    const SampleGolden golden[] = {
+        {6547878742105473116u, 1951u, 120739u, 0.002208729230769231,
+         {132347u, 156564u, 4134u, 4456u, 13298u, 3750u},
+         5587658456739770658u},
+        {10669648756585553626u, 6780u, 419629u, 0.0022311180769230771,
+         {236361u, 221829u, 60063u, 7764u, 12941u, 2075u},
+         6627561968116500709u},
+        {12078135784695837080u, 119051u, 952360u, 0.0031080307692307693,
+         {493636u, 409307u, 143241u, 56138u, 39929u, 5618u},
+         16819795157750675412u},
+        {16200194220433953570u, 17945u, 71752u, 0.0016342738461538461,
+         {100125u, 113810u, 578u, 3652u, 9625u, 1693u},
+         10138775728121309249u},
+        {368568136437335757u, 1009876u, 2019744u, 0.0058536046153846158,
+         {624071u, 1274411u, 250537u, 48525u, 69259u, 42446u},
+         16917177659967728315u},
+        {16214952487747485758u, 27200u, 1547761u, 0.0031580188461538461,
+         {1412434u, 195195u, 48483u, 13698u, 13043u, 1157u},
+         17557952037863325626u},
+        {5764505688461938524u, 1163u, 71752u, 0.0016274988461538462,
+         {100048u, 113909u, 585u, 3661u, 9249u, 2031u},
+         18193030102731166802u},
+    };
+    const auto configs = sampleConfigs();
+    ASSERT_EQ(configs.size(), std::size(golden));
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        SCOPED_TRACE(configs[i].first);
+        expectSampleGolden(sampledRun(configs[i].second), golden[i]);
+    }
+}
+
+// ------------------------------------------ Load-skip contract, runs
+//
+// The sampler takes the load-skip contract unless it records stores.
+// Attached directly or through a forwarder that does not take it, it
+// must see the same run; under the contract it must get a record of
+// only the loads it keeps.
+
+/** Hands every record to @p to without taking the load-skip contract,
+ *  so the engine records every access, as it does for any such
+ *  observer. */
+class ForwardEveryRecord : public AccessObserver
+{
+  public:
+    explicit ForwardEveryRecord(AccessObserver &to) : to_(to) {}
+
+    void onAccess(const AccessRecord &r) override { to_.onAccess(r); }
+
+    void
+    onBatch(const AccessRecord *records, std::size_t count) override
+    {
+        to_.onBatch(records, count);
+    }
+
+  private:
+    AccessObserver &to_;
+};
+
+/** Forwards the load-skip contract too, counting records delivered. */
+class CountDelivered : public AccessObserver
+{
+  public:
+    explicit CountDelivered(AccessObserver &to) : to_(to) {}
+
+    void
+    onAccess(const AccessRecord &r) override
+    {
+        ++delivered;
+        to_.onAccess(r);
+    }
+
+    void
+    onBatch(const AccessRecord *records, std::size_t count) override
+    {
+        delivered += count;
+        to_.onBatch(records, count);
+    }
+
+    bool skipsLoads() const override { return to_.skipsLoads(); }
+
+    std::uint64_t
+    loadsToSkip(ThreadId tid) const override
+    {
+        return to_.loadsToSkip(tid);
+    }
+
+    void
+    passOver(ThreadId tid, std::uint64_t n) override
+    {
+        to_.passOver(tid, n);
+    }
+
+    std::uint64_t delivered = 0;
+
+  private:
+    AccessObserver &to_;
+};
+
+TEST(LoadSkipRun, SamplerSeesTheRunRecordEverythingSees)
+{
+    for (const auto &[name, rc] : sampleConfigs()) {
+        SCOPED_TRACE(name);
+        const SampledRun direct = sampledRun(rc);
+        PerfMemSampler sampler(rc.sampler);
+        ForwardEveryRecord forward(sampler);
+        const SampledRun forwarded = sampledRun(rc, sampler, forward);
+        EXPECT_EQ(direct.loadsSeen, forwarded.loadsSeen);
+        expectBitIdentical(direct.result, forwarded.result);
+    }
+}
+
+TEST(LoadSkipRun, RecordsDeliveredEqualSamplesTaken)
+{
+    for (const auto &[name, rc] : sampleConfigs()) {
+        SCOPED_TRACE(name);
+        PerfMemSampler sampler(rc.sampler);
+        CountDelivered counter(sampler);
+        const SampledRun run = sampledRun(rc, sampler, counter);
+        // A sampler that records stores, or one beside object-dynamic's
+        // access feed, is served every access.
+        const bool every_access =
+            rc.sampler.recordStores || rc.policy == "object-dynamic";
+        EXPECT_EQ(counter.delivered, every_access
+                                         ? run.result.totalAccesses
+                                         : run.result.samples.size());
+    }
 }
 
 // ------------------------------------------------------- Chaos sweep

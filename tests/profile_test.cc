@@ -90,6 +90,40 @@ TEST(PerfMemSampler, PerThreadCountdowns)
     EXPECT_EQ(sampler.samples().size(), 8u);
 }
 
+TEST(PerfMemSampler, TakesLoadSkipsUnlessRecordingStores)
+{
+    SamplerParams p;
+    EXPECT_TRUE(PerfMemSampler(p).skipsLoads());
+    p.recordStores = true;
+    EXPECT_FALSE(PerfMemSampler(p).skipsLoads());
+}
+
+TEST(PerfMemSampler, PassOverCountsLikeRecords)
+{
+    // Passing over exactly the loads loadsToSkip names keeps the same
+    // samples, gap draws and load count as a record of every load.
+    SamplerParams p;
+    p.period = 7;
+    PerfMemSampler every(p);
+    PerfMemSampler skipping(p);
+    EXPECT_EQ(skipping.loadsToSkip(5), 0u);  // An unseen thread.
+    for (int i = 0; i < 2000; ++i) {
+        AccessRecord r = record(static_cast<ThreadId>(i % 3));
+        r.time = static_cast<Cycles>(i);
+        every.onAccess(r);
+        if (skipping.loadsToSkip(r.tid) > 0)
+            skipping.passOver(r.tid, 1);
+        else
+            skipping.onAccess(r);
+    }
+    EXPECT_EQ(skipping.loadsSeen(), every.loadsSeen());
+    ASSERT_EQ(skipping.samples().size(), every.samples().size());
+    for (std::size_t i = 0; i < every.samples().size(); ++i) {
+        EXPECT_EQ(skipping.samples()[i].time, every.samples()[i].time);
+        EXPECT_EQ(skipping.samples()[i].tid, every.samples()[i].tid);
+    }
+}
+
 TEST(PerfMemSampler, TakeSamplesMovesOut)
 {
     SamplerParams p;
