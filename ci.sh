@@ -97,11 +97,13 @@ TSAN_OPTIONS=halt_on_error=1 MEMTIER_SPILL_DIR=build-tsan/spill \
     --gtest_filter='SegmentedCsr.Concurrent*'
 
 echo "=== [4/11] serving smoke: short tail sweep under ASan/UBSan ==="
-# One trial, two policies, THP off: small enough to stay fast under
-# the sanitizers, big enough to drive the generator, both stores, the
-# LSM flush/compaction path and the phase histograms end to end.
+# One trial, two policies, THP off and on: small enough to stay fast
+# under the sanitizers, big enough to drive the generator, both stores,
+# the LSM flush/compaction path and the phase histograms end to end.
+# The THP-on cells put PMD entries, THP splits and page-table leaf
+# release on the serving path under ASan/UBSan.
 ./build-asan/bench/serving_tail --trials=1 \
-    --policies=autonuma,dram-only --no-thp \
+    --policies=autonuma,dram-only \
     --out=build-asan/BENCH_serving_smoke.json \
     --csv=build-asan/serving_smoke.csv
 

@@ -264,17 +264,6 @@ sortAndDedup(BigraphArtifacts &art)
     art.totalEdges = art.edgeBases[art.segments];
 }
 
-/** FNV-1a over a 64-bit word. */
-inline std::uint64_t
-fnv1a(std::uint64_t h, std::uint64_t word)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (word >> (i * 8)) & 0xff;
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
 }  // namespace
 
 std::uint64_t
@@ -431,6 +420,33 @@ clearBigraphArtifacts()
     cache.clear();
 }
 
+std::uint64_t
+SegmentedCsrGraph::segmentChecksum(std::uint32_t k) const
+{
+    MEMTIER_ASSERT(k < segs_.size() && segs_[k].index.valid(),
+                   "bigraph: checksum of a freed segment");
+    const auto fnv1a = [](std::uint64_t h, std::uint64_t word) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (word >> (i * 8)) & 0xff;
+            h *= 0x100000001b3ULL;
+        }
+        return h;
+    };
+    const CsrSegment &seg = segs_[k];
+    std::uint64_t sum = 0xcbf29ce484222325ULL;
+    const std::int64_t *const idx = seg.index.host();
+    for (std::uint64_t r = 0; r < seg.index.size(); ++r)
+        sum = fnv1a(sum, static_cast<std::uint64_t>(idx[r]));
+    if (seg.adj.valid()) {
+        const NodeId *const adj = seg.adj.host();
+        for (std::uint64_t e = 0; e < seg.adj.size(); ++e) {
+            sum = fnv1a(sum, static_cast<std::uint64_t>(
+                                 static_cast<std::uint32_t>(adj[e])));
+        }
+    }
+    return sum;
+}
+
 SegmentedCsrGraph
 SegmentedCsrGraph::generate(Engine &engine, SimHeap &heap,
                             ThreadContext &t, const BigraphSpec &spec,
@@ -445,7 +461,6 @@ SegmentedCsrGraph::generate(Engine &engine, SimHeap &heap,
     g.rowsPer_ = art.rowsPerSegment;
     g.weighted_ = spec.weighted;
     g.segs_.resize(art.segments);
-    g.checksums_.assign(art.segments, 0);
 
     std::vector<std::uint32_t> order(art.segments);
     for (std::uint32_t k = 0; k < art.segments; ++k)
@@ -509,9 +524,6 @@ SegmentedCsrGraph::generate(Engine &engine, SimHeap &heap,
         for (std::uint64_t r = 1; r <= rows; ++r)
             idx[r] += idx[r - 1];
 
-        std::uint64_t sum = 0xcbf29ce484222325ULL;
-        for (std::uint64_t r = 0; r <= rows; ++r)
-            sum = fnv1a(sum, static_cast<std::uint64_t>(idx[r]));
         streamInPlace(file, t, file_pos, seg.index);
         file_pos += (rows + 1) * sizeof(std::int64_t);
 
@@ -524,12 +536,8 @@ SegmentedCsrGraph::generate(Engine &engine, SimHeap &heap,
             forEachPairChunk(path, chunk, [&](std::size_t got) {
                 MEMTIER_ASSERT(filled + got <= cnt,
                                "bigraph: spill file changed size");
-                for (std::size_t i = 0; i < got; ++i) {
-                    const NodeId v = pairV(chunk[i]);
-                    adj[filled++] = v;
-                    sum = fnv1a(sum, static_cast<std::uint64_t>(
-                                         static_cast<std::uint32_t>(v)));
-                }
+                for (std::size_t i = 0; i < got; ++i)
+                    adj[filled++] = pairV(chunk[i]);
             });
             MEMTIER_ASSERT(filled == cnt,
                            "bigraph: spill file changed size");
@@ -561,7 +569,6 @@ SegmentedCsrGraph::generate(Engine &engine, SimHeap &heap,
                 streamInPlace(file, t, file_pos, seg.weights);
             }
         }
-        g.checksums_[k] = sum;
         g.footprint_ += (rows + 1) * sizeof(std::int64_t) +
                         cnt * sizeof(NodeId) +
                         (spec.weighted ? cnt * sizeof(std::int32_t)

@@ -65,10 +65,9 @@ struct CsrSegment
 
 /**
  * A segmented CSR graph materialized in simulated memory: the segment
- * descriptors plus per-segment content checksums from the out-of-core
- * builder. Produced by SegmentedCsrGraph::generate (declared here,
- * built in ooc_builder.cc). Movable, not copyable -- it owns the
- * simulated objects until free().
+ * descriptors from the out-of-core builder. Produced by
+ * SegmentedCsrGraph::generate (declared here, built in ooc_builder.cc).
+ * Movable, not copyable -- it owns the simulated objects until free().
  */
 class SegmentedCsrGraph
 {
@@ -119,13 +118,10 @@ class SegmentedCsrGraph
     /**
      * Content checksum of segment @p k (FNV-1a over its index then
      * adjacency values): deterministic in the spec, independent of the
-     * segment build order.
+     * segment build order. Computed on each call from the segment's
+     * host arrays, so the segment must not have been freed.
      */
-    std::uint64_t
-    segmentChecksum(std::uint32_t k) const
-    {
-        return checksums_[k];
-    }
+    std::uint64_t segmentChecksum(std::uint32_t k) const;
 
     /** Bytes of simulated memory across all segments' objects. */
     std::uint64_t footprintBytes() const { return footprint_; }
@@ -148,7 +144,6 @@ class SegmentedCsrGraph
     friend class SegmentedCsrView;
 
     std::vector<CsrSegment> segs_;
-    std::vector<std::uint64_t> checksums_;
     std::int64_t nodes_ = 0;
     std::int64_t edges_ = 0;
     NodeId rowsPer_ = 0;

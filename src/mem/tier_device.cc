@@ -15,14 +15,19 @@ TierDevice::TierDevice(const TierParams &params)
 Cycles
 TierDevice::access(Cycles now, MemOp op, bool sequential)
 {
-    // Pick the earliest-available channel.
+    // Pick the earliest-available channel, lowest index on ties. The
+    // running minimum lives in a local so both selects compile to
+    // conditional moves instead of a data-dependent branch.
     std::size_t best = 0;
+    Cycles best_free = channelFree[0];
     for (std::size_t i = 1; i < channelFree.size(); ++i) {
-        if (channelFree[i] < channelFree[best])
-            best = i;
+        const Cycles f = channelFree[i];
+        const bool earlier = f < best_free;
+        best = earlier ? i : best;
+        best_free = earlier ? f : best_free;
     }
 
-    Cycles start = std::max(now, channelFree[best]);
+    Cycles start = std::max(now, best_free);
     Cycles wait = start - now;
     if (cfg.queueWaitCapCycles > 0 && wait > cfg.queueWaitCapCycles) {
         // Back-pressure: the controller throttles the core instead of

@@ -65,6 +65,13 @@ class TierDevice
         queue_cycles = 0;
     }
 
+    /** Cycle at which each channel next becomes free. */
+    const std::vector<Cycles> &
+    channelFreeTimes() const
+    {
+        return channelFree;
+    }
+
     /** Static parameters this device was built with. */
     const TierParams &params() const { return cfg; }
 

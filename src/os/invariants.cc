@@ -67,7 +67,7 @@ InvariantChecker::checkNow(Cycles now)
     // (node, frame) uniqueness: no two pages may share a frame.
     std::array<std::unordered_set<FrameNum>, kNumNodes> frames;
 
-    for (const auto &[vpn, meta] : k.pt.entries()) {
+    k.pt.forEach([&](PageNum vpn, const PageMeta &meta) {
         if (!meta.present)
             fail(now, strprintf("page table holds non-present page %"
                                 PRIu64, vpn));
@@ -115,12 +115,12 @@ InvariantChecker::checkNow(Cycles now)
             fail(now, strprintf("PTE for page %" PRIu64 " carries the "
                                 "huge flag", vpn));
         }
-    }
+    });
 
     // Huge (PMD) mappings: aligned, one tier, 512 contiguous frames
     // that collide with no other mapping, and no 4 KiB PTE shadowing
     // any page of the range.
-    for (const auto &[base, hmeta] : k.pt.hugeEntries()) {
+    k.pt.forEachHuge([&](PageNum base, const PageMeta &hmeta) {
         if (!isHugeBase(base) || !hmeta.huge || !hmeta.present) {
             fail(now, strprintf("malformed PMD entry at page %" PRIu64,
                                 base));
@@ -173,7 +173,7 @@ InvariantChecker::checkNow(Cycles now)
             fail(now, strprintf("pinned PMD entry %" PRIu64 " carries a "
                                 "scan marker", base));
         }
-    }
+    });
 
     // Every LRU entry must be a mapped page: a 4 KiB PTE or the base of
     // a PMD mapping (residence/owner agreement was already verified

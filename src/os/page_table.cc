@@ -4,64 +4,80 @@
 
 namespace memtier {
 
-PageMeta *
-PageTable::find(PageNum vpn)
+namespace {
+
+/** Pages in a 48-bit virtual address space: bounds the directory. */
+constexpr PageNum kMaxVpn = PageNum{1} << (48 - kPageShift);
+
+}  // namespace
+
+PageTable::Leaf &
+PageTable::leafFor(PageNum vpn)
 {
-    auto it = table.find(vpn);
-    return it == table.end() ? nullptr : &it->second;
+    MEMTIER_ASSERT(vpn < kMaxVpn, "vpn beyond the 48-bit address space");
+    const PageNum d = vpn >> kPagesPerHugeShift;
+    if (d >= dir.size())
+        dir.resize(d + 1);
+    if (!dir[d])
+        dir[d] = std::make_unique<Leaf>();
+    return *dir[d];
 }
 
-const PageMeta *
-PageTable::find(PageNum vpn) const
+void
+PageTable::releaseIfEmpty(PageNum vpn)
 {
-    auto it = table.find(vpn);
-    return it == table.end() ? nullptr : &it->second;
+    std::unique_ptr<Leaf> &l = dir[vpn >> kPagesPerHugeShift];
+    if (l->live == 0 && !l->hasPmd)
+        l.reset();
 }
 
 PageMeta &
 PageTable::insert(PageNum vpn)
 {
-    auto [it, inserted] = table.emplace(vpn, PageMeta{});
-    MEMTIER_ASSERT(inserted, "page already mapped");
-    return it->second;
+    Leaf &l = leafFor(vpn);
+    const std::uint64_t s = slotOf(vpn);
+    MEMTIER_ASSERT(!l.mapped(s), "page already mapped");
+    l.bits[s >> 6] |= std::uint64_t{1} << (s & 63);
+    ++l.live;
+    ++ptes;
+    l.pte[s] = PageMeta{};
+    return l.pte[s];
 }
 
 void
 PageTable::erase(PageNum vpn)
 {
-    const auto removed = table.erase(vpn);
-    MEMTIER_ASSERT(removed == 1, "erasing unmapped page");
-}
-
-PageMeta *
-PageTable::findHuge(PageNum vpn)
-{
-    auto it = hugeTable.find(hugeBaseOf(vpn));
-    return it == hugeTable.end() ? nullptr : &it->second;
-}
-
-const PageMeta *
-PageTable::findHuge(PageNum vpn) const
-{
-    auto it = hugeTable.find(hugeBaseOf(vpn));
-    return it == hugeTable.end() ? nullptr : &it->second;
+    Leaf *l = leafOf(vpn);
+    const std::uint64_t s = slotOf(vpn);
+    MEMTIER_ASSERT(l != nullptr && l->mapped(s), "erasing unmapped page");
+    l->bits[s >> 6] &= ~(std::uint64_t{1} << (s & 63));
+    --l->live;
+    --ptes;
+    releaseIfEmpty(vpn);
 }
 
 PageMeta &
 PageTable::insertHuge(PageNum base_vpn)
 {
     MEMTIER_ASSERT(isHugeBase(base_vpn), "PMD entry must be 2MiB-aligned");
-    auto [it, inserted] = hugeTable.emplace(base_vpn, PageMeta{});
-    MEMTIER_ASSERT(inserted, "huge range already mapped");
-    it->second.huge = true;
-    return it->second;
+    Leaf &l = leafFor(base_vpn);
+    MEMTIER_ASSERT(!l.hasPmd, "huge range already mapped");
+    l.hasPmd = true;
+    ++pmds;
+    l.pmd = PageMeta{};
+    l.pmd.huge = true;
+    return l.pmd;
 }
 
 void
 PageTable::eraseHuge(PageNum base_vpn)
 {
-    const auto removed = hugeTable.erase(base_vpn);
-    MEMTIER_ASSERT(removed == 1, "erasing unmapped huge range");
+    Leaf *l = leafOf(base_vpn);
+    MEMTIER_ASSERT(isHugeBase(base_vpn) && l != nullptr && l->hasPmd,
+                   "erasing unmapped huge range");
+    l->hasPmd = false;
+    --pmds;
+    releaseIfEmpty(base_vpn);
 }
 
 }  // namespace memtier

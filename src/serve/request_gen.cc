@@ -100,34 +100,49 @@ RequestGenerator::RequestGenerator(const GeneratorParams &params)
     MEMTIER_ASSERT(p.baseRate > 0.0, "arrival rate must be positive");
     MEMTIER_ASSERT(p.readFraction + p.scanFraction <= 1.0,
                    "read + scan fractions exceed 1");
+    nowSin = diurnalSin(nowSec);
 }
 
 double
-RequestGenerator::rateAt(double t_sec) const
+RequestGenerator::diurnalSin(double t_sec) const
+{
+    if (p.diurnalAmplitude > 0.0 && p.diurnalPeriodSec > 0.0)
+        return std::sin(2.0 * M_PI * t_sec / p.diurnalPeriodSec);
+    return 0.0;
+}
+
+double
+RequestGenerator::rateFor(double t_sec, double sin_t) const
 {
     double rate = p.baseRate;
-    if (p.diurnalAmplitude > 0.0 && p.diurnalPeriodSec > 0.0) {
-        rate *= 1.0 + p.diurnalAmplitude *
-                          std::sin(2.0 * M_PI * t_sec /
-                                   p.diurnalPeriodSec);
-    }
-    if (phaseAt(t_sec) == ServePhase::Storm)
+    if (p.diurnalAmplitude > 0.0 && p.diurnalPeriodSec > 0.0)
+        rate *= 1.0 + p.diurnalAmplitude * sin_t;
+    if (phaseFor(t_sec, sin_t) == ServePhase::Storm)
         rate *= p.stormMultiplier;
     return std::max(rate, 0.1 * p.baseRate);
 }
 
 ServePhase
-RequestGenerator::phaseAt(double t_sec) const
+RequestGenerator::phaseFor(double t_sec, double sin_t) const
 {
     if (p.stormDurationSec > 0.0 && t_sec >= p.stormStartSec &&
         t_sec < p.stormStartSec + p.stormDurationSec) {
         return ServePhase::Storm;
     }
-    if (p.diurnalAmplitude > 0.0 && p.diurnalPeriodSec > 0.0 &&
-        std::sin(2.0 * M_PI * t_sec / p.diurnalPeriodSec) > 0.0) {
-        return ServePhase::Peak;
-    }
-    return ServePhase::OffPeak;
+    // diurnalSin is 0 when the modulation is off: never a peak.
+    return sin_t > 0.0 ? ServePhase::Peak : ServePhase::OffPeak;
+}
+
+double
+RequestGenerator::rateAt(double t_sec) const
+{
+    return rateFor(t_sec, diurnalSin(t_sec));
+}
+
+ServePhase
+RequestGenerator::phaseAt(double t_sec) const
+{
+    return phaseFor(t_sec, diurnalSin(t_sec));
 }
 
 bool
@@ -139,12 +154,15 @@ RequestGenerator::next(ServeRequest *out)
 
     // Exponential inter-arrival at the instantaneous rate (a
     // non-homogeneous Poisson process by local linearization; exact
-    // enough at these modulation depths and fully deterministic).
+    // enough at these modulation depths and fully deterministic). The
+    // diurnal sin of an arrival instant is computed once: it labels
+    // this arrival and sets the rate of the next gap.
     const double u = rng.nextDouble();
-    nowSec += -std::log1p(-u) / rateAt(nowSec);
+    nowSec += -std::log1p(-u) / rateFor(nowSec, nowSin);
+    nowSin = diurnalSin(nowSec);
 
     out->arrival = secondsToCycles(nowSec);
-    out->phase = phaseAt(nowSec);
+    out->phase = phaseFor(nowSec, nowSin);
     out->key = keys.next(rng);
     out->scanLength = 0;
 

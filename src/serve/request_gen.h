@@ -85,10 +85,18 @@ class RequestGenerator
     ServePhase phaseAt(double t_sec) const;
 
   private:
+    /** sin(2*pi*t/period) of the diurnal ramp, 0 when it is off. */
+    double diurnalSin(double t_sec) const;
+
+    /** rateAt / phaseAt given @p sin_t = diurnalSin(@p t_sec). */
+    double rateFor(double t_sec, double sin_t) const;
+    ServePhase phaseFor(double t_sec, double sin_t) const;
+
     GeneratorParams p;
     ZipfianKeys keys;
     Rng rng;
     double nowSec = 0.0;
+    double nowSin = 0.0;  ///< diurnalSin(nowSec).
     std::uint64_t emitted = 0;
 };
 

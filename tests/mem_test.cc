@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "base/rng.h"
 #include "exp/runner.h"
 #include "mem/copy_engine.h"
 #include "mem/frame_allocator.h"
@@ -320,6 +324,105 @@ TEST(TierDevice, CountsAccesses)
     dev.access(0, MemOp::Load, false);
     dev.access(0, MemOp::Store, false);
     EXPECT_EQ(dev.accessCount(), 2u);
+}
+
+/**
+ * The device model with the original compare-and-branch channel pick,
+ * kept as the reference for the branch-free pick in TierDevice.
+ */
+struct ReferenceTierDevice
+{
+    explicit ReferenceTierDevice(const TierParams &params)
+        : cfg(params),
+          channelFree(static_cast<std::size_t>(params.channels), 0)
+    {
+    }
+
+    Cycles
+    access(Cycles now, MemOp op, bool sequential)
+    {
+        std::size_t best = 0;
+        for (std::size_t i = 1; i < channelFree.size(); ++i) {
+            if (channelFree[i] < channelFree[best])
+                best = i;
+        }
+        Cycles start = std::max(now, channelFree[best]);
+        Cycles wait = start - now;
+        if (cfg.queueWaitCapCycles > 0 && wait > cfg.queueWaitCapCycles) {
+            wait = cfg.queueWaitCapCycles;
+            start = now + wait;
+        }
+        Cycles device;
+        Cycles service;
+        if (op == MemOp::Load) {
+            device = sequential ? cfg.loadLatencySeq : cfg.loadLatencyRandom;
+            service = cfg.readServiceCycles;
+        } else {
+            device = cfg.storeLatency;
+            service = cfg.writeServiceCycles;
+            if (!sequential && cfg.internalGranularity > kLineSize)
+                service *= cfg.internalGranularity / kLineSize;
+        }
+        channelFree[best] = start + service;
+        ++accesses;
+        queueCycles += wait;
+        return wait + device;
+    }
+
+    TierParams cfg;
+    std::vector<Cycles> channelFree;
+    std::uint64_t accesses = 0;
+    std::uint64_t queueCycles = 0;
+};
+
+TEST(TierDevice, ChannelPickMatchesReferenceLoop)
+{
+    TierParams capped = makeNvmParams(kMiB);
+    capped.queueWaitCapCycles = 200;
+    TierParams one = makeDramParams(kMiB);
+    one.channels = 1;
+    const std::vector<TierParams> configs = {
+        makeDramParams(kMiB), makeNvmParams(kMiB), capped, one};
+
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+        for (const std::uint64_t seed : {5u, 6u, 7u}) {
+            SCOPED_TRACE(testing::Message() << "config " << c << " seed "
+                                            << seed);
+            TierDevice dev(configs[c]);
+            ReferenceTierDevice ref(configs[c]);
+            Rng rng(seed);
+            Cycles now = 0;
+            std::uint64_t ties = 0;
+            for (int i = 0; i < 20000; ++i) {
+                // One in eight accesses shares the previous instant
+                // (bursts leave channels free at equal times, so the
+                // pick must break ties to the lowest index), one in
+                // eight follows an idle gap, the rest steady traffic.
+                const std::uint64_t gap = rng.nextBounded(8);
+                if (gap == 1)
+                    now += 5000 + rng.nextBounded(5000);
+                else if (gap > 1)
+                    now += rng.nextBounded(60);
+                const std::vector<Cycles> &free = dev.channelFreeTimes();
+                for (std::size_t a = 0; a < free.size(); ++a) {
+                    for (std::size_t b = a + 1; b < free.size(); ++b)
+                        ties += free[a] == free[b];
+                }
+                const MemOp op =
+                    rng.nextBool(0.3) ? MemOp::Store : MemOp::Load;
+                const bool seq = rng.nextBool(0.5);
+                ASSERT_EQ(dev.access(now, op, seq), ref.access(now, op, seq))
+                    << "access " << i;
+                ASSERT_EQ(dev.channelFreeTimes(), ref.channelFree)
+                    << "access " << i;
+            }
+            EXPECT_EQ(dev.accessCount(), ref.accesses);
+            EXPECT_EQ(dev.totalQueueCycles(), ref.queueCycles);
+            if (configs[c].channels > 1) {
+                EXPECT_GT(ties, 0u);
+            }
+        }
+    }
 }
 
 // ----------------------------------------------------------- MemoryTier

@@ -8,8 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
 #include <type_traits>
+#include <vector>
 
+#include "base/rng.h"
 #include "os/address_space.h"
 #include "os/kernel.h"
 #include "os/page_table.h"
@@ -170,6 +173,200 @@ TEST(PageTable, InsertFindErase)
     pt.erase(5);
     EXPECT_EQ(pt.find(5), nullptr);
     EXPECT_EQ(pt.size(), 0u);
+}
+
+/**
+ * Reference model of the page table's contract over ordered maps: a
+ * PTE map and a PMD map keyed by 2 MiB base vpn. Each entry carries a
+ * unique tag in PageMeta::frame so lookups can tell entries apart.
+ */
+struct RefPageTable
+{
+    std::map<PageNum, FrameNum> pte;
+    std::map<PageNum, FrameNum> pmd;
+};
+
+/** Every observable of @p pt agrees with @p ref. */
+void
+expectMatchesReference(const PageTable &pt, const RefPageTable &ref)
+{
+    ASSERT_EQ(pt.size(), ref.pte.size());
+    ASSERT_EQ(pt.hugeSize(), ref.pmd.size());
+    std::map<PageNum, FrameNum> seen;
+    PageNum prev = 0;
+    bool first = true;
+    pt.forEach([&](PageNum vpn, const PageMeta &m) {
+        EXPECT_TRUE(first || vpn > prev) << "forEach out of vpn order";
+        first = false;
+        prev = vpn;
+        EXPECT_FALSE(m.huge);
+        seen.emplace(vpn, m.frame);
+    });
+    EXPECT_EQ(seen, ref.pte);
+    seen.clear();
+    first = true;
+    pt.forEachHuge([&](PageNum base, const PageMeta &m) {
+        EXPECT_TRUE(first || base > prev) << "forEachHuge out of order";
+        first = false;
+        prev = base;
+        EXPECT_TRUE(m.huge);
+        seen.emplace(base, m.frame);
+    });
+    EXPECT_EQ(seen, ref.pmd);
+}
+
+TEST(PageTable, DifferentialAgainstOrderedMapModel)
+{
+    // vpn pool: three adjacent 2 MiB ranges at the mmap base (dense,
+    // clustered) plus ranges far apart, so the directory grows in
+    // several steps while earlier leaves are live.
+    const PageNum clustered = PageNum{1} << 20;
+    const std::vector<PageNum> ranges = {
+        clustered, clustered + kPagesPerHuge, clustered + 2 * kPagesPerHuge,
+        PageNum{1} << 22, (PageNum{1} << 26) + 5 * kPagesPerHuge,
+        PageNum{3} << 9};
+
+    for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+        SCOPED_TRACE(seed);
+        Rng rng(seed);
+        PageTable pt;
+        RefPageTable ref;
+        FrameNum tag = 0;
+        const auto pick_vpn = [&] {
+            const PageNum base = ranges[rng.nextBounded(ranges.size())];
+            // Mostly a handful of slots per range so entries collide.
+            return base + (rng.nextBool(0.7) ? rng.nextBounded(8)
+                                             : rng.nextBounded(
+                                                   kPagesPerHuge));
+        };
+        for (int op = 0; op < 20000; ++op) {
+            const PageNum vpn = pick_vpn();
+            const PageNum base = hugeBaseOf(vpn);
+            switch (rng.nextBounded(6)) {
+              case 0:
+              case 1:
+                if (ref.pte.count(vpn) == 0) {
+                    PageMeta &m = pt.insert(vpn);
+                    EXPECT_FALSE(m.present);
+                    EXPECT_EQ(m.lastAccess, 0u);
+                    m.frame = ++tag;
+                    m.present = true;
+                    ref.pte[vpn] = tag;
+                }
+                break;
+              case 2:
+                if (ref.pte.count(vpn) != 0) {
+                    pt.erase(vpn);
+                    ref.pte.erase(vpn);
+                }
+                break;
+              case 3:
+                if (ref.pmd.count(base) == 0 && rng.nextBool(0.3)) {
+                    PageMeta &m = pt.insertHuge(base);
+                    EXPECT_TRUE(m.huge);
+                    EXPECT_FALSE(m.present);
+                    m.frame = ++tag;
+                    ref.pmd[base] = tag;
+                } else if (ref.pmd.count(base) != 0) {
+                    pt.eraseHuge(base);
+                    ref.pmd.erase(base);
+                }
+                break;
+              default: {
+                const auto it = ref.pte.find(vpn);
+                const PageMeta *m = pt.find(vpn);
+                ASSERT_EQ(m != nullptr, it != ref.pte.end()) << vpn;
+                if (m != nullptr) {
+                    EXPECT_EQ(m->frame, it->second);
+                }
+                const auto hit = ref.pmd.find(base);
+                const PageMeta *hm = pt.findHuge(vpn);
+                ASSERT_EQ(hm != nullptr, hit != ref.pmd.end()) << vpn;
+                if (hm != nullptr) {
+                    EXPECT_EQ(hm->frame, hit->second);
+                }
+                break;
+              }
+            }
+            if (op % 997 == 0)
+                expectMatchesReference(pt, ref);
+        }
+        expectMatchesReference(pt, ref);
+        // Unmapped pages beyond every leaf and the directory.
+        EXPECT_EQ(pt.find(0), nullptr);
+        EXPECT_EQ(pt.find(PageNum{1} << 30), nullptr);
+        EXPECT_EQ(pt.findHuge(PageNum{1} << 30), nullptr);
+    }
+}
+
+TEST(PageTable, LeafEmptiedAndRefilledStartsFresh)
+{
+    PageTable pt;
+    const PageNum base = PageNum{1} << 20;
+    for (PageNum p = base; p < base + kPagesPerHuge; ++p) {
+        PageMeta &m = pt.insert(p);
+        m.present = true;
+        m.lastAccess = 7;
+    }
+    EXPECT_EQ(pt.size(), kPagesPerHuge);
+    for (PageNum p = base; p < base + kPagesPerHuge; ++p)
+        pt.erase(p);
+    EXPECT_EQ(pt.size(), 0u);
+    EXPECT_EQ(pt.find(base), nullptr);
+    std::size_t visited = 0;
+    pt.forEach([&](PageNum, const PageMeta &) { ++visited; });
+    EXPECT_EQ(visited, 0u);
+
+    // Refilled slots hold fresh metadata, not the erased entries'.
+    const PageMeta &again = pt.insert(base + 3);
+    EXPECT_FALSE(again.present);
+    EXPECT_EQ(again.lastAccess, 0u);
+    EXPECT_EQ(pt.find(base + 4), nullptr);
+
+    // A PMD alone keeps the leaf; erasing the last PTE then the PMD
+    // empties it, and the range maps again from scratch.
+    pt.insertHuge(base).lastAccess = 9;
+    pt.erase(base + 3);
+    ASSERT_NE(pt.findHuge(base + 100), nullptr);
+    EXPECT_EQ(pt.findHuge(base + 100)->lastAccess, 9u);
+    pt.eraseHuge(base);
+    EXPECT_EQ(pt.findHuge(base), nullptr);
+    EXPECT_EQ(pt.hugeSize(), 0u);
+    EXPECT_EQ(pt.insertHuge(base).lastAccess, 0u);
+}
+
+TEST(PageTable, HeldMetaSurvivesChurnInItsLeaf)
+{
+    PageTable pt;
+    const PageNum base = PageNum{1} << 20;
+    const PageNum held_vpn = base + 17;
+    PageMeta *held = &pt.insert(held_vpn);
+    held->frame = 4242;
+    held->lastAccess = 99;
+
+    Rng rng(11);
+    for (int round = 0; round < 4; ++round) {
+        // Fill and drain every other slot of the range, map and unmap
+        // its PMD, and grow the directory far past the held leaf.
+        for (PageNum p = base; p < base + kPagesPerHuge; ++p) {
+            if (p != held_vpn)
+                pt.insert(p).frame = p;
+        }
+        pt.insertHuge(base);
+        pt.insert((PageNum{1} << 24) + round * kPagesPerHuge +
+                  rng.nextBounded(kPagesPerHuge));
+        for (PageNum p = base; p < base + kPagesPerHuge; ++p) {
+            if (p != held_vpn)
+                pt.erase(p);
+        }
+        pt.eraseHuge(base);
+        ASSERT_EQ(pt.find(held_vpn), held);
+        EXPECT_EQ(held->frame, 4242u);
+        EXPECT_EQ(held->lastAccess, 99u);
+    }
+    EXPECT_EQ(pt.size(), 5u);
+    pt.erase(held_vpn);
+    EXPECT_EQ(pt.find(held_vpn), nullptr);
 }
 
 // --------------------------------------------------- Kernel fault paths

@@ -9,7 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cinttypes>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <iterator>
 #include <map>
 #include <set>
 #include <vector>
@@ -21,6 +26,7 @@
 #include "serve/lsm_store.h"
 #include "serve/request_gen.h"
 #include "serve/serve_driver.h"
+#include "thp/thp_params.h"
 
 namespace memtier {
 namespace {
@@ -147,6 +153,80 @@ TEST(RequestGenerator, StormWindowIsLabeledAndFaster)
     EXPECT_GT(diurnal.rateAt(crest), calm.baseRate);
     EXPECT_LT(diurnal.rateAt(trough), calm.baseRate);
     EXPECT_GE(diurnal.rateAt(trough), 0.1 * calm.baseRate);
+}
+
+/** FNV-1a over the bytes of each value added. */
+struct Fnv
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+
+    template <typename T>
+    void
+    add(const T &v)
+    {
+        unsigned char bytes[sizeof(T)];
+        std::memcpy(bytes, &v, sizeof(T));
+        for (const unsigned char b : bytes) {
+            h ^= b;
+            h *= 0x100000001b3ULL;
+        }
+    }
+};
+
+/** Hash of every field of every request of @p p's stream. */
+std::uint64_t
+streamHash(const GeneratorParams &p)
+{
+    Fnv f;
+    for (const ServeRequest &r : generateAll(p)) {
+        f.add(r.arrival);
+        f.add(r.op);
+        f.add(r.key);
+        f.add(r.scanLength);
+        f.add(r.phase);
+    }
+    return f.h;
+}
+
+// The stream is an absolute golden: arrivals depend on the diurnal
+// rate at each arrival instant, phases on the diurnal sign and the
+// storm window, keys on the Zipfian or uniform draw.
+TEST(RequestGenerator, StreamMatchesAbsoluteGolden)
+{
+    GeneratorParams zipf;
+    zipf.numKeys = 1 << 12;
+    GeneratorParams unif = zipf;
+    unif.zipfTheta = 0.0;
+    GeneratorParams zipf_calm = zipf;
+    zipf_calm.stormDurationSec = 0;
+    GeneratorParams unif_calm = unif;
+    unif_calm.stormDurationSec = 0;
+    GeneratorParams flat = zipf;
+    flat.diurnalAmplitude = 0;
+
+    const std::pair<const GeneratorParams *, std::uint64_t> golden[] = {
+        {&zipf, 0x7eb8662c0fde53bbULL},
+        {&unif, 0x19ac76db1ec6ae44ULL},
+        {&zipf_calm, 0xae299a40734ecfbbULL},
+        {&unif_calm, 0xcd68c0763f1f91d0ULL},
+        {&flat, 0x92ba50d0d945fb16ULL},
+    };
+    for (std::size_t i = 0; i < std::size(golden); ++i) {
+        const std::uint64_t h = streamHash(*golden[i].first);
+        EXPECT_EQ(h, golden[i].second)
+            << "stream " << i << ": 0x" << std::hex << h;
+    }
+
+    // Every phase occurs in the storm streams; none is a storm in the
+    // calm ones.
+    std::uint64_t per_phase[kNumServePhases] = {};
+    for (const ServeRequest &r : generateAll(zipf))
+        ++per_phase[static_cast<int>(r.phase)];
+    for (int ph = 0; ph < kNumServePhases; ++ph)
+        EXPECT_GT(per_phase[ph], 0u) << servePhaseName(
+            static_cast<ServePhase>(ph));
+    for (const ServeRequest &r : generateAll(zipf_calm))
+        EXPECT_NE(r.phase, ServePhase::Storm);
 }
 
 // ------------------------------------------------------------ KV store
@@ -510,6 +590,120 @@ pressuredServingConfig(App app)
     rc.sys.autonuma.adjustPeriod = secondsToCycles(0.002);
     rc.sys.autonuma.rateLimitBytesPerSec = 4 * kMiB;
     return rc;
+}
+
+// ------------------------------------------- absolute serving golden
+//
+// Both stores at 2^12 keys on a DRAM small enough that AutoNUMA
+// promotes and kswapd demotes during the run: the request stream, the
+// store, the kernel and the tier devices all feed these numbers.
+
+struct ServingGolden
+{
+    double totalSeconds;
+    std::uint64_t checksum;
+    /** p50, p99, p999 latency in cycles. */
+    std::array<double, 3> latency;
+    /** kvProbes, then LSM flushes, compactions, block-cache hits and
+     *  misses, SST probes. */
+    std::array<std::uint64_t, 6> store;
+    std::array<std::uint64_t, kNumMemLevels> levels;
+    std::uint64_t vmstatHash;  ///< Every VmStat word.
+};
+
+RunConfig
+servingGoldenConfig(App app)
+{
+    RunConfig rc = pressuredServingConfig(app);
+    rc.workload.scale = 12;
+    return rc;
+}
+
+void
+expectServingGolden(const RunResult &r, const ServingGolden &g)
+{
+    const ServingReport &s = r.serving;
+    const std::array<double, 3> latency = {s.latency.percentile(0.50),
+                                           s.latency.percentile(0.99),
+                                           s.latency.percentile(0.999)};
+    const std::array<std::uint64_t, 6> store = {
+        s.kvProbes,          s.lsm.flushes,          s.lsm.compactions,
+        s.lsm.blockCacheHits, s.lsm.blockCacheMisses, s.lsm.sstProbes};
+    std::array<std::uint64_t, kNumMemLevels> levels{};
+    for (int l = 0; l < kNumMemLevels; ++l)
+        levels[l] = r.levelCounts[l];
+    static_assert(sizeof(VmStat) % sizeof(std::uint64_t) == 0,
+                  "VmStat hashes as plain uint64 counters");
+    Fnv vm;
+    vm.add(r.vmstat);
+
+    EXPECT_EQ(s.totalSeconds, g.totalSeconds);
+    EXPECT_EQ(s.checksum, g.checksum);
+    EXPECT_EQ(latency, g.latency);
+    EXPECT_EQ(store, g.store);
+    EXPECT_EQ(levels, g.levels);
+    EXPECT_EQ(vm.h, g.vmstatHash);
+    if (::testing::Test::HasFailure()) {
+        std::printf("captured: {%.17g, 0x%" PRIx64 "ULL, {%.17g, %.17g, "
+                    "%.17g}, {", s.totalSeconds, s.checksum, latency[0],
+                    latency[1], latency[2]);
+        for (const std::uint64_t v : store)
+            std::printf("%" PRIu64 "u, ", v);
+        std::printf("}, {");
+        for (const std::uint64_t v : levels)
+            std::printf("%" PRIu64 "u, ", v);
+        std::printf("}, 0x%" PRIx64 "ULL}\n", vm.h);
+    }
+
+    // The run exercises what the golden is meant to pin.
+    EXPECT_GT(r.vmstat.pgpromoteSuccess, 0u);
+    EXPECT_GT(r.vmstat.pgdemoteKswapd + r.vmstat.pgdemoteDirect, 0u);
+}
+
+TEST(ServingGolden, KvZipf4k)
+{
+    if (thpForcedByEnv())
+        GTEST_SKIP() << "golden values captured with THP off";
+    expectServingGolden(runWorkload(servingGoldenConfig(App::KV)),
+                        {0.0074879026923076923, 0xe88ab8cf571e31c2ULL,
+                         {5507.3421052631575, 159746.27500000005,
+                          181590.36500000028},
+                         {13026u, 0u, 0u, 0u, 0u, 0u},
+                         {107660u, 173725u, 7095u, 6648u, 9115u, 18920u},
+                         0x71bebd6a3fb210b8ULL});
+}
+
+TEST(ServingGolden, LsmZipf4k)
+{
+    if (thpForcedByEnv())
+        GTEST_SKIP() << "golden values captured with THP off";
+    expectServingGolden(runWorkload(servingGoldenConfig(App::LSM)),
+                        {0.0047389876923076921, 0x1594d02d6f2bd472ULL,
+                         {54, 8128.1350000000139, 54273.023000000205},
+                         {0u, 10u, 2u, 22648u, 16u, 22664u},
+                         {89463u, 14453u, 10191u, 5399u, 3499u, 210u},
+                         0xc6577982154503bbULL});
+}
+
+// THP set in the config, so every CI mode runs it. 2^14 keys put the
+// KV arena over whole 2 MiB ranges and 4 MiB of DRAM leaves room for
+// huge frames: PMD mappings are faulted in, one is split under
+// migration, and the pages promote and demote.
+TEST(ServingGolden, KvZipf16kThp)
+{
+    RunConfig rc = servingGoldenConfig(App::KV);
+    rc.workload.scale = 14;
+    rc.sys.dram = makeDramParams(4 * kMiB);
+    rc.sys.thp.enabled = true;
+    const RunResult r = runWorkload(rc);
+    expectServingGolden(r, {0.017381873846153847, 0x405f9479a81851ecULL,
+                           {1985.8599999999999, 27955.622000000021,
+                            48810.341000000073},
+                           {32294u, 0u, 0u, 0u, 0u, 0u},
+                           {91495u, 586038u, 5456u, 5307u, 93508u, 4737u},
+                           0x480147bfaec04feeULL});
+    EXPECT_GT(r.vmstat.thpFaultAlloc, 0u);
+    EXPECT_GT(r.vmstat.thpSplitPage, 0u);
 }
 
 TEST(ServingWorkloads, ChaosRunSurvivesFaultsWithInvariantsOn)
