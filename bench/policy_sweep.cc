@@ -46,8 +46,8 @@ usage()
            "graph {kron,urand}\n"
            "                   (kv/lsm: kron = zipfian keys, urand = "
            "uniform)\n"
-           "  --segments=N     run every workload on the segmented "
-           "CSR path (N row-range segments)\n"
+           "  --segments=N     row-range CSR segments per graph "
+           "(default 1)\n"
            "  --out=PATH       CSV output path "
            "(default results/sweep_<policy>.csv)\n"
            "  --faults PLAN    fault-injection plan applied to every "

@@ -10,13 +10,9 @@
  * build_sec -- near zero when an earlier row at the same scale already
  * built the artifacts -- and the record names its host.
  *
- * Also self-checks the subsystem's golden property: a one-segment
- * out-of-core build must be bit-identical (simulated cycles, output,
- * per-level access counts) to the monolithic SimCsrGraph loader.
- *
  * Usage:
  *   scale_sweep [--rows=SCALE:KIND:MODE:SEGMENTS,...] [--trials=N]
- *               [--out=PATH.json] [--no-check]
+ *               [--out=PATH.json]
  *
  * The default row set covers kron 18/20/22/24 and urand 25 under
  * autonuma (with a notiering contrast at the smaller scales). The
@@ -35,16 +31,10 @@
 #include <string>
 #include <vector>
 
-#include "apps/pagerank.h"
 #include "base/logging.h"
 #include "bench_common.h"
 #include "bigraph/ooc_builder.h"
-#include "bigraph/segmented_csr.h"
 #include "exp/runner.h"
-#include "graph/generators.h"
-#include "graph/graph.h"
-#include "graph/sim_graph.h"
-#include "runtime/sim_heap.h"
 
 using namespace memtier;
 
@@ -228,50 +218,6 @@ runRow(const SweepRow &row, int trials)
     return out;
 }
 
-/**
- * Golden self-check at a small scale: a one-segment out-of-core build
- * must match the monolithic loader cycle for cycle.
- */
-bool
-segment1BitIdentical()
-{
-    BigraphSpec spec;
-    spec.scale = 12;
-    spec.degree = 16;
-    spec.segments = 1;
-    EdgeList edges = generateKron(spec.scale, spec.degree, spec.seed);
-    const CsrGraph host = CsrGraph::fromEdgeList(
-        static_cast<NodeId>(1LL << spec.scale), edges);
-
-    SystemConfig cfg;
-    cfg.dram = makeDramParams(scaledCapacity(24 * kMiB, spec.scale));
-    cfg.nvm = makeNvmParams(scaledCapacity(96 * kMiB, spec.scale));
-
-    Engine eng_a(cfg);
-    SimHeap heap_a(eng_a);
-    SimCsrGraph mono =
-        SimCsrGraph::load(eng_a, heap_a, eng_a.thread(0), host, "gold");
-    const PageRankOutput pr_a = runPageRank(eng_a, heap_a, mono, 2);
-    mono.free(heap_a, eng_a.thread(0));
-
-    Engine eng_b(cfg);
-    SimHeap heap_b(eng_b);
-    SegmentedCsrGraph seg = SegmentedCsrGraph::generate(
-        eng_b, heap_b, eng_b.thread(0), spec, "gold");
-    const PageRankOutput pr_b = runPageRank(eng_b, heap_b, seg, 2);
-    seg.free(heap_b, eng_b.thread(0));
-
-    bool same = eng_b.globalTime() == eng_a.globalTime() &&
-                pr_b.rank.size() == pr_a.rank.size();
-    for (std::size_t v = 0; same && v < pr_a.rank.size(); ++v)
-        same = pr_b.rank[v] == pr_a.rank[v];
-    for (int l = 0; same && l < kNumMemLevels; ++l) {
-        same = eng_b.levelCount(static_cast<MemLevel>(l)) ==
-               eng_a.levelCount(static_cast<MemLevel>(l));
-    }
-    return same;
-}
-
 std::string
 rowLabel(const SweepRow &r)
 {
@@ -286,7 +232,6 @@ main(int argc, char **argv)
 {
     std::vector<SweepRow> rows;
     int trials = 1;
-    bool check = true;
     std::string out_path = "BENCH_scale.json";
 
     for (int i = 1; i < argc; ++i) {
@@ -300,12 +245,10 @@ main(int argc, char **argv)
             trials = std::atoi(arg.c_str() + 9);
         } else if (arg.rfind("--out=", 0) == 0) {
             out_path = arg.substr(6);
-        } else if (arg == "--no-check") {
-            check = false;
         } else {
             std::cerr << "usage: scale_sweep "
                          "[--rows=SCALE:KIND:MODE[:SEGS],...] "
-                         "[--trials=N] [--out=PATH.json] [--no-check]\n";
+                         "[--trials=N] [--out=PATH.json]\n";
             return 2;
         }
     }
@@ -332,19 +275,6 @@ main(int argc, char **argv)
     benchHeader("footprint-vs-scale sweep on the segmented CSR path",
                 "paper-scale graph footprints (Section 4.1) via "
                 "out-of-core segmented builds");
-
-    bool golden = true;
-    if (check) {
-        golden = segment1BitIdentical();
-        std::cout << "segment-1 golden check: "
-                  << (golden ? "bit-identical" : "DIVERGED") << "\n";
-        if (!golden) {
-            std::cerr << "scale_sweep: one-segment build diverged from "
-                         "the monolithic loader\n";
-            return 1;
-        }
-        clearBigraphArtifacts();
-    }
 
     std::vector<RowResult> results;
     int last_scale = -1;
@@ -378,8 +308,6 @@ main(int argc, char **argv)
         << "  \"app\": \"pr\",\n"
         << "  \"trials\": " << trials << ",\n"
         << "  \"host\": " << hostJson() << ",\n"
-        << "  \"segment1_bit_identical\": "
-        << (golden ? "true" : "false") << ",\n"
         << "  \"rows\": [\n";
     for (std::size_t i = 0; i < results.size(); ++i) {
         const RowResult &r = results[i];

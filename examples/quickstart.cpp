@@ -12,8 +12,8 @@
 #include <cstdio>
 
 #include "apps/bfs.h"
-#include "graph/generators.h"
-#include "graph/sim_graph.h"
+#include "bigraph/ooc_builder.h"
+#include "bigraph/segmented_csr.h"
 #include "runtime/sim_heap.h"
 
 using namespace memtier;
@@ -45,10 +45,14 @@ main()
 
     // 3. Load a small Kronecker graph through the simulated page cache
     //    (the GAPBS ".sg read" phase) and run BFS on it.
-    const CsrGraph host = CsrGraph::fromEdgeList(
-        1 << 14, generateKron(14, 16, /*seed=*/42));
-    SimCsrGraph graph =
-        SimCsrGraph::load(engine, heap, main_thread, host, "quickstart");
+    BigraphSpec spec;
+    spec.kind = BigraphKind::Kron;
+    spec.scale = 14;
+    spec.degree = 16;
+    spec.seed = 42;
+    spec.segments = 1;
+    SegmentedCsrGraph graph = SegmentedCsrGraph::generate(
+        engine, heap, main_thread, spec, "quickstart");
     std::printf("loaded graph: %lld vertices, %lld directed edges\n",
                 static_cast<long long>(graph.numNodes()),
                 static_cast<long long>(graph.numEdges()));

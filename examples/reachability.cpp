@@ -13,8 +13,9 @@
 #include <cstdlib>
 
 #include "apps/bfs.h"
-#include "graph/generators.h"
-#include "graph/sim_graph.h"
+#include "base/rng.h"
+#include "bigraph/ooc_builder.h"
+#include "bigraph/segmented_csr.h"
 #include "profile/analysis.h"
 #include "profile/perf_mem.h"
 #include "runtime/sim_heap.h"
@@ -52,20 +53,24 @@ main(int argc, char **argv)
     ThreadContext &t0 = engine.thread(0);
 
     std::printf("building a 2^%d-peer overlay network...\n", scale);
-    const CsrGraph host = CsrGraph::fromEdgeList(
-        1 << scale, generateUrand(scale, 16, /*seed=*/7));
-    SimCsrGraph graph =
-        SimCsrGraph::load(engine, heap, t0, host, "p2p-overlay");
+    BigraphSpec spec;
+    spec.kind = BigraphKind::Urand;
+    spec.scale = scale;
+    spec.degree = 16;
+    spec.seed = 7;
+    spec.segments = 1;
+    SegmentedCsrGraph graph =
+        SegmentedCsrGraph::generate(engine, heap, t0, spec, "p2p-overlay");
 
     Rng rng(99);
     for (int wave = 0; wave < 4; ++wave) {
         const auto peer = static_cast<NodeId>(
-            rng.nextBounded(static_cast<std::uint64_t>(host.numNodes())));
+            rng.nextBounded(static_cast<std::uint64_t>(graph.numNodes())));
         const BfsOutput out = runBfs(engine, heap, graph, peer);
         std::printf("wave %d from peer %-8d reached %lld/%lld peers in "
                     "%d hops max\n",
                     wave, peer, static_cast<long long>(out.reached),
-                    static_cast<long long>(host.numNodes()),
+                    static_cast<long long>(graph.numNodes()),
                     out.supersteps - 1);
     }
 

@@ -32,6 +32,9 @@ if [ -n "$newer" ] && [ "$newer" -nt "$stale_against" ]; then
 fi
 
 mkdir -p results
+# Every graph run spills its out-of-core segment buckets; keep them in
+# the build tree instead of a .bigraph_spill in the checkout.
+export MEMTIER_SPILL_DIR="$PWD/build/spill"
 
 for b in $binaries; do
     name=$(basename "$b")
@@ -49,8 +52,7 @@ for b in $binaries; do
         # Footprint-vs-scale on the segmented CSR path: out-of-core
         # builds from the default scale 18 up to multi-GB footprints
         # (kron 24, urand 25). Writes the record the CI scale gate
-        # compares against; the binary fails when the one-segment build
-        # stops being bit-identical to the monolithic loader.
+        # compares against.
         "$b" --out=BENCH_scale.json 2>/dev/null
     elif [ "$name" = "serving_tail" ]; then
         # Data-serving tail latency: KV + LSM under the registry

@@ -27,7 +27,8 @@ struct SsspOutput
 
 /**
  * Run SSSP from @p source. The graph must have weights loaded
- * (CsrGraph::generateWeights before SimCsrGraph::load).
+ * (BigraphSpec::weighted, or CsrGraph::generateWeights before
+ * SegmentedCsrGraph::fromHost).
  */
 SsspOutput runSssp(Engine &engine, SimHeap &heap,
                    const SegmentedCsrView &g, NodeId source);

@@ -447,6 +447,67 @@ SegmentedCsrGraph::segmentChecksum(std::uint32_t k) const
     return sum;
 }
 
+namespace {
+
+/**
+ * Timed materialization of segment @p k of graph @p name, shared by
+ * every way a graph is built: a .sg-sized SimFile "<name>.seg<k>.sg",
+ * its header read, then index, adjacency and (when @p weighted)
+ * weights, each its own fresh mmap object ("csr.index.<k>",
+ * "csr.adj.<k>", "csr.wts.<k>") whose host storage the matching
+ * @p fill_* callback writes untimed before the object is streamed in
+ * through the page cache. @p seg's row and edge bounds must be set; a
+ * segment without edges gets no adjacency or weights object.
+ * @return the bytes of simulated memory the segment occupies.
+ */
+template <typename FillIndex, typename FillAdj, typename FillWeights>
+std::uint64_t
+materializeSegment(Engine &engine, SimHeap &heap, ThreadContext &t,
+                   const std::string &name, std::uint32_t k,
+                   bool weighted, CsrSegment &seg, FillIndex &&fill_index,
+                   FillAdj &&fill_adj, FillWeights &&fill_weights)
+{
+    constexpr std::uint64_t kHeaderBytes = 3 * sizeof(std::int64_t);
+    const auto rows = static_cast<std::uint64_t>(seg.rowCount());
+    const auto cnt = static_cast<std::uint64_t>(seg.edgeCount());
+    const std::uint64_t index_bytes = (rows + 1) * sizeof(std::int64_t);
+    const std::uint64_t adj_bytes = cnt * sizeof(NodeId);
+    const std::uint64_t wts_bytes =
+        weighted ? cnt * sizeof(std::int32_t) : 0;
+
+    std::string file_name = name;
+    file_name += ".seg";
+    file_name += std::to_string(k);
+    file_name += ".sg";
+    SimFile file(engine, file_name,
+                 kHeaderBytes + index_bytes + adj_bytes + wts_bytes);
+    file.read(t, 0, kHeaderBytes);
+    std::uint64_t file_pos = kHeaderBytes;
+    std::string suffix = ".";
+    suffix += std::to_string(k);
+
+    seg.index =
+        heap.alloc<std::int64_t>(t, "csr.index" + suffix, rows + 1);
+    fill_index(seg.index.host());
+    streamInPlace(file, t, file_pos, seg.index);
+    file_pos += index_bytes;
+    if (cnt > 0) {
+        seg.adj = heap.alloc<NodeId>(t, "csr.adj" + suffix, cnt);
+        fill_adj(seg.adj.host());
+        streamInPlace(file, t, file_pos, seg.adj);
+        file_pos += adj_bytes;
+        if (weighted) {
+            seg.weights =
+                heap.alloc<std::int32_t>(t, "csr.wts" + suffix, cnt);
+            fill_weights(seg.weights.host());
+            streamInPlace(file, t, file_pos, seg.weights);
+        }
+    }
+    return index_bytes + adj_bytes + wts_bytes;
+}
+
+}  // namespace
+
 SegmentedCsrGraph
 SegmentedCsrGraph::generate(Engine &engine, SimHeap &heap,
                             ThreadContext &t, const BigraphSpec &spec,
@@ -485,53 +546,30 @@ SegmentedCsrGraph::generate(Engine &engine, SimHeap &heap,
         const auto rows = static_cast<std::uint64_t>(seg.rowCount());
         const auto cnt = static_cast<std::uint64_t>(art.edgeCounts[k]);
 
-        // Timed materialization, mirroring the monolithic loader's
-        // layout per segment: header + index + adjacency (+ weights)
-        // streamed through the page cache into fresh mmap objects.
-        const std::uint64_t file_bytes =
-            3 * sizeof(std::int64_t) +
-            (rows + 1) * sizeof(std::int64_t) + cnt * sizeof(NodeId) +
-            (spec.weighted ? cnt * sizeof(std::int32_t) : 0);
-        std::string file_name = name;
-        file_name += ".seg";
-        file_name += std::to_string(k);
-        file_name += ".sg";
-        SimFile file(engine, file_name, file_bytes);
-        file.read(t, 0, 3 * sizeof(std::int64_t));
-        std::uint64_t file_pos = 3 * sizeof(std::int64_t);
-        std::string suffix = ".";
-        suffix += std::to_string(k);
-
         // Count pass: the local index with global offsets -- count per
         // row, prefix-sum, rebase onto the segment's global edge base.
-        seg.index = heap.alloc<std::int64_t>(t, "csr.index" + suffix,
-                                             rows + 1);
-        std::int64_t *const idx = seg.index.host();
-        std::fill(idx, idx + rows + 1, 0);
-        std::uint64_t seen = 0;
-        forEachPairChunk(path, chunk, [&](std::size_t got) {
-            for (std::size_t i = 0; i < got; ++i) {
-                const auto r = static_cast<std::uint64_t>(
-                    pairU(chunk[i]) - seg.firstRow);
-                MEMTIER_ASSERT(r < rows, "bigraph: pair outside its "
-                                         "segment");
-                ++idx[r + 1];
-            }
-            seen += got;
-        });
-        MEMTIER_ASSERT(seen == cnt, "bigraph: spill file changed size");
-        idx[0] = seg.edgeBase;
-        for (std::uint64_t r = 1; r <= rows; ++r)
-            idx[r] += idx[r - 1];
-
-        streamInPlace(file, t, file_pos, seg.index);
-        file_pos += (rows + 1) * sizeof(std::int64_t);
-
-        if (cnt > 0) {
-            // Fill pass: the bucket is sorted by (u, v), so its targets
-            // in file order are the adjacency array.
-            seg.adj = heap.alloc<NodeId>(t, "csr.adj" + suffix, cnt);
-            NodeId *const adj = seg.adj.host();
+        const auto fill_index = [&](std::int64_t *idx) {
+            std::fill(idx, idx + rows + 1, 0);
+            std::uint64_t seen = 0;
+            forEachPairChunk(path, chunk, [&](std::size_t got) {
+                for (std::size_t i = 0; i < got; ++i) {
+                    const auto r = static_cast<std::uint64_t>(
+                        pairU(chunk[i]) - seg.firstRow);
+                    MEMTIER_ASSERT(r < rows, "bigraph: pair outside its "
+                                             "segment");
+                    ++idx[r + 1];
+                }
+                seen += got;
+            });
+            MEMTIER_ASSERT(seen == cnt,
+                           "bigraph: spill file changed size");
+            idx[0] = seg.edgeBase;
+            for (std::uint64_t r = 1; r <= rows; ++r)
+                idx[r] += idx[r - 1];
+        };
+        // Fill pass: the bucket is sorted by (u, v), so its targets in
+        // file order are the adjacency array.
+        const auto fill_adj = [&](NodeId *adj) {
             std::uint64_t filled = 0;
             forEachPairChunk(path, chunk, [&](std::size_t got) {
                 MEMTIER_ASSERT(filled + got <= cnt,
@@ -541,39 +579,55 @@ SegmentedCsrGraph::generate(Engine &engine, SimHeap &heap,
             });
             MEMTIER_ASSERT(filled == cnt,
                            "bigraph: spill file changed size");
-            streamInPlace(file, t, file_pos, seg.adj);
-            file_pos += cnt * sizeof(NodeId);
-
-            if (spec.weighted) {
-                seg.weights = heap.alloc<std::int32_t>(
-                    t, "csr.wts" + suffix, cnt);
-                std::int32_t *const wts = seg.weights.host();
-                for (std::uint64_t r = 0; r < rows; ++r) {
-                    const NodeId u =
-                        seg.firstRow + static_cast<NodeId>(r);
-                    for (std::int64_t e = idx[r] - seg.edgeBase;
-                         e < idx[r + 1] - seg.edgeBase; ++e) {
-                        // Symmetric endpoint hash: both directions of
-                        // an undirected edge get the same weight
-                        // (matches CsrGraph::generateWeights).
-                        const NodeId v = adj[e];
-                        const auto lo =
-                            static_cast<std::uint64_t>(std::min(u, v));
-                        const auto hi =
-                            static_cast<std::uint64_t>(std::max(u, v));
-                        SplitMix64 h(wseed ^ (lo << 32 | hi));
-                        wts[e] = static_cast<std::int32_t>(
-                            h.next() % 255 + 1);
-                    }
+        };
+        const auto fill_weights = [&](std::int32_t *wts) {
+            const std::int64_t *const idx = seg.index.host();
+            const NodeId *const adj = seg.adj.host();
+            for (std::uint64_t r = 0; r < rows; ++r) {
+                const NodeId u = seg.firstRow + static_cast<NodeId>(r);
+                for (std::int64_t e = idx[r] - seg.edgeBase;
+                     e < idx[r + 1] - seg.edgeBase; ++e) {
+                    // Symmetric endpoint hash: both directions of an
+                    // undirected edge get the same weight (matches
+                    // CsrGraph::generateWeights).
+                    const NodeId v = adj[e];
+                    const auto lo =
+                        static_cast<std::uint64_t>(std::min(u, v));
+                    const auto hi =
+                        static_cast<std::uint64_t>(std::max(u, v));
+                    SplitMix64 h(wseed ^ (lo << 32 | hi));
+                    wts[e] = static_cast<std::int32_t>(h.next() % 255 + 1);
                 }
-                streamInPlace(file, t, file_pos, seg.weights);
             }
-        }
-        g.footprint_ += (rows + 1) * sizeof(std::int64_t) +
-                        cnt * sizeof(NodeId) +
-                        (spec.weighted ? cnt * sizeof(std::int32_t)
-                                       : 0);
+        };
+        g.footprint_ +=
+            materializeSegment(engine, heap, t, name, k, spec.weighted,
+                               seg, fill_index, fill_adj, fill_weights);
     }
+    return g;
+}
+
+SegmentedCsrGraph
+SegmentedCsrGraph::fromHost(Engine &engine, SimHeap &heap,
+                            ThreadContext &t, const CsrGraph &host,
+                            const std::string &name)
+{
+    SegmentedCsrGraph g;
+    g.nodes_ = host.numNodes();
+    g.edges_ = host.numEdges();
+    g.rowsPer_ = static_cast<NodeId>(std::max<std::int64_t>(g.nodes_, 1));
+    g.weighted_ = host.hasWeights();
+    CsrSegment &seg = g.segs_.emplace_back();
+    seg.rowEnd = static_cast<NodeId>(g.nodes_);
+    seg.edgeEnd = g.edges_;
+    const auto copyInto = [](const auto &from, auto *to) {
+        std::copy(from.begin(), from.end(), to);
+    };
+    g.footprint_ = materializeSegment(
+        engine, heap, t, name, 0, g.weighted_, seg,
+        [&](std::int64_t *idx) { copyInto(host.offsets(), idx); },
+        [&](NodeId *adj) { copyInto(host.adjacency(), adj); },
+        [&](std::int32_t *wts) { copyInto(host.weights(), wts); });
     return g;
 }
 

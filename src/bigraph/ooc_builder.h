@@ -4,16 +4,16 @@
  * once from the generator into per-segment disk spill buckets, then
  * each bucket is sorted, deduplicated and materialized independently,
  * so host RSS is bounded by the largest single segment instead of the
- * whole edge list + CSR (which at scale 24+ would dwarf the machine
- * the monolithic datasetGraph path was built for). Materialization
+ * whole edge list + CSR (which at scale 24+ would dwarf the host
+ * machine). Every runner graph is built this way. Materialization
  * streams each bucket straight into the simulated allocations' host
  * storage, so it holds no copy of a segment of its own.
  *
  * The spill pipeline applies exactly CsrGraph::fromEdgeList's rules
  * (symmetrize, drop self loops, sort by (u, v), deduplicate) per
  * bucket -- bucketing by source row makes per-bucket dedup equal to
- * global dedup -- so the materialized content is identical to the
- * monolithic build of the same spec at any segment count.
+ * global dedup -- so the materialized content is identical to
+ * CsrGraph::fromEdgeList of the same edges at any segment count.
  */
 
 #ifndef MEMTIER_BIGRAPH_OOC_BUILDER_H_
@@ -42,8 +42,8 @@ struct BigraphSpec
     std::uint64_t seed = 9241;   ///< Generator seed.
     std::uint32_t segments = 4;  ///< Row-range segments (clamped to n).
 
-    /** Materialize edge weights (SSSP inputs); the weight stream uses
-     *  seed ^ 0x5eed, matching weightedDatasetGraph. */
+    /** Materialize edge weights (SSSP inputs): CsrGraph::generateWeights
+     *  with seed ^ 0x5eed. */
     bool weighted = false;
 
     /**

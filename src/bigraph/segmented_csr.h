@@ -7,12 +7,14 @@
  * independently -- the layout Gill et al. use to fit massive graphs on
  * one tiered machine.
  *
+ * Every CSR graph in simulated memory is built this way: by the
+ * out-of-core builder (generate) or, for hand-built test graphs, from a
+ * host CsrGraph (fromHost). One segment is the whole graph in one
+ * index and one adjacency object.
+ *
  * SegmentedCsrView is the traversal interface the applications run on:
- * it resolves (vertex -> segment, local offset) and issues the same
- * bulk engine accesses the monolithic SimCsrGraph issued. A view over
- * one segment -- including the implicit view over a SimCsrGraph -- is
- * bit-identical to the monolithic access sequence, which the golden
- * tests pin down.
+ * it resolves (vertex -> segment, local offset) and issues the engine's
+ * bulk accesses per segment.
  */
 
 #ifndef MEMTIER_BIGRAPH_SEGMENTED_CSR_H_
@@ -24,7 +26,7 @@
 #include <utility>
 #include <vector>
 
-#include "graph/sim_graph.h"
+#include "graph/graph.h"
 #include "runtime/sim_heap.h"
 #include "runtime/sim_vector.h"
 
@@ -65,9 +67,10 @@ struct CsrSegment
 
 /**
  * A segmented CSR graph materialized in simulated memory: the segment
- * descriptors from the out-of-core builder. Produced by
- * SegmentedCsrGraph::generate (declared here, built in ooc_builder.cc).
- * Movable, not copyable -- it owns the simulated objects until free().
+ * descriptors and the simulated objects behind them. Produced by
+ * SegmentedCsrGraph::generate or SegmentedCsrGraph::fromHost (declared
+ * here, built in ooc_builder.cc). Movable, not copyable -- it owns the
+ * simulated objects until free().
  */
 class SegmentedCsrGraph
 {
@@ -85,13 +88,23 @@ class SegmentedCsrGraph
      * deduplicated per segment, then each segment is loaded through its
      * own timed SimFile ("<name>.seg<k>.sg") into its own mmap objects.
      * Each bucket is read in chunks straight into the objects' host
-     * storage; beyond the graph itself the load holds one chunk. With
-     * spec.segments == 1 the timed access sequence is bit-identical to
-     * SimCsrGraph::load of the equivalent host graph.
+     * storage; beyond the graph itself the load holds one chunk.
      */
     static SegmentedCsrGraph generate(Engine &engine, SimHeap &heap,
                                       ThreadContext &t,
                                       const BigraphSpec &spec,
+                                      const std::string &name);
+
+    /**
+     * Load the hand-built @p host as one segment ("<name>.seg0.sg",
+     * "csr.index.0", "csr.adj.0", plus "csr.wts.0" when @p host has
+     * weights), through the same timed materialization as generate.
+     * For graphs no generator makes (chains, stars, small test inputs);
+     * @p host need not outlive the result.
+     */
+    static SegmentedCsrGraph fromHost(Engine &engine, SimHeap &heap,
+                                      ThreadContext &t,
+                                      const CsrGraph &host,
                                       const std::string &name);
 
     /** Vertex count. */
@@ -155,31 +168,12 @@ class SegmentedCsrGraph
  * The traversal interface of a CSR graph for the applications: resolves
  * (vertex -> segment, local offset) and issues through the engine's
  * bulk entry points. Cheap value type; the graph it views must outlive
- * it. Implicitly constructible from a monolithic SimCsrGraph (one
- * segment wrapping its objects, same addresses, same access sequence),
- * so existing call sites keep working unchanged.
+ * it.
  */
 class SegmentedCsrView
 {
   public:
     SegmentedCsrView() = default;
-
-    /** One-segment view over a monolithic graph (implicit on purpose). */
-    SegmentedCsrView(const SimCsrGraph &g)  // NOLINT(runtime/explicit)
-        : nodes_(g.numNodes()), edges_(g.numEdges())
-    {
-        mono_.firstRow = 0;
-        mono_.rowEnd = static_cast<NodeId>(nodes_);
-        mono_.edgeBase = 0;
-        mono_.edgeEnd = edges_;
-        mono_.index = g.indexVector();
-        mono_.adj = g.adjacencyVector();
-        mono_.weights = g.weightsVector();
-        segs_ = &mono_;
-        nsegs_ = 1;
-        rowsPer_ = static_cast<NodeId>(std::max<std::int64_t>(nodes_, 1));
-        edgeBases_.assign(1, 0);
-    }
 
     /** View over a segmented graph (implicit on purpose). */
     SegmentedCsrView(const SegmentedCsrGraph &g)  // NOLINT
@@ -191,23 +185,6 @@ class SegmentedCsrView
         edgeBases_.reserve(nsegs_);
         for (const CsrSegment &s : g.segments())
             edgeBases_.push_back(s.edgeBase);
-    }
-
-    SegmentedCsrView(const SegmentedCsrView &other) { *this = other; }
-
-    SegmentedCsrView &
-    operator=(const SegmentedCsrView &other)
-    {
-        nodes_ = other.nodes_;
-        edges_ = other.edges_;
-        nsegs_ = other.nsegs_;
-        rowsPer_ = other.rowsPer_;
-        edgeBases_ = other.edgeBases_;
-        mono_ = other.mono_;
-        // A monolithic view points at its own embedded segment; a
-        // multi-segment view aliases the graph's descriptor array.
-        segs_ = other.segs_ == &other.mono_ ? &mono_ : other.segs_;
-        return *this;
     }
 
     /** True when this view refers to a graph. */
@@ -289,8 +266,8 @@ class SegmentedCsrView
     /**
      * Timed bulk row read: loads the offset pair of @p u as one batch
      * and the whole adjacency row as batched loads into @p row. The
-     * row's edges are contiguous within u's segment, so this issues
-     * exactly the monolithic access sequence.
+     * row's edges are contiguous within u's segment, so this is one
+     * copyOut per array whatever the segment count.
      * @return the row's global CSR range [begin, end).
      */
     std::pair<std::int64_t, std::int64_t>
@@ -310,11 +287,10 @@ class SegmentedCsrView
 
     /**
      * Timed bulk read of index positions [@p begin, @p end) into
-     * @p dst -- the segmented equivalent of indexVector().copyOut.
-     * A chunk crossing a segment boundary reads the duplicated boundary
-     * offset as the lower segment's terminator and resumes in the next
-     * segment past its first entry; with one segment this collapses to
-     * a single copyOut, bit-identical to the monolithic call.
+     * @p dst. A chunk crossing a segment boundary reads the duplicated
+     * boundary offset as the lower segment's terminator and resumes in
+     * the next segment past its first entry; with one segment this
+     * collapses to a single copyOut.
      */
     void
     offsetsInto(ThreadContext &t, std::uint64_t begin, std::uint64_t end,
@@ -336,8 +312,7 @@ class SegmentedCsrView
 
     /**
      * Timed bulk read of global adjacency positions [@p begin, @p end)
-     * into @p dst, split at segment boundaries -- the segmented
-     * equivalent of adjacencyVector().copyOut.
+     * into @p dst, split at segment boundaries.
      */
     void
     adjacencyInto(ThreadContext &t, std::int64_t begin, std::int64_t end,
@@ -423,7 +398,6 @@ class SegmentedCsrView
     std::uint32_t nsegs_ = 0;
     NodeId rowsPer_ = 1;
     std::vector<std::int64_t> edgeBases_;  ///< Per-segment edgeBase.
-    CsrSegment mono_;  ///< Storage when viewing a monolithic graph.
 };
 
 }  // namespace memtier

@@ -12,7 +12,6 @@
 #include "bigraph/ooc_builder.h"
 #include "bigraph/segmented_csr.h"
 #include "core/object_planner.h"
-#include "graph/sim_graph.h"
 #include "runtime/sim_heap.h"
 
 namespace memtier {
@@ -103,23 +102,20 @@ runSystem(const RunConfig &config)
     return sys;
 }
 
-/** fatal() unless @p w fits the monolithic (dataset cache) path. */
+/** fatal() unless @p w names at least one CSR segment. */
 static void
-checkMonolithicScale(const WorkloadSpec &w)
+checkSegments(const WorkloadSpec &w)
 {
-    if (w.scale > w.maxScale) {
-        fatal("workload %s: scale %d exceeds the monolithic limit "
-              "%d; set segments > 1 for the out-of-core path",
-              w.name().c_str(), w.scale, w.maxScale);
+    if (!isServingApp(w.app) && w.segments < 1) {
+        fatal("workload %s: segments must be >= 1 (got %d)",
+              w.name().c_str(), w.segments);
     }
 }
 
 void
 checkRunConfig(const RunConfig &config)
 {
-    const WorkloadSpec &w = config.workload;
-    if (!isServingApp(w.app) && w.segments <= 1)
-        checkMonolithicScale(w);
+    checkSegments(config.workload);
     // Building the machine resolves the policy through the registry
     // and applies every tunable, fatal() on the first that fails.
     const Engine eng(runSystem(config));
@@ -141,6 +137,7 @@ RunResult
 runWorkloadOn(Engine &eng, const RunConfig &config,
               const PlacementPlan *plan)
 {
+    checkSegments(config.workload);
     MmapTracker tracker;
     eng.kernel().setSyscallObserver(&tracker);
 
@@ -210,35 +207,20 @@ runGraphWorkload(const RunConfig &config, Engine &eng, SimHeap &heap,
     const WorkloadSpec &w = config.workload;
     ThreadContext &t0 = eng.thread(0);
 
-    // Input-reading phase (Figure 9's low-CPU prefix). Monolithic path:
-    // host graph through the dataset cache + SimCsrGraph::load.
-    // Segmented path: the out-of-core builder materializes row-range
-    // segments one at a time -- no whole host graph ever exists, which
-    // is what unlocks scales past WorkloadSpec::maxScale.
-    std::shared_ptr<const CsrGraph> host;
-    SimCsrGraph mono;
-    SegmentedCsrGraph seg;
-    SegmentedCsrView g;
-    if (w.segments > 1) {
-        BigraphSpec bs;
-        bs.kind = w.kind == GraphKind::Kron ? BigraphKind::Kron
-                                            : BigraphKind::Urand;
-        bs.scale = w.scale;
-        bs.degree = w.degree;
-        bs.seed = w.seed;
-        bs.segments = static_cast<std::uint32_t>(w.segments);
-        bs.weighted = w.app == App::SSSP;
-        seg = SegmentedCsrGraph::generate(eng, heap, t0, bs, w.name());
-        g = seg;
-    } else {
-        checkMonolithicScale(w);
-        host = w.app == App::SSSP
-                   ? weightedDatasetGraph(w.kind, w.scale, w.degree,
-                                          w.seed)
-                   : datasetGraph(w.kind, w.scale, w.degree, w.seed);
-        mono = SimCsrGraph::load(eng, heap, t0, *host, w.name());
-        g = mono;
-    }
+    // Input-reading phase (Figure 9's low-CPU prefix): the out-of-core
+    // builder materializes the row-range segments one at a time, so no
+    // whole host graph ever exists.
+    BigraphSpec bs;
+    bs.kind = w.kind == GraphKind::Kron ? BigraphKind::Kron
+                                        : BigraphKind::Urand;
+    bs.scale = w.scale;
+    bs.degree = w.degree;
+    bs.seed = w.seed;
+    bs.segments = static_cast<std::uint32_t>(w.segments);
+    bs.weighted = w.app == App::SSSP;
+    SegmentedCsrGraph seg =
+        SegmentedCsrGraph::generate(eng, heap, t0, bs, w.name());
+    const SegmentedCsrView g = seg;
     const double load_sec = cyclesToSeconds(eng.globalTime());
 
     // A SIGBUS kill inside a trial aborts that trial (the paper app
@@ -314,10 +296,7 @@ runGraphWorkload(const RunConfig &config, Engine &eng, SimHeap &heap,
         break;
     }
 
-    if (w.segments > 1)
-        seg.free(heap, t0);
-    else
-        mono.free(heap, t0);
+    seg.free(heap, t0);
     return load_sec;
 }
 

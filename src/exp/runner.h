@@ -171,8 +171,9 @@ RunResult runWorkloadOn(Engine &eng, const RunConfig &config,
 
 /**
  * The configuration checks runWorkload makes before it runs anything
- * -- the policy name, every tunable key and value, and the monolithic
- * scale limit -- without running: fatal() on the first that fails.
+ * -- a graph workload's segment count (>= 1), the policy name, every
+ * tunable key and value -- without running: fatal() on the first that
+ * fails.
  * Builds the run's Engine (so the policy's own parse is the one
  * checked) and discards it.
  */

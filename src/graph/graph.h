@@ -2,7 +2,8 @@
  * @file
  * Host-side graph representation: edge lists and the symmetric CSR the
  * GAPBS applications run on. "Host-side" means plain process memory;
- * the timed copy living in simulated tiered memory is SimCsrGraph.
+ * the timed copy living in simulated tiered memory is a
+ * SegmentedCsrGraph (src/bigraph).
  */
 
 #ifndef MEMTIER_GRAPH_GRAPH_H_

@@ -3,9 +3,8 @@
  * Timed streaming of file-resident values into a simulated allocation:
  * one page-granular page-cache fetch plus line loads, interleaved with
  * the element stores, page by page -- the access pattern of a buffered
- * fread into a fresh allocation. Shared by the monolithic SimCsrGraph
- * loader and the segmented loader in src/bigraph, so both phases issue
- * the exact same access sequence per byte streamed.
+ * fread into a fresh allocation. The CSR segment loader in src/bigraph
+ * streams every index, adjacency and weights object through it.
  */
 
 #ifndef MEMTIER_GRAPH_STREAM_LOAD_H_

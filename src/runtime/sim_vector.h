@@ -299,7 +299,8 @@ class SimVector
     /**
      * Issue the timed accesses for [@p begin, @p end) as one batch
      * without touching host values (building block for the bulk ops;
-     * public so composite structures like SimCsrGraph can reuse it).
+     * public so composite structures like the CSR segments can reuse
+     * it).
      */
     void
     issueRange(ThreadContext &t, std::uint64_t begin, std::uint64_t end,

@@ -13,6 +13,7 @@
 #include "apps/bfs.h"
 #include "apps/cc.h"
 #include "apps/pagerank.h"
+#include "bigraph/segmented_csr.h"
 #include "graph/generators.h"
 #include "runtime/sim_heap.h"
 
@@ -34,7 +35,8 @@ struct Bench
 {
     explicit Bench(const CsrGraph &host)
         : eng(testConfig()), heap(eng),
-          g(SimCsrGraph::load(eng, heap, eng.thread(0), host, "test"))
+          g(SegmentedCsrGraph::fromHost(eng, heap, eng.thread(0), host,
+                                        "test"))
     {
     }
 
@@ -42,7 +44,7 @@ struct Bench
 
     Engine eng;
     SimHeap heap;
-    SimCsrGraph g;
+    SegmentedCsrGraph g;
 };
 
 // ------------------------------------------------------------------ BFS

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the segmented/streaming CSR subsystem: segment-count-1
- * bit-identity against the monolithic loader, out-of-core determinism,
+ * Tests for the segmented/streaming CSR subsystem: content against the
+ * host-built CSR, absolute goldens, out-of-core determinism,
  * cross-segment traversal correctness against the host references, and
  * a chaos run with faults and invariants armed under pressured DRAM.
  */
@@ -28,7 +28,6 @@
 #include "fault/fault_plan.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
-#include "graph/sim_graph.h"
 #include "runtime/sim_heap.h"
 #include "thp/thp_params.h"
 
@@ -56,59 +55,6 @@ hostGraphFor(const BigraphSpec &spec)
     if (spec.weighted)
         g.generateWeights(spec.seed ^ 0x5eed);
     return g;
-}
-
-// ----------------------------------------------------- Golden identity
-
-TEST(SegmentedCsr, SegmentOneBitIdenticalToMonolithic)
-{
-    BigraphSpec spec;
-    spec.scale = 12;
-    spec.degree = 8;
-    spec.segments = 1;
-    const CsrGraph host = hostGraphFor(spec);
-
-    // Monolithic: host graph through SimCsrGraph::load.
-    Engine eng_a(testConfig());
-    SimHeap heap_a(eng_a);
-    SimCsrGraph mono =
-        SimCsrGraph::load(eng_a, heap_a, eng_a.thread(0), host, "bg");
-    const std::uint64_t load_a = eng_a.globalTime();
-    const PageRankOutput pr_a = runPageRank(eng_a, heap_a, mono, 3);
-    const std::uint64_t total_a = eng_a.globalTime();
-
-    // Segmented with one segment: out-of-core build of the same spec.
-    Engine eng_b(testConfig());
-    SimHeap heap_b(eng_b);
-    SegmentedCsrGraph seg = SegmentedCsrGraph::generate(
-        eng_b, heap_b, eng_b.thread(0), spec, "bg");
-    const std::uint64_t load_b = eng_b.globalTime();
-    const PageRankOutput pr_b =
-        runPageRank(eng_b, heap_b, seg, 3);
-    const std::uint64_t total_b = eng_b.globalTime();
-
-    EXPECT_EQ(seg.segmentCount(), 1u);
-    EXPECT_EQ(seg.numNodes(), host.numNodes());
-    EXPECT_EQ(seg.numEdges(), host.numEdges());
-
-    // Same simulated cycle counts for the load and the full run: the
-    // one-segment build issues exactly the monolithic access sequence.
-    EXPECT_EQ(load_b, load_a);
-    EXPECT_EQ(total_b, total_a);
-
-    // Same result, same per-level access counts.
-    ASSERT_EQ(pr_b.rank.size(), pr_a.rank.size());
-    for (std::size_t v = 0; v < pr_a.rank.size(); ++v)
-        ASSERT_EQ(pr_b.rank[v], pr_a.rank[v]) << "vertex " << v;
-    for (int l = 0; l < kNumMemLevels; ++l) {
-        EXPECT_EQ(eng_b.levelCount(static_cast<MemLevel>(l)),
-                  eng_a.levelCount(static_cast<MemLevel>(l)))
-            << "level " << l;
-    }
-
-    mono.free(heap_a, eng_a.thread(0));
-    seg.free(heap_b, eng_b.thread(0));
-    clearBigraphArtifacts();
 }
 
 // --------------------------------------------------- Content equality

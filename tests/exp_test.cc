@@ -1,15 +1,19 @@
 /**
  * @file
  * Unit tests for the experiment harness helpers: report formatting,
- * workload registry, the dataset cache and the sweep driver.
+ * workload registry, the runner and the sweep driver.
  */
 
+#include <array>
+#include <cctype>
+#include <cinttypes>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <iostream>
-#include <memory>
+#include <map>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -100,128 +104,12 @@ TEST(Workloads, PaperMatrixIsSixCombos)
     }
 }
 
-TEST(Workloads, DatasetCacheReturnsSameInstance)
-{
-    const auto a = datasetGraph(GraphKind::Urand, 8, 4, 1);
-    const auto b = datasetGraph(GraphKind::Urand, 8, 4, 1);
-    EXPECT_EQ(a.get(), b.get());
-    const auto c = datasetGraph(GraphKind::Urand, 8, 4, 2);
-    EXPECT_NE(a.get(), c.get());
-}
-
-TEST(Workloads, WeightedCacheIndependentOfUnweighted)
-{
-    const auto plain = datasetGraph(GraphKind::Kron, 8, 4, 1);
-    const auto weighted = weightedDatasetGraph(GraphKind::Kron, 8, 4, 1);
-    EXPECT_FALSE(plain->hasWeights());
-    EXPECT_TRUE(weighted->hasWeights());
-    EXPECT_EQ(plain->numEdges(), weighted->numEdges());
-}
-
-TEST(Workloads, DatasetCacheEvictsLeastRecentlyUsed)
-{
-    clearDatasetCache();
-    const auto a = datasetGraph(GraphKind::Urand, 8, 4, 11);
-    const std::uint64_t one = datasetCacheBytes();
-    ASSERT_GT(one, 0u);
-    // Cap to two graphs' worth: a third build must evict the oldest.
-    setDatasetCacheCapBytes(2 * one + one / 2);
-    const auto b = datasetGraph(GraphKind::Urand, 8, 4, 12);
-    EXPECT_EQ(datasetCacheCount(), 2u);
-    const auto c = datasetGraph(GraphKind::Urand, 8, 4, 13);
-    EXPECT_EQ(datasetCacheCount(), 2u);
-    EXPECT_LE(datasetCacheBytes(), 2 * one + one / 2);
-    // "a" was evicted, but the shared_ptr still owns a live graph.
-    EXPECT_EQ(a->numNodes(), 1 << 8);
-    // Rebuilding "a" gives a fresh instance (cache no longer holds it).
-    const auto a2 = datasetGraph(GraphKind::Urand, 8, 4, 11);
-    EXPECT_NE(a.get(), a2.get());
-    EXPECT_EQ(a->numEdges(), a2->numEdges());
-    setDatasetCacheCapBytes(1ULL << 30);
-    clearDatasetCache();
-}
-
-TEST(Workloads, DatasetCacheConcurrentCallersShareOneInstance)
-{
-    // Four threads race for the same plain and weighted graphs: the
-    // cache builds each once (the weighted build reuses the plain one
-    // under the same lock) and every caller gets the same instance.
-    clearDatasetCache();
-    constexpr int kThreads = 4;
-    std::vector<std::shared_ptr<const CsrGraph>> plain(kThreads);
-    std::vector<std::shared_ptr<const CsrGraph>> weighted(kThreads);
-    std::vector<std::thread> threads;
-    for (int i = 0; i < kThreads; ++i) {
-        threads.emplace_back([&, i] {
-            // Alternate the request order so some threads start on the
-            // weighted (recursive) path.
-            if (i % 2 == 0) {
-                plain[i] = datasetGraph(GraphKind::Kron, 8, 4, 21);
-                weighted[i] =
-                    weightedDatasetGraph(GraphKind::Kron, 8, 4, 21);
-            } else {
-                weighted[i] =
-                    weightedDatasetGraph(GraphKind::Kron, 8, 4, 21);
-                plain[i] = datasetGraph(GraphKind::Kron, 8, 4, 21);
-            }
-        });
-    }
-    for (std::thread &t : threads)
-        t.join();
-    for (int i = 1; i < kThreads; ++i) {
-        EXPECT_EQ(plain[i], plain[0]) << "thread " << i;
-        EXPECT_EQ(weighted[i], weighted[0]) << "thread " << i;
-    }
-    EXPECT_EQ(datasetCacheCount(), 2u);
-    EXPECT_TRUE(weighted[0]->hasWeights());
-    EXPECT_EQ(weighted[0]->numEdges(), plain[0]->numEdges());
-    clearDatasetCache();
-}
-
-TEST(Workloads, DatasetCacheEvictionUnderConcurrentCallers)
-{
-    // Callers cycle through more graphs than the cap holds, so hits,
-    // builds and evictions interleave across threads. Every graph
-    // handed out must be the right one, and the cap must hold after.
-    clearDatasetCache();
-    std::vector<std::int64_t> edges;
-    for (std::uint64_t seed = 31; seed < 35; ++seed)
-        edges.push_back(datasetGraph(GraphKind::Urand, 8, 4, seed)
-                            ->numEdges());
-    const std::uint64_t one = datasetCacheBytes() / 4;
-    clearDatasetCache();
-    setDatasetCacheCapBytes(2 * one + one / 2);
-
-    constexpr int kThreads = 4;
-    std::vector<int> wrong(kThreads, 0);
-    std::vector<std::thread> threads;
-    for (int i = 0; i < kThreads; ++i) {
-        threads.emplace_back([&, i] {
-            for (int round = 0; round < 12; ++round) {
-                const auto k = static_cast<std::size_t>((i + round) % 4);
-                const auto g =
-                    datasetGraph(GraphKind::Urand, 8, 4, 31 + k);
-                if (g->numNodes() != 1 << 8 || g->numEdges() != edges[k])
-                    ++wrong[i];
-            }
-        });
-    }
-    for (std::thread &t : threads)
-        t.join();
-    for (int i = 0; i < kThreads; ++i)
-        EXPECT_EQ(wrong[i], 0) << "thread " << i;
-    EXPECT_LE(datasetCacheCount(), 2u);
-    EXPECT_LE(datasetCacheBytes(), 2 * one + one / 2);
-    setDatasetCacheCapBytes(1ULL << 30);
-    clearDatasetCache();
-}
-
 // ---------------------------------------------------------------- sweep
 
 /**
  * A small sweep grid of eight cells: two scan periods x four workloads
  * -- segmented kron and urand, a segmented weighted SSSP and one
- * monolithic cell through the dataset cache -- under pressured DRAM.
+ * one-segment cell -- under pressured DRAM.
  */
 SweepSpec
 smallSweep()
@@ -287,7 +175,6 @@ TEST(Sweep, CsvMatchesAbsoluteGolden)
             << points[w].workload;
     }
     clearBigraphArtifacts();
-    clearDatasetCache();
 }
 
 /** Every field of @p a equals the same field of @p b. */
@@ -323,8 +210,7 @@ TEST(Sweep, PoolMatchesSerialLoop)
     const auto run = [&](unsigned jobs, std::string *csv_text,
                          std::string *progress_text) {
         clearBigraphArtifacts();
-        clearDatasetCache();
-        spec.jobs = jobs;
+            spec.jobs = jobs;
         std::ostringstream progress;
         std::vector<SweepPoint> points = runSweep(spec, &progress);
         std::ostringstream csv;
@@ -353,7 +239,6 @@ TEST(Sweep, PoolMatchesSerialLoop)
                                     0),
               0u);
     clearBigraphArtifacts();
-    clearDatasetCache();
 }
 
 TEST(Sweep, BadTunableDiesBeforeAnyCell)
@@ -368,6 +253,194 @@ TEST(Sweep, BadTunableDiesBeforeAnyCell)
     spec.jobs = 4;
     EXPECT_DEATH(runSweep(spec, &std::cerr),
                  "^fatal: tunable scan_period_ms=x is not a number\n$");
+}
+
+/** FNV-1a over the bytes of each value added. */
+struct Fnv
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+
+    template <typename T>
+    void
+    add(const T &v)
+    {
+        unsigned char bytes[sizeof(T)];
+        std::memcpy(bytes, &v, sizeof(T));
+        for (const unsigned char b : bytes) {
+            h ^= b;
+            h *= 0x100000001b3ULL;
+        }
+    }
+};
+
+struct GraphRunGolden
+{
+    App app;
+    GraphKind kind;
+    double totalSeconds;
+    double loadSeconds;
+    std::uint64_t checksum;
+    std::array<std::uint64_t, kNumMemLevels> levels;
+    std::uint64_t hierarchyHash;  ///< Every HierarchyCounters word.
+    std::uint64_t vmstatHash;     ///< Every VmStat word.
+};
+
+TEST(Runner, OneSegmentGraphRunsMatchAbsoluteGolden)
+{
+    if (thpForcedByEnv())
+        GTEST_SKIP() << "golden values captured with THP off";
+    // Every graph app on both inputs at segments = 1, under AutoNUMA
+    // on pressured DRAM. Captured from the monolithic loader the
+    // one-segment build replaced: the input phase, the kernels and
+    // every counter they move must not have changed.
+    static_assert(sizeof(VmStat) % sizeof(std::uint64_t) == 0,
+                  "VmStat hashes as plain uint64 counters");
+    static_assert(sizeof(HierarchyCounters) % sizeof(std::uint64_t) == 0,
+                  "HierarchyCounters hashes as plain uint64 counters");
+    const GraphRunGolden goldens[] = {
+        {App::BC, GraphKind::Kron, 0.00060689999999999995,
+         0.00034095576923076924, 0xd19b9a522c3236c4ULL,
+         {185338u, 43700u, 9550u, 11619u, 2814u, 1009u},
+         0x80dd35bd5c09e4b4ULL, 0x18fb819c7c18abf6ULL},
+        {App::BC, GraphKind::Urand, 0.00075080615384615383,
+         0.00052033115384615388, 0xcaf2f93ca4a56219ULL,
+         {272229u, 71238u, 21975u, 15469u, 3550u, 2811u},
+         0x153675e6293b0bc2ULL, 0x7cc8c280b04a801fULL},
+        {App::BFS, GraphKind::Kron, 0.00040971192307692305,
+         0.00034095576923076924, 0xb4240ecbb53b918dULL,
+         {30169u, 26418u, 1u, 1890u, 1624u, 662u},
+         0xc0860238087f3fb2ULL, 0x1ea3cc07da3fe104ULL},
+        {App::BFS, GraphKind::Urand, 0.00058674115384615381,
+         0.00052033115384615388, 0x87c068ded802cb25ULL,
+         {22570u, 36799u, 0u, 2296u, 1934u, 1413u},
+         0x30db74a8832fd2d8ULL, 0xa09bf1e64f95e453ULL},
+        {App::CC, GraphKind::Kron, 0.00059890192307692305,
+         0.00034095576923076924, 0x9f8ef6f7a6e95cbdULL,
+         {264792u, 28869u, 1136u, 2758u, 1730u, 541u},
+         0x38e6276fcd7d3012ULL, 0xe86543036147e362ULL},
+        {App::CC, GraphKind::Urand, 0.00064222384615384613,
+         0.00052033115384615388, 0x861905782b71b4fULL,
+         {425523u, 46982u, 289u, 2795u, 2224u, 1437u},
+         0x22148b2e29b5f036ULL, 0x5133adbc88be3689ULL},
+        {App::PR, GraphKind::Kron, 0.00045786615384615383,
+         0.00034095576923076924, 0x5ba48b90a8bc50d0ULL,
+         {81060u, 31794u, 726u, 2392u, 1807u, 615u},
+         0xf15910aed573edf8ULL, 0x671e720f44e86fd1ULL},
+        {App::PR, GraphKind::Urand, 0.00057754307692307687,
+         0.00052033115384615388, 0xdc240e6ea02cd920ULL,
+         {108560u, 60090u, 737u, 2531u, 2375u, 1511u},
+         0xccf024a23db426d0ULL, 0x74f5673c1016c8dbULL},
+        {App::SSSP, GraphKind::Kron, 0.0010697188461538461,
+         0.00067435615384615389, 0xcb5990e36351b4eeULL,
+         {277712u, 140558u, 9389u, 16833u, 7867u, 2545u},
+         0xc5b48c58776c8989ULL, 0x12a177a41116d2d2ULL},
+        {App::SSSP, GraphKind::Urand, 0.0015975557692307692,
+         0.0010330496153846153, 0xd995bab95c956688ULL,
+         {365703u, 272352u, 15565u, 17505u, 10609u, 11460u},
+         0xae3a3b0b82d7336aULL, 0x29900c29242a9529ULL},
+    };
+    for (const GraphRunGolden &g : goldens) {
+        RunConfig rc;
+        rc.workload.app = g.app;
+        rc.workload.kind = g.kind;
+        rc.workload.scale = 10;
+        rc.workload.trials = 2;
+        rc.workload.segments = 1;
+        rc.sampling = false;
+        rc.tunables = {"scan_period_ms=0.125", "adjust_period_ms=2"};
+        rc.sys.dram = makeDramParams(48 * kPageSize);
+        rc.sys.nvm = makeNvmParams(1024 * kPageSize);
+        const RunResult r = runWorkload(rc);
+
+        std::array<std::uint64_t, kNumMemLevels> levels{};
+        for (int l = 0; l < kNumMemLevels; ++l)
+            levels[l] = r.levelCounts[l];
+        Fnv hier;
+        hier.add(r.hierarchy);
+        Fnv vm;
+        vm.add(r.vmstat);
+        const std::string what = rc.workload.name();
+        EXPECT_EQ(r.totalSeconds, g.totalSeconds) << what;
+        EXPECT_EQ(r.loadSeconds, g.loadSeconds) << what;
+        EXPECT_EQ(r.outputChecksum, g.checksum) << what;
+        EXPECT_EQ(levels, g.levels) << what;
+        EXPECT_EQ(hier.h, g.hierarchyHash) << what;
+        EXPECT_EQ(vm.h, g.vmstatHash) << what;
+        if (::testing::Test::HasFailure()) {
+            std::string app = what.substr(0, what.find('_'));
+            for (char &c : app)
+                c = static_cast<char>(std::toupper(c));
+            std::printf("captured: {App::%s, GraphKind::%s, %.17g, "
+                        "%.17g, 0x%" PRIx64 "ULL, {",
+                        app.c_str(),
+                        g.kind == GraphKind::Kron ? "Kron" : "Urand",
+                        r.totalSeconds, r.loadSeconds, r.outputChecksum);
+            for (const std::uint64_t v : levels)
+                std::printf("%" PRIu64 "u, ", v);
+            std::printf("}, 0x%" PRIx64 "ULL, 0x%" PRIx64 "ULL},\n",
+                        hier.h, vm.h);
+        }
+        // The runs exercise what the golden is meant to pin.
+        EXPECT_GT(r.vmstat.pgpromoteSuccess, 0u) << what;
+    }
+}
+
+TEST(Runner, NonPositiveSegmentsDieBeforeAnyRun)
+{
+    // segments < 1 names no segment: both entry points reject it
+    // instead of clamping it onto some segment count.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    for (const int segments : {0, -1}) {
+        RunConfig rc;
+        rc.workload.app = App::BFS;
+        rc.workload.scale = 8;
+        rc.workload.segments = segments;
+        const std::string msg = "^fatal: workload bfs_kron: segments must "
+                                "be >= 1 \\(got " +
+                                std::to_string(segments) + "\\)\n$";
+        EXPECT_DEATH(checkRunConfig(rc), msg) << segments;
+        EXPECT_DEATH(runWorkload(rc), msg) << segments;
+        SweepSpec spec = smallSweep();
+        spec.jobs = 1;
+        spec.workloads.back().segments = segments;
+        EXPECT_DEATH(runSweep(spec, &std::cerr),
+                     "^fatal: workload cc_urand: segments must be >= 1 "
+                     "\\(got " + std::to_string(segments) + "\\)\n$")
+            << segments;
+    }
+}
+
+TEST(Runner, OneSegmentRunRegistersCsrObjects)
+{
+    // The allocation sites a one-segment graph run registers, with
+    // their sizes: PlacementPlan sites and the object-level figures
+    // key on these names.
+    for (const App app : {App::PR, App::SSSP}) {
+        RunConfig rc;
+        rc.workload.app = app;
+        rc.workload.scale = 10;
+        rc.workload.trials = 1;
+        rc.sampling = false;
+        const RunResult r = runWorkload(rc);
+
+        BigraphSpec bs;
+        bs.scale = rc.workload.scale;
+        bs.segments = 1;
+        const std::uint64_t edges =
+            static_cast<std::uint64_t>(prepareBigraph(bs).totalEdges);
+        std::map<std::string, std::uint64_t> want = {
+            {"csr.index.0", ((1u << 10) + 1) * sizeof(std::int64_t)},
+            {"csr.adj.0", edges * sizeof(NodeId)}};
+        if (app == App::SSSP)
+            want["csr.wts.0"] = edges * sizeof(std::int32_t);
+        std::map<std::string, std::uint64_t> got;
+        for (const AllocationRecord &rec : r.tracker.records()) {
+            if (rec.site.rfind("csr.", 0) == 0)
+                got[rec.site] += rec.bytes;
+        }
+        EXPECT_EQ(got, want) << appName(app);
+    }
+    clearBigraphArtifacts();
 }
 
 TEST(Runner, SamplingDoesNotPerturbTiming)

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the graph library: CSR construction, generators and
- * the simulated-memory graph loader.
+ * loading a host graph into simulated memory as one CSR segment.
  */
 
 #include <algorithm>
@@ -11,8 +11,10 @@
 
 #include "base/rng.h"
 #include "graph/generators.h"
+#include "bigraph/segmented_csr.h"
 #include "graph/graph.h"
-#include "graph/sim_graph.h"
+#include "profile/mmap_tracker.h"
+#include "runtime/sim_heap.h"
 
 namespace memtier {
 namespace {
@@ -340,7 +342,7 @@ TEST(Generators, DegreeDistributionSaneAtScale20)
     EXPECT_EQ(urand_isolated, 0);
 }
 
-// ----------------------------------------------------------- SimCsrGraph
+// ------------------------------------------------ SegmentedCsrFromHost
 
 SystemConfig
 tinyConfig()
@@ -352,37 +354,42 @@ tinyConfig()
     return cfg;
 }
 
-TEST(SimCsrGraph, LoadMirrorsHostGraph)
+TEST(SegmentedCsrFromHost, LoadMirrorsHostGraph)
 {
     Engine eng(tinyConfig());
     SimHeap heap(eng);
     ThreadContext &t = eng.thread(0);
     const CsrGraph host =
         CsrGraph::fromEdgeList(1 << 8, generateUrand(8, 8, 11));
-    SimCsrGraph g = SimCsrGraph::load(eng, heap, t, host, "t");
+    SegmentedCsrGraph seg =
+        SegmentedCsrGraph::fromHost(eng, heap, t, host, "t");
+    const SegmentedCsrView g = seg;
 
     EXPECT_EQ(g.numNodes(), host.numNodes());
     EXPECT_EQ(g.numEdges(), host.numEdges());
     for (NodeId u = 0; u < host.numNodes(); ++u) {
         EXPECT_EQ(g.offset(t, u), host.offsets()[u]);
         std::vector<NodeId> got;
-        g.forNeighbors(t, u, [&](NodeId v) { got.push_back(v); });
+        const std::int64_t end = g.offset(t, u + 1);
+        for (std::int64_t e = g.offset(t, u); e < end; ++e)
+            got.push_back(g.neighbor(t, e));
         const auto want = host.neighbors(u);
         ASSERT_EQ(got.size(), want.size());
         for (std::size_t i = 0; i < got.size(); ++i)
             EXPECT_EQ(got[i], want[i]);
     }
-    g.free(heap, t);
+    seg.free(heap, t);
 }
 
-TEST(SimCsrGraph, LoadGoesThroughPageCache)
+TEST(SegmentedCsrFromHost, LoadGoesThroughPageCache)
 {
     Engine eng(tinyConfig());
     SimHeap heap(eng);
     ThreadContext &t = eng.thread(0);
     const CsrGraph host =
         CsrGraph::fromEdgeList(1 << 8, generateUrand(8, 8, 11));
-    SimCsrGraph g = SimCsrGraph::load(eng, heap, t, host, "t");
+    SegmentedCsrGraph g =
+        SegmentedCsrGraph::fromHost(eng, heap, t, host, "t");
     // Page cache now holds the whole serialized file.
     const auto stat = eng.kernel().numastat();
     const std::uint64_t cache_pages =
@@ -391,15 +398,30 @@ TEST(SimCsrGraph, LoadGoesThroughPageCache)
     g.free(heap, t);
 }
 
-TEST(SimCsrGraph, LoadCreatesTwoObjects)
+TEST(SegmentedCsrFromHost, LoadCreatesTwoObjects)
 {
     Engine eng(tinyConfig());
+    MmapTracker tracker;
+    eng.kernel().setSyscallObserver(&tracker);
     SimHeap heap(eng);
     ThreadContext &t = eng.thread(0);
     const CsrGraph host =
         CsrGraph::fromEdgeList(1 << 6, generateUrand(6, 4, 11));
-    SimCsrGraph g = SimCsrGraph::load(eng, heap, t, host, "t");
+    SegmentedCsrGraph g =
+        SegmentedCsrGraph::fromHost(eng, heap, t, host, "t");
     EXPECT_EQ(heap.liveAllocations(), 2u);  // index + adjacency.
+    EXPECT_EQ(g.segmentCount(), 1u);
+    EXPECT_FALSE(g.hasWeights());
+
+    // The sites PlacementPlan and the object-level figures key on.
+    const std::vector<AllocationRecord> &recs = tracker.records();
+    ASSERT_EQ(recs.size(), 2u);
+    EXPECT_EQ(recs[0].site, "csr.index.0");
+    EXPECT_EQ(recs[0].bytes, host.offsets().size() * sizeof(std::int64_t));
+    EXPECT_EQ(recs[1].site, "csr.adj.0");
+    EXPECT_EQ(recs[1].bytes, host.adjacency().size() * sizeof(NodeId));
+    EXPECT_EQ(g.footprintBytes(), recs[0].bytes + recs[1].bytes);
+
     g.free(heap, t);
     EXPECT_EQ(heap.liveAllocations(), 0u);
 }

@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include "apps/sssp.h"
+#include "bigraph/segmented_csr.h"
 #include "exp/runner.h"
 #include "graph/generators.h"
+#include "profile/mmap_tracker.h"
 #include "runtime/sim_heap.h"
 
 namespace memtier {
@@ -79,18 +81,26 @@ TEST(Weights, SerializedBytesGrow)
                                sizeof(std::int32_t));
 }
 
-TEST(SimCsrGraphWeighted, LoadsWeightsObject)
+TEST(SegmentedCsrFromHost, LoadsWeightsObject)
 {
     Engine eng(testConfig());
+    MmapTracker tracker;
+    eng.kernel().setSyscallObserver(&tracker);
     SimHeap heap(eng);
     ThreadContext &t = eng.thread(0);
     const CsrGraph host = weightedGraph(7, 4, 3);
-    SimCsrGraph g = SimCsrGraph::load(eng, heap, t, host, "w");
+    SegmentedCsrGraph seg =
+        SegmentedCsrGraph::fromHost(eng, heap, t, host, "w");
+    const SegmentedCsrView g = seg;
     ASSERT_TRUE(g.hasWeights());
     EXPECT_EQ(heap.liveAllocations(), 3u);  // index+adjacency+weights.
+    ASSERT_EQ(tracker.records().size(), 3u);
+    const AllocationRecord &wts = tracker.records()[2];
+    EXPECT_EQ(wts.site, "csr.wts.0");
+    EXPECT_EQ(wts.bytes, host.weights().size() * sizeof(std::int32_t));
     for (std::int64_t e = 0; e < host.numEdges(); e += 7)
         EXPECT_EQ(g.weightOf(t, e), host.weight(e));
-    g.free(heap, t);
+    seg.free(heap, t);
     EXPECT_EQ(heap.liveAllocations(), 0u);
 }
 
@@ -104,7 +114,8 @@ TEST_P(SsspOnGraphs, MatchesDijkstra)
     SimHeap heap(eng);
     ThreadContext &t = eng.thread(0);
     const CsrGraph host = weightedGraph(GetParam(), 8, 31);
-    SimCsrGraph g = SimCsrGraph::load(eng, heap, t, host, "w");
+    SegmentedCsrGraph g =
+        SegmentedCsrGraph::fromHost(eng, heap, t, host, "w");
 
     const SsspOutput out = runSssp(eng, heap, g, /*source=*/1);
     const std::vector<std::int64_t> want = hostSsspDistances(host, 1);
@@ -124,7 +135,8 @@ TEST(Sssp, UnreachableVerticesStayMinusOne)
     ThreadContext &t = eng.thread(0);
     CsrGraph host = CsrGraph::fromEdgeList(5, {{0, 1}, {2, 3}});
     host.generateWeights(1);
-    SimCsrGraph g = SimCsrGraph::load(eng, heap, t, host, "w");
+    SegmentedCsrGraph g =
+        SegmentedCsrGraph::fromHost(eng, heap, t, host, "w");
     const SsspOutput out = runSssp(eng, heap, g, 0);
     EXPECT_EQ(out.dist[0], 0);
     EXPECT_GT(out.dist[1], 0);
