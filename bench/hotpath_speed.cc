@@ -2,7 +2,7 @@
  * @file
  * Host-side throughput of the access hot path: the same PageRank sweep
  * executed through the forced scalar reference path and through the
- * batched pipeline (same-line coalescing, translation micro-cache,
+ * batched pipeline (same-line coalescing, epoch-checked tail runs,
  * hoisted service checks, batch observer dispatch), plus the batched
  * pipeline again with the perf-mem sampler attached (period 61). The
  * three runs are bit-identical in every simulated observable -- this

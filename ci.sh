@@ -3,7 +3,9 @@
 #
 #   1. tier-1 verify: warnings-as-errors build + the full test suite,
 #      then examples/policy_explorer once per mode under the invariant
-#      checker, so every example-reachable selection runs end to end;
+#      checker, so every example-reachable selection runs end to end,
+#      and examples/quickstart from a scratch directory without
+#      MEMTIER_SPILL_DIR, which must leave no .bigraph_spill behind;
 #   2. an ASan/UBSan build of the test suite, to catch memory and UB
 #      bugs the functional tests would miss;
 #   3. a ThreadSanitizer pass: the test binaries holding the sweep
@@ -74,6 +76,17 @@ for mode in autonuma notiering object_static object_spill \
     MEMTIER_CHECK_INVARIANTS=ON \
         ./build-ci/examples/policy_explorer bfs kron "$mode" 12 > /dev/null
 done
+# A graph run without MEMTIER_SPILL_DIR spills under its working
+# directory and must remove the .bigraph_spill it created on exit.
+quickstart="$PWD/build-ci/examples/quickstart"
+spill_cwd=$(mktemp -d)
+(cd "$spill_cwd" && env -u MEMTIER_SPILL_DIR "$quickstart" > /dev/null)
+if [ -e "$spill_cwd/.bigraph_spill" ]; then
+    echo "spill check FAILED: quickstart left .bigraph_spill in its" \
+         "working directory"
+    exit 1
+fi
+rm -rf "$spill_cwd"
 
 echo "=== [2/11] sanitizers: ASan/UBSan build + ctest ==="
 cmake -B build-asan -S . -DMEMTIER_WERROR=ON \

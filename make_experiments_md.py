@@ -3,11 +3,13 @@
 
 The measured tables are extracted verbatim from the bench suite's
 output; the paper values and verdicts are maintained here so the
-document can be regenerated after every `./run_benches.sh`.
+document can be regenerated after every `./run_benches.sh`. The
+Figure 11 verdict quotes numbers parsed from its measured block.
 """
 
 import re
 import sys
+import textwrap
 
 BENCH_OUT = "bench_output.txt"
 TARGET = "EXPERIMENTS.md"
@@ -42,6 +44,65 @@ def block(sections, key):
     return "```\n" + "\n".join(lines).strip() + "\n```"
 
 
+def pct(x):
+    """Signed percentage with a typographic minus: -1.0 -> "−1.0%"."""
+    return f"{x:+.1f}%".replace("-", "\u2212")
+
+
+def fig11_verdict(sections):
+    """Figure 11's verdict and Summary row, every measured number read
+    from the measured block."""
+    body = sections.get("fig11_objectlevel_speedup", "")
+    improvement, nvm_change = {}, {}
+    for m in re.finditer(r"^(\w+\*?)\s+[\d.]+\s+[\d.]+\s+(-?[\d.]+)%"
+                         r"\s+(-?[\d.]+%|-)", body, re.M):
+        improvement[m.group(1)] = float(m.group(2))
+        if m.group(3) != "-":
+            nvm_change[m.group(1)] = float(m.group(3)[:-1])
+    avg = re.search(r"average improvement: ([\d.]+)%.*max: ([\d.]+)%", body)
+    needed = ("bc_kron", "bc_urand", "bfs_kron", "bfs_urand", "cc_kron",
+              "cc_kron*", "cc_urand")
+    if avg is None or any(w not in improvement for w in needed):
+        return ("**Verdict: not measured** (section missing or "
+                "unparseable -- rerun ./run_benches.sh).\n", "not measured")
+    avg_pct, max_pct = float(avg.group(1)), float(avg.group(2))
+    wins = [-nvm_change[w] for w in ("bc_kron", "bc_urand", "cc_urand")]
+    bfs = [improvement["bfs_kron"], improvement["bfs_urand"]]
+    # A spill gain no larger than the bfs swings is not a recovery.
+    noise = max(abs(x) for x in bfs)
+    spill_gain = improvement["cc_kron*"] - improvement["cc_kron"]
+    recovered = spill_gain > noise
+    text = (
+        f"**Verdict: {'reproduced' if recovered else 'partly reproduced'}.**"
+        f" The object-level mapping wins on the bc and cc_urand workloads"
+        f" by cutting NVM samples {min(wins):.0f}–{max(wins):.0f}% (paper"
+        f" bc_kron: −79% → we measure {pct(nvm_change['bc_kron'])}). The"
+        f" whole-object variant shows the cc_kron regression the paper"
+        f" reports ({pct(improvement['cc_kron'])} vs. the paper's −6%)."
+        f" Spilling moves cc_kron by {spill_gain:.1f} points, to"
+        f" {pct(improvement['cc_kron*'])} (the paper gains 8 points, to"
+        f" +2%), {'more' if recovered else 'no more'} than the bfs"
+        f" workloads' own swings of up to {noise:.1f} points: the spill"
+        f" recovery is {'reproduced' if recovered else 'within noise'}."
+        f" bfs_kron"
+        f" ({pct(bfs[0])}) and bfs_urand ({pct(bfs[1])})"
+        f" {'both regress' if max(bfs) < 0 else 'change'} where the"
+        f" paper's improved: at this scale BFS's external traffic is"
+        f" dominated by the adjacency object that the planner sends wholly"
+        f" to NVM. Checksums confirm placement never changes application"
+        f" results. Average and maximum improvements ({avg_pct:.1f}% /"
+        f" {max_pct:.1f}%) reach {avg_pct / 21:.2f}x and"
+        f" {max_pct / 51:.2f}x of the paper's 21% / 51% — our AutoNUMA"
+        f" baseline keeps relatively more hot data in DRAM, leaving less"
+        f" room to win.")
+    summary = (f"{'reproduced' if recovered else 'partly'}: wins on"
+               f" bc/cc_urand; spill recovery"
+               f" {'reproduced' if recovered else 'within noise'}; bfs"
+               f" {'regresses' if max(bfs) < 0 else 'flat'}")
+    return (textwrap.fill(text, 72, break_on_hyphens=False,
+                          break_long_words=False) + "\n", summary)
+
+
 HEADER = """\
 # EXPERIMENTS — paper vs. measured
 
@@ -70,6 +131,7 @@ gives a verdict.
 
 def main():
     sections = load_sections(BENCH_OUT)
+    fig11_text, fig11_summary = fig11_verdict(sections)
     out = [HEADER]
 
     out.append("""\
@@ -228,19 +290,7 @@ load traffic and the per-interval correlation is weak.
 
 """ + block(sections, "fig11_objectlevel_speedup") + """
 
-**Verdict: reproduced, including the failure mode.** The object-level
-mapping wins on the bc and cc_urand workloads by cutting NVM samples
-~80–89% (paper bc_kron: −79% → we measure −80%), the whole-object
-variant shows the cc_kron regression the paper reports (−1.6% vs. the
-paper's −6%), and spilling recovers it (+9.6% vs. the paper's +2%).
-Checksums confirm placement never changes application results. Average
-and maximum improvements (14.9% / 36.3%) land in the paper's band at
-roughly 2/3 of its magnitude — our AutoNUMA baseline keeps relatively
-more hot data in DRAM, leaving less room to win — and our bfs
-workloads regress slightly where the paper's improved, because at this
-scale BFS's external traffic is dominated by the adjacency object that
-the planner sends wholly to NVM.
-""")
+""" + fig11_text)
 
     out.append("""\
 ## Table 1 — where external samples hit
@@ -485,7 +535,7 @@ write-amplification plus controller back-pressure.
 | Fig. 8 random access in hot object (Finding 4) | reproduced |
 | Fig. 9 demotion/page-cache/CPU phases (Findings 5–6) | reproduced |
 | Fig. 10 promotions uncorrelated with DRAM hits (Finding 7) | reproduced |
-| Fig. 11 object-level wins; cc needs spill | reproduced (incl. failure mode) |
+| Fig. 11 object-level wins; cc needs spill | """ + fig11_summary + """ |
 | Table 1 DRAM-majority, combination-dependent NVM share | shape reproduced |
 | Table 2 NVM cost amplification | reproduced |
 | Table 3 TLB-miss ordering (Finding 1) | shape reproduced, ratio compressed |

@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <bit>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <utility>
 
 #include <unistd.h>
@@ -71,22 +74,47 @@ specKey(const BigraphSpec &s)
     return key;
 }
 
+/** MEMTIER_SPILL_DIR when set, else ".bigraph_spill". */
+std::string
+spillDirPath()
+{
+    if (const char *env = std::getenv("MEMTIER_SPILL_DIR"); env && *env)
+        return env;
+    return ".bigraph_spill";
+}
+
 /**
  * Process-wide artifact cache, keyed by spec identity. Its spill files
  * carry the process id, so concurrent processes sharing a spill
  * directory never truncate each other's buckets; they are deleted when
- * the cache is cleared or the process exits. @c mu is held across
- * lookup and build, so concurrent callers of one spec build it once.
+ * the cache is cleared or the process exits, and so is a spill
+ * directory this process created, once it is empty. @c mu is held
+ * across lookup and build, so concurrent callers of one spec build it
+ * once.
  */
 struct ArtifactCache
 {
     std::mutex mu;
     std::map<std::string, BigraphArtifacts> byKey;
+    std::set<std::string> ownedDirs;  ///< Spill dirs this process made.
 
     ~ArtifactCache() { clear(); }
 
-    /** Delete every spill file and entry; the caller holds @c mu (or
-     *  the process is exiting). */
+    /** Create @p dir unless it exists, remembering that this process
+     *  made it; the caller holds @c mu. */
+    void
+    makeDir(const std::string &dir)
+    {
+        std::error_code ec;
+        if (std::filesystem::create_directories(dir, ec))
+            ownedDirs.insert(dir);
+        if (ec)
+            fatal("bigraph: cannot create spill dir %s", dir.c_str());
+    }
+
+    /** Delete every spill file and entry, then every owned directory
+     *  that is now empty; the caller holds @c mu (or the process is
+     *  exiting). */
     void
     clear()
     {
@@ -97,6 +125,13 @@ struct ArtifactCache
             }
         }
         byKey.clear();
+        // remove() deletes only an empty directory. One still holding
+        // another process's buckets stays owned for the next clear.
+        for (auto it = ownedDirs.begin(); it != ownedDirs.end();) {
+            std::error_code ec;
+            it = std::filesystem::remove(*it, ec) ? ownedDirs.erase(it)
+                                                  : std::next(it);
+        }
     }
 };
 
@@ -350,13 +385,10 @@ bigraphKindName(BigraphKind kind)
 std::string
 bigraphSpillDir()
 {
-    std::string dir = ".bigraph_spill";
-    if (const char *env = std::getenv("MEMTIER_SPILL_DIR"); env && *env)
-        dir = env;
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    if (ec)
-        fatal("bigraph: cannot create spill dir %s", dir.c_str());
+    ArtifactCache &cache = artifactCache();
+    const std::lock_guard<std::mutex> lock(cache.mu);
+    const std::string dir = spillDirPath();
+    cache.makeDir(dir);
     return dir;
 }
 
@@ -385,7 +417,8 @@ prepareBigraph(const BigraphSpec &spec)
     art.segments = static_cast<std::uint32_t>(
         (art.nodes + art.rowsPerSegment - 1) / art.rowsPerSegment);
 
-    const std::string dir = bigraphSpillDir();
+    const std::string dir = spillDirPath();
+    cache.makeDir(dir);
     art.segFiles.resize(art.segments);
     art.edgeCounts.assign(art.segments, 0);
     std::string stem = dir;
@@ -398,6 +431,15 @@ prepareBigraph(const BigraphSpec &spec)
         art.segFiles[k] = stem;
         art.segFiles[k] += std::to_string(k);
         art.segFiles[k] += ".pairs";
+    }
+    // Another process sharing the directory removes it once empty
+    // (ArtifactCache::clear). The first bucket keeps it non-empty from
+    // here on; a directory removed before that is made again.
+    for (int tries = 0;
+         !FilePtr(std::fopen(art.segFiles[0].c_str(), "wb")); ++tries) {
+        if (errno != ENOENT || tries == 8)
+            fatal("bigraph: cannot create %s", art.segFiles[0].c_str());
+        cache.makeDir(dir);
     }
 
     inform("bigraph: spilling %s scale %d into %u segment buckets",

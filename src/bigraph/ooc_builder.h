@@ -77,7 +77,8 @@ struct BigraphArtifacts
 /**
  * Spill directory for the packed-pair buckets: MEMTIER_SPILL_DIR when
  * set, else ".bigraph_spill" under the working directory. Created on
- * first use.
+ * first use; clearBigraphArtifacts() and process exit remove it again
+ * once it is empty, unless it existed before this process made it.
  */
 std::string bigraphSpillDir();
 
@@ -106,7 +107,8 @@ std::uint64_t sortAndDedupBucket(const std::string &path,
                                  NodeId first_row, NodeId row_count);
 
 /**
- * Drop the artifact cache and delete its spill files (tests and
+ * Drop the artifact cache, delete its spill files and remove the spill
+ * directory if this process created it and it is now empty (tests and
  * RSS-sensitive sweeps). Process exit does the same. Takes the cache
  * lock, but must not race a live run: a run materializing a graph
  * reads the spill files and holds references into the cache.

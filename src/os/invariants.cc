@@ -269,9 +269,6 @@ InvariantChecker::checkNow(Cycles now)
                             s.thpSplitPage, s.thpUnmapHuge,
                             k.pt.hugeSize()));
     }
-
-    if (auditor_)
-        auditor_(now);
 }
 
 }  // namespace memtier

@@ -16,9 +16,7 @@
 #define MEMTIER_OS_INVARIANTS_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
-#include <utility>
 
 #include "base/types.h"
 
@@ -52,23 +50,11 @@ class InvariantChecker
     /** Events between sweeps. */
     std::uint64_t period() const { return period_; }
 
-    /**
-     * Install an extra audit invoked at the end of every sweep, for
-     * consistency rules that span kernel and non-kernel state (the
-     * engine registers its translation micro-cache audit here). The
-     * auditor must observe only and abort on violation itself.
-     */
-    void setAuditor(std::function<void(Cycles)> fn)
-    {
-        auditor_ = std::move(fn);
-    }
-
   private:
     /** Print a diagnostic dump of kernel state, then abort. */
     [[noreturn]] void fail(Cycles now, const std::string &what) const;
 
     const Kernel &kernel_;
-    std::function<void(Cycles)> auditor_;
     std::uint64_t period_;
     std::uint64_t events_ = 0;
     std::uint64_t checks_ = 0;

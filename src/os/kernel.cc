@@ -135,8 +135,8 @@ Kernel::shootdown(PageNum vpn)
 {
     // Every remap funnels through a shootdown (migration, demotion,
     // exchange, collapse/split, munmap, scanner marking), so bumping the
-    // epoch here covers all of them. Over-bumping is safe: it only costs
-    // software translation caches a refill.
+    // epoch here covers all of them. Over-bumping is safe: it only sends
+    // a tail run back through the head path.
     ++xlatEpoch;
     if (shootdownClient)
         shootdownClient->tlbShootdown(vpn);
@@ -678,9 +678,7 @@ Kernel::softOfflinePage(PageNum vpn, PageMeta &meta, Cycles now)
 MemNode
 Kernel::nodeOf(PageNum vpn) const
 {
-    const PageMeta *meta = pt.find(vpn);
-    if (meta == nullptr)
-        meta = pt.findHuge(vpn);
+    const PageMeta *meta = pageMeta(vpn);
     MEMTIER_ASSERT(meta != nullptr && meta->present,
                    "nodeOf on non-present page");
     return meta->node;
@@ -691,27 +689,6 @@ Kernel::pageMeta(PageNum vpn) const
 {
     const PageMeta *meta = pt.find(vpn);
     return meta != nullptr ? meta : pt.findHuge(vpn);
-}
-
-Translation
-Kernel::translate(PageNum vpn) const
-{
-    Translation tr;
-    tr.epoch = xlatEpoch;
-    if (const PageMeta *hm = pt.findHuge(vpn);
-        hm != nullptr && hm->present) {
-        tr.frame = hm->frame + (vpn - hugeBaseOf(vpn));
-        tr.node = hm->node;
-        tr.present = true;
-        tr.huge = true;
-        return tr;
-    }
-    if (const PageMeta *m = pt.find(vpn); m != nullptr && m->present) {
-        tr.frame = m->frame;
-        tr.node = m->node;
-        tr.present = true;
-    }
-    return tr;
 }
 
 // -- Page cache -------------------------------------------------------

@@ -118,21 +118,6 @@ enum class CollapseResult : std::uint8_t {
     AllocFailed,    ///< No contiguous 2 MiB frame (fragmentation).
 };
 
-/**
- * Result of the side-effect-free translation fast path. @ref epoch is
- * the global translation epoch the result was read under: a consumer
- * caching the result may reuse it only while the kernel's epoch still
- * equals it (any remap in between bumps the epoch).
- */
-struct Translation
-{
-    FrameNum frame = 0;            ///< Physical frame (4 KiB granular).
-    MemNode node = MemNode::DRAM;  ///< Residence tier.
-    std::uint64_t epoch = 0;       ///< Epoch the translation is valid for.
-    bool present = false;          ///< False when unmapped/not faulted in.
-    bool huge = false;             ///< Covered by a PMD mapping.
-};
-
 /** Result of resolving one page touch (TLB-miss path). */
 struct TouchResult
 {
@@ -214,17 +199,11 @@ class Kernel
     /**
      * Monotonic counter bumped on every remap: migration, demotion,
      * exchange, THP collapse/split, munmap -- anything that issues a
-     * TLB shootdown. Software translation caches key their entries on
-     * this value; an entry tagged with an older epoch must be dropped.
+     * TLB shootdown. The batched access path reads it at the head of a
+     * same-line run and settles the run's tails only while it is
+     * unchanged.
      */
     std::uint64_t translationEpoch() const { return xlatEpoch; }
-
-    /**
-     * Side-effect-free translation of @p vpn: no fault handling, no
-     * recency stamp, no policy callbacks. The batched access path uses
-     * this to validate per-thread translation micro-caches.
-     */
-    Translation translate(PageNum vpn) const;
 
     /** Page metadata, or nullptr when unmapped (for introspection). */
     const PageMeta *pageMeta(PageNum vpn) const;

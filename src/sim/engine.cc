@@ -170,14 +170,6 @@ Engine::Engine(const SystemConfig &config)
                    : cfg.autonuma.scanPeriod;
     nextTimeline = cfg.timelinePeriod;
     recomputeNextServiceDue();
-
-    // The checker audits the per-thread translation micro-caches
-    // against the page table on every sweep: a valid entry carrying the
-    // current epoch must agree with what the kernel would translate.
-    if (invariants_) {
-        invariants_->setAuditor(
-            [this](Cycles now) { auditTranslationCaches(now); });
-    }
 }
 
 Engine::~Engine() = default;
@@ -394,27 +386,12 @@ Engine::accessCore(ThreadContext &t, Addr addr, MemOp op, bool assists)
 
     Cycles cost = 0;
     bool tlb_miss = false;
-    bool sigbus = false;
     MemNode node = MemNode::DRAM;
     bool node_known = false;
 
     // PMD-mapped ranges translate through the 2 MiB TLB entry class;
-    // with THP off the branch reduces to the legacy 4 KiB lookup. The
-    // micro-cache elides the huge-map probe on the batched path: an
-    // entry tagged with the current epoch is guaranteed to agree with
-    // the page table, since every remap bumps the epoch. With THP off
-    // the consult is deferred to the full-miss branch (its only other
-    // use) -- safe because no epoch bump can intervene: touchPage only
-    // runs on the TLB-miss path, which resolves the node by itself.
-    const bool thp_on = cfg.thp.enabled;
-    std::uint64_t epoch0 = 0;
-    const TranslationMicroCache::Entry *xe = nullptr;
-    bool huge = false;
-    if (thp_on) {
-        epoch0 = kern->translationEpoch();
-        xe = assists ? t.xlat.lookup(vpn, epoch0) : nullptr;
-        huge = xe != nullptr ? xe->huge : kern->isHugeMapped(vpn);
-    }
+    // with THP off the branch reduces to the legacy 4 KiB lookup.
+    bool huge = cfg.thp.enabled && kern->isHugeMapped(vpn);
     switch (huge ? t.tlb.lookupHuge(hugeBaseOf(vpn)) : t.tlb.lookup(vpn)) {
       case TlbOutcome::L1Hit:
         break;
@@ -437,7 +414,6 @@ Engine::accessCore(ThreadContext &t, Addr addr, MemOp op, bool assists)
         cost += tr.cost;
         node = tr.node;
         node_known = true;
-        sigbus = tr.sigbus;
         if (tr.pageFault)
             ++t.pageFaults;
         if (tr.hintFault)
@@ -485,34 +461,14 @@ Engine::accessCore(ThreadContext &t, Addr addr, MemOp op, bool assists)
         cost += cp.l3Latency;
         fillOnMiss(t, line, op == MemOp::Store, MemLevel::L3);
     } else {
-        if (!node_known) {
-            if (assists && !thp_on) {
-                epoch0 = kern->translationEpoch();
-                xe = t.xlat.lookup(vpn, epoch0);
-            }
-            node = xe != nullptr ? xe->node : kern->nodeOf(vpn);
-            node_known = true;
-        }
+        if (!node_known)
+            node = kern->nodeOf(vpn);
         cost += cp.l3Latency;
         cost += memoryAccess(t, addr, node, op, t.clock() + cost);
         level = node == MemNode::DRAM ? MemLevel::DRAM : MemLevel::NVM;
         fillOnMiss(t, line, op == MemOp::Store,
                    node == MemNode::DRAM ? MemLevel::DRAM : MemLevel::NVM);
         t.lfb.add(line, t.clock() + cost);
-    }
-
-    if (assists && node_known && !sigbus) {
-        // Cache the resolved translation (never on SIGBUS: the poison
-        // handler destroyed the mapping, so there is nothing valid to
-        // cache and the audit would rightly flag the entry). touchPage
-        // may have remapped (epoch bump); its returned node is
-        // post-mutation, but the hugeness read at lookup time could be
-        // stale, so refresh it when the epoch moved under the element.
-        const std::uint64_t epoch = kern->translationEpoch();
-        const bool huge_now =
-            thp_on ? (epoch == epoch0 ? huge : kern->isHugeMapped(vpn))
-                   : false;
-        t.xlat.insert(vpn, epoch, node, huge_now);
     }
 
     t.advance(cost);
@@ -1175,29 +1131,6 @@ Engine::accessMany(ThreadContext &t, std::span<const Addr> addrs, MemOp op)
             return manyBody(t, addrs.subspan(b, e - b), op);
         },
         [&](std::uint64_t k) { return dueAccess(t, {addrs[k], op}); });
-}
-
-void
-Engine::auditTranslationCaches(Cycles now) const
-{
-    const std::uint64_t epoch = kern->translationEpoch();
-    for (const auto &t : threads) {
-        for (const auto &e : t->xlat.entries()) {
-            if (!e.valid || e.epoch != epoch)
-                continue;  // Stale entries are rejected on lookup.
-            const Translation tr = kern->translate(e.vpn);
-            if (!tr.present || tr.node != e.node || tr.huge != e.huge) {
-                fatal("translation micro-cache divergence at cycle %llu: "
-                      "thread %u vpn %llu cached {node=%d huge=%d} but "
-                      "page table says {present=%d node=%d huge=%d}",
-                      static_cast<unsigned long long>(now), t->id(),
-                      static_cast<unsigned long long>(e.vpn),
-                      static_cast<int>(e.node), e.huge ? 1 : 0,
-                      tr.present ? 1 : 0, static_cast<int>(tr.node),
-                      tr.huge ? 1 : 0);
-            }
-        }
-    }
 }
 
 Addr

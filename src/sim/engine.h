@@ -141,8 +141,8 @@ class Engine : public TlbShootdownClient
      * Semantically identical to issuing the requests one at a time (the
      * golden tests diff the two paths bit for bit); the batch form
      * coalesces same-line runs so the per-element host work collapses
-     * to the LFB attribution, validates translations through the
-     * per-thread epoch micro-cache, and delivers observer records once
+     * to the LFB attribution, revalidates a run's tails against the
+     * kernel's translation epoch, and delivers observer records once
      * per batch (AccessObserver::onBatch). When every observer takes
      * the load-skip contract, the batch is split at each due load: the
      * stretches between run as if no observer were attached, and each
@@ -451,7 +451,6 @@ class Engine : public TlbShootdownClient
                    std::uint64_t head_epoch, std::uint64_t m,
                    bool is_store, std::uint64_t &consumed,
                    bool &prologue_next);
-    void auditTranslationCaches(Cycles now) const;
     /**
      * Install @p line in L1 and every level above @p from (L2 when it
      * serviced from L3 or memory, L3 too when from memory), pushing

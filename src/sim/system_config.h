@@ -111,7 +111,7 @@ struct SystemConfig
     /**
      * Force the reference scalar access path: accessBatch degenerates
      * to element-at-a-time processing with no run coalescing, no
-     * translation micro-cache and no bulk fill accounting. The results
+     * quiet-LFB shortcut and no bulk fill accounting. The results
      * are bit-identical either way (the golden tests assert it); this
      * knob exists to prove that and to baseline the batched path's
      * host-side speedup. The MEMTIER_SCALAR_PATH environment variable

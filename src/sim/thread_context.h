@@ -16,7 +16,6 @@
 #include "cache/set_assoc_cache.h"
 #include "cache/tlb.h"
 #include "sim/access_observer.h"
-#include "sim/translation_cache.h"
 
 namespace memtier {
 
@@ -49,9 +48,6 @@ class ThreadContext
     SetAssocCache l1;
     SetAssocCache l2;
     LineFillBuffer lfb;
-
-    /** Epoch-validated translation micro-cache (batched path only). */
-    TranslationMicroCache xlat;
     ///@}
 
     /**

@@ -2,14 +2,17 @@
  * @file
  * Tests for the segmented/streaming CSR subsystem: content against the
  * host-built CSR, absolute goldens, out-of-core determinism,
- * cross-segment traversal correctness against the host references, and
- * a chaos run with faults and invariants armed under pressured DRAM.
+ * cross-segment traversal correctness against the host references, the
+ * spill directory's lifetime, and a chaos run with faults and
+ * invariants armed under pressured DRAM.
  */
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -257,6 +260,80 @@ TEST(SegmentedCsr, ConcurrentPrepareIsSingleFlight)
     clearBigraphArtifacts();
 }
 
+// ------------------------------------------------- Spill directory
+
+/** Point MEMTIER_SPILL_DIR at @p dir for one scope, with a cold cache. */
+class ScopedSpillDir
+{
+  public:
+    explicit ScopedSpillDir(const std::string &dir)
+    {
+        if (const char *old = std::getenv(kVar))
+            old_ = old;
+        setenv(kVar, dir.c_str(), 1);
+        clearBigraphArtifacts();
+    }
+
+    ~ScopedSpillDir()
+    {
+        clearBigraphArtifacts();
+        if (old_)
+            setenv(kVar, old_->c_str(), 1);
+        else
+            unsetenv(kVar);
+    }
+
+  private:
+    static constexpr const char *kVar = "MEMTIER_SPILL_DIR";
+    std::optional<std::string> old_;
+};
+
+std::filesystem::path
+scratchSpillDir(const std::string &name)
+{
+    return std::filesystem::temp_directory_path() /
+           (name + ".p" + std::to_string(::getpid()));
+}
+
+BigraphSpec
+smallSpec()
+{
+    BigraphSpec spec;
+    spec.scale = 8;
+    spec.degree = 4;
+    spec.segments = 2;
+    return spec;
+}
+
+TEST(SpillDir, ClearRemovesDirThisProcessCreated)
+{
+    const std::filesystem::path dir = scratchSpillDir("memtier_spill_new");
+    std::filesystem::remove_all(dir);
+    const ScopedSpillDir scoped(dir.string());
+
+    const BigraphArtifacts &art = prepareBigraph(smallSpec());
+    for (const std::string &path : art.segFiles)
+        EXPECT_TRUE(std::filesystem::exists(path)) << path;
+    clearBigraphArtifacts();
+    EXPECT_FALSE(std::filesystem::exists(dir));
+}
+
+TEST(SpillDir, ClearKeepsPreexistingDir)
+{
+    const std::filesystem::path dir = scratchSpillDir("memtier_spill_old");
+    std::filesystem::create_directories(dir);
+    {
+        const ScopedSpillDir scoped(dir.string());
+        const BigraphArtifacts &art = prepareBigraph(smallSpec());
+        ASSERT_FALSE(art.segFiles.empty());
+        EXPECT_TRUE(std::filesystem::exists(art.segFiles[0]));
+        clearBigraphArtifacts();
+        ASSERT_TRUE(std::filesystem::is_directory(dir));
+        EXPECT_TRUE(std::filesystem::is_empty(dir));
+    }
+    std::filesystem::remove(dir);
+}
+
 // ---------------------------------------------- Materialization golden
 
 TEST(SegmentedCsr, MaterializedGraphMatchesAbsoluteGolden)
@@ -361,8 +438,12 @@ TEST(SegmentedCsr, MaterializedGraphMatchesAbsoluteGolden)
 std::string
 writeBucket(const std::string &name, const std::vector<std::uint64_t> &pairs)
 {
-    const std::string path = bigraphSpillDir() + "/" + name + ".p" +
-                             std::to_string(::getpid()) + ".pairs";
+    // Outside the shared spill directory, which another test process
+    // may remove while it is empty.
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         (name + ".p" + std::to_string(::getpid()) + ".pairs"))
+            .string();
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(reinterpret_cast<const char *>(pairs.data()),
               static_cast<std::streamsize>(pairs.size() *

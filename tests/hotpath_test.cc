@@ -1,24 +1,24 @@
 /**
  * @file
  * Tests for the batched access pipeline: translation-epoch bumps on
- * every remap class, micro-cache staleness rejection, the invariant-
- * checker audit of per-thread translation caches, the translation-
- * epoch race stress (remaps and migrations interleaved with batched
- * sweeps, 4 KiB and THP), the golden scalar-vs-batched bit-identity
- * of whole workload runs, absolute cache/TLB counter and sample-stream
- * goldens, and the observers' load-skip contract on whole runs.
+ * every remap class, the translation-epoch race stress (remaps and
+ * migrations interleaved with batched sweeps, 4 KiB and THP, diffed
+ * against the forced scalar path), the golden scalar-vs-batched
+ * bit-identity of whole workload runs, absolute cache/TLB counter and
+ * sample-stream goldens, and the observers' load-skip contract on
+ * whole runs.
  */
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstring>
+#include <vector>
 
 #include "exp/runner.h"
 #include "os/kernel.h"
 #include "os/physical_memory.h"
 #include "sim/engine.h"
-#include "sim/translation_cache.h"
 
 namespace memtier {
 namespace {
@@ -33,9 +33,49 @@ class NullShootdown : public TlbShootdownClient
 
 // ------------------------------------------ Translation epoch funnel
 //
-// Every remap class must bump Kernel::translationEpoch(): the micro-
-// cache's correctness rests on "epoch unchanged => cached translation
-// still valid", so an un-bumped remap would silently serve stale nodes.
+// Every remap class must bump Kernel::translationEpoch(): the batched
+// path settles a same-line run's tails without a page walk only while
+// the epoch read at the run's head is unchanged, so an un-bumped remap
+// would let tails run on a dead translation.
+
+/** A THP-enabled kernel on tiers big enough for 2 MiB frames. */
+struct ThpKernel
+{
+    ThpKernel()
+        : phys(makeDramParams(4 * kPagesPerHuge * kPageSize),
+               makeNvmParams(16 * kPagesPerHuge * kPageSize)),
+          kern(phys, thpParams())
+    {
+        kern.setShootdownClient(&sink);
+    }
+
+    static KernelParams
+    thpParams()
+    {
+        KernelParams kp;
+        kp.thp.enabled = true;
+        return kp;
+    }
+
+    /** Map two huge pages' worth and touch every page of the aligned
+     *  2 MiB range inside; returns the range's base vpn. */
+    PageNum
+    touchHugeRange()
+    {
+        const Addr a =
+            kern.mmap(0, 2 * kPagesPerHuge * kPageSize, 0, "huge");
+        PageNum base = pageOf(a);
+        if (!isHugeBase(base))
+            base = hugeBaseOf(base) + kPagesPerHuge;
+        for (std::uint64_t i = 0; i < kPagesPerHuge; ++i)
+            kern.touchPage(base + i, 1000 + i, MemOp::Store);
+        return base;
+    }
+
+    PhysicalMemory phys;
+    NullShootdown sink;
+    Kernel kern;
+};
 
 class EpochTest : public ::testing::Test
 {
@@ -133,23 +173,9 @@ TEST_F(EpochTest, ExchangeBumpsEpoch)
 
 TEST_F(EpochTest, ThpCollapseAndSplitBumpEpoch)
 {
-    // A THP-enabled kernel on tiers big enough for 2 MiB frames.
-    KernelParams kp;
-    kp.thp.enabled = true;
-    PhysicalMemory big_phys(
-        makeDramParams(4 * kPagesPerHuge * kPageSize),
-        makeNvmParams(16 * kPagesPerHuge * kPageSize));
-    Kernel thp_kern(big_phys, kp);
-    NullShootdown sink;
-    thp_kern.setShootdownClient(&sink);
-
-    const Addr a =
-        thp_kern.mmap(0, 2 * kPagesPerHuge * kPageSize, 0, "huge");
-    PageNum base = pageOf(a);
-    if (!isHugeBase(base))
-        base = hugeBaseOf(base) + kPagesPerHuge;
-    for (std::uint64_t i = 0; i < kPagesPerHuge; ++i)
-        thp_kern.touchPage(base + i, 1000 + i, MemOp::Store);
+    ThpKernel thp;
+    Kernel &thp_kern = thp.kern;
+    const PageNum base = thp.touchHugeRange();
 
     if (!thp_kern.isHugeMapped(base)) {
         const std::uint64_t before = thp_kern.translationEpoch();
@@ -173,64 +199,40 @@ TEST_F(EpochTest, ThpCollapseAndSplitBumpEpoch)
 
 TEST_F(EpochTest, TranslateAgreesWithPageMeta)
 {
-    const Addr a = kern.mmap(0, 4 * kPageSize, 0, "obj");
-    touchRange(a, 4);
-    for (std::uint64_t i = 0; i < 4; ++i) {
+    // Overcommit DRAM so the 4 KiB range spans both tiers.
+    const std::uint64_t pages = kDramPages + 64;
+    const Addr a = kern.mmap(0, pages * kPageSize, 0, "obj");
+    touchRange(a, pages);
+    ASSERT_NE(findNvmPage(a, pages), kNoPage);
+    for (std::uint64_t i = 0; i < pages; ++i) {
         const PageNum vpn = pageOf(a) + i;
-        const Translation tr = kern.translate(vpn);
-        ASSERT_TRUE(tr.present);
-        EXPECT_FALSE(tr.huge);
-        EXPECT_EQ(tr.node, kern.nodeOf(vpn));
-        EXPECT_EQ(tr.epoch, kern.translationEpoch());
+        const PageMeta *meta = kern.pageMeta(vpn);
+        ASSERT_NE(meta, nullptr);
+        ASSERT_TRUE(meta->present);
+        EXPECT_EQ(kern.nodeOf(vpn), meta->node);
     }
-    EXPECT_FALSE(kern.translate(pageOf(a) + 1000).present);
+    EXPECT_EQ(kern.pageMeta(pageOf(a) + pages + 1000), nullptr);
+
+    // PMD-mapped: every subpage resolves to the range's PMD entry.
+    ThpKernel thp;
+    Kernel &thp_kern = thp.kern;
+    const PageNum base = thp.touchHugeRange();
+    if (!thp_kern.isHugeMapped(base)) {
+        ASSERT_EQ(thp_kern.collapseHugePage(base, 400000),
+                  CollapseResult::Collapsed);
+    }
+    ASSERT_TRUE(thp_kern.isHugeMapped(base));
+    for (std::uint64_t i = 0; i < kPagesPerHuge; ++i) {
+        const PageMeta *meta = thp_kern.pageMeta(base + i);
+        ASSERT_EQ(meta, thp_kern.pageMeta(base));
+        EXPECT_EQ(thp_kern.nodeOf(base + i), meta->node);
+    }
 }
 
-// --------------------------------------------- Micro-cache semantics
-
-TEST(TranslationMicroCache, RejectsStaleEpoch)
-{
-    TranslationMicroCache cache;
-    cache.insert(42, /*epoch=*/5, MemNode::NVM, false);
-
-    const auto *hit = cache.lookup(42, 5);
-    ASSERT_NE(hit, nullptr);
-    EXPECT_EQ(hit->node, MemNode::NVM);
-
-    // Any remap bumps the kernel epoch; the entry must stop matching.
-    EXPECT_EQ(cache.lookup(42, 6), nullptr);
-}
-
-TEST(TranslationMicroCache, DirectMappedConflictEvicts)
-{
-    TranslationMicroCache cache;
-    cache.insert(7, 1, MemNode::DRAM, false);
-    const PageNum alias = 7 + TranslationMicroCache::kEntries;
-    cache.insert(alias, 1, MemNode::NVM, true);
-
-    EXPECT_EQ(cache.lookup(7, 1), nullptr);
-    const auto *hit = cache.lookup(alias, 1);
-    ASSERT_NE(hit, nullptr);
-    EXPECT_EQ(hit->node, MemNode::NVM);
-    EXPECT_TRUE(hit->huge);
-}
-
-TEST(TranslationMicroCache, ClearDropsEverything)
-{
-    TranslationMicroCache cache;
-    cache.insert(1, 1, MemNode::DRAM, false);
-    cache.insert(2, 1, MemNode::DRAM, false);
-    cache.clear();
-    EXPECT_EQ(cache.lookup(1, 1), nullptr);
-    EXPECT_EQ(cache.lookup(2, 1), nullptr);
-}
-
-// The engine-level staleness path: accesses populate the micro-cache,
-// a munmap/remap bumps the epoch, and subsequent accesses must
-// re-derive translations instead of serving the dead mapping. The
-// invariant checker's audit cross-checks every live cache entry
-// against the page table.
-TEST(MicroCacheEngine, RemapInvalidatesAndAuditStaysGreen)
+// An engine-level munmap/remap: the dead range's translations are gone,
+// the fresh range faults in page by page, and the invariant checker's
+// sweeps stay green on both sides of the remap.
+TEST(EngineRemap, MunmapThenRemapKeepsInvariants)
 {
     SystemConfig cfg;
     cfg.numThreads = 2;
@@ -247,24 +249,36 @@ TEST(MicroCacheEngine, RemapInvalidatesAndAuditStaysGreen)
     eng.invariantChecker()->checkNow(eng.globalTime());
 
     eng.sysMunmap(t0, a);
+    EXPECT_EQ(eng.kernel().pageMeta(pageOf(a)), nullptr);
+    const std::uint64_t faults_before = t0.pageFaults;
     const Addr b = eng.sysMmap(t0, 64 * kPageSize, 1, "obj2");
     for (std::uint64_t i = 0; i < 64; ++i)
         eng.store(t0, b + i * kPageSize);
+    EXPECT_EQ(t0.pageFaults - faults_before, 64u);
     eng.invariantChecker()->checkNow(eng.globalTime());
 }
 
 // ------------------------------------- Translation-epoch race stress
 
+/** What the epoch race stress compares between the two access paths. */
+struct StressOutcome
+{
+    Cycles globalTime = 0;
+    std::vector<std::uint64_t> vmstat;  ///< Every VmStat word.
+    std::vector<Cycles> clocks;         ///< Each logical thread's clock.
+};
+
 /**
  * Logical thread 0 remaps its private region every pass (epoch bumps)
  * while the other threads, interleaved with it by earliest clock,
  * sweep a shared region that AutoNUMA concurrently scans, migrates and
- * demotes. The invariant checker audits every micro-cache against the
- * page table, so a single stale translation surviving an epoch bump
- * fails the run.
+ * demotes. The invariant checker sweeps kernel state throughout; the
+ * caller diffs the batched run against the forced scalar one, so a
+ * tail run that survives an epoch bump on a stale translation shows up
+ * as a timing or vmstat divergence.
  */
-void
-runEpochRaceStress(bool thp)
+StressOutcome
+runEpochRaceStress(bool thp, bool scalar)
 {
     SystemConfig cfg;
     cfg.numThreads = 8;
@@ -277,6 +291,7 @@ runEpochRaceStress(bool thp)
     // Admit whole huge pages through the migration rate limiter.
     cfg.autonuma.rateLimitBytesPerSec = 64 * kMiB;
     cfg.thp.enabled = thp;
+    cfg.scalarPath = scalar;
     Engine eng(cfg);
     ThreadContext &t0 = eng.thread(0);
 
@@ -291,41 +306,68 @@ runEpochRaceStress(bool thp)
             [&](ThreadContext &t, std::uint64_t b, std::uint64_t e) {
                 if (b == 0) {
                     // Remap between the other threads' grain steps:
-                    // munmap + mmap bump the epoch under their warm
-                    // micro-caches.
+                    // munmap + mmap bump the epoch under their
+                    // in-flight runs.
                     eng.sysMunmap(t, scratch);
                     scratch = eng.sysMmap(t, 16 * kPageSize, 1,
                                           "scratch");
                     for (std::uint64_t i = 0; i < 16; ++i)
                         eng.store(t, scratch + i * kPageSize);
                 }
-                // Line-strided batched sweep: enough simulated cycles
-                // that scans/kswapd fire *during* the region, racing
-                // the micro-caches with real migrations.
+                // Word-strided batched sweep: every line is a head
+                // plus seven tails, and enough simulated cycles pass
+                // that scans/kswapd fire *during* a run, racing the
+                // tail runs with real migrations.
+                constexpr std::uint64_t kWord = sizeof(std::uint64_t);
                 eng.accessRange(t, shared + b * kPageSize,
-                                (e - b) * (kPageSize / kLineSize),
-                                kLineSize, MemOp::Load);
+                                (e - b) * (kPageSize / kWord), kWord,
+                                MemOp::Load);
                 for (std::uint64_t i = b; i < e; i += 4)
                     eng.store(t, shared + i * kPageSize);
             });
     }
 
-    ASSERT_NE(eng.invariantChecker(), nullptr);
+    StressOutcome out;
+    if (eng.invariantChecker() == nullptr) {
+        ADD_FAILURE() << "invariant checker not armed";
+        return out;
+    }
     eng.invariantChecker()->checkNow(eng.globalTime());
     EXPECT_GT(eng.invariantChecker()->checksRun(), 0u);
     // The stress only means something if migrations actually raced the
     // accesses: scans must have queued and moved pages.
-    EXPECT_GT(eng.kernel().vmstat().pgmigrateSuccess, 0u);
+    const VmStat &vs = eng.kernel().vmstat();
+    EXPECT_GT(vs.pgmigrateSuccess, 0u);
+
+    static_assert(sizeof(VmStat) % sizeof(std::uint64_t) == 0,
+                  "VmStat compares as plain uint64 counters");
+    out.globalTime = eng.globalTime();
+    out.vmstat.resize(sizeof(VmStat) / sizeof(std::uint64_t));
+    std::memcpy(out.vmstat.data(), &vs, sizeof(VmStat));
+    for (std::uint32_t i = 0; i < cfg.numThreads; ++i)
+        out.clocks.push_back(eng.thread(i).clock());
+    return out;
 }
 
-TEST(EpochRaceStress, MicroCachesRevalidateUnderMigration4k)
+/** The batched stress must match the forced scalar one exactly. */
+void
+expectStressPathsAgree(bool thp)
 {
-    runEpochRaceStress(/*thp=*/false);
+    const StressOutcome batched = runEpochRaceStress(thp, false);
+    const StressOutcome scalar = runEpochRaceStress(thp, true);
+    EXPECT_EQ(batched.globalTime, scalar.globalTime);
+    EXPECT_EQ(batched.vmstat, scalar.vmstat);
+    EXPECT_EQ(batched.clocks, scalar.clocks);
 }
 
-TEST(EpochRaceStress, MicroCachesRevalidateUnderMigrationThp)
+TEST(EpochRaceStress, TailRunsRevalidateUnderMigration4k)
 {
-    runEpochRaceStress(/*thp=*/true);
+    expectStressPathsAgree(/*thp=*/false);
+}
+
+TEST(EpochRaceStress, TailRunsRevalidateUnderMigrationThp)
+{
+    expectStressPathsAgree(/*thp=*/true);
 }
 
 // --------------------------------- Scalar vs batched golden identity
@@ -847,10 +889,9 @@ TEST(LoadSkipRun, RecordsDeliveredEqualSamplesTaken)
 
 // ------------------------------------------------------- Chaos sweep
 //
-// The batched path under continuous invariant checking (including the
-// micro-cache audit) and a lossy migration plan: heavy remap traffic
-// with failures must never leave a cache entry disagreeing with the
-// page table.
+// The batched path under continuous invariant checking and a lossy
+// migration plan: heavy remap traffic with failures must never leave
+// the page table, allocators or LRU lists inconsistent.
 TEST(HotpathChaos, BatchedPathSurvivesFaultyMigrations)
 {
     RunConfig rc = hotpathConfig(App::PR);
