@@ -9,13 +9,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
 #include <cmath>
+#include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "exp/runner.h"
 #include "policy/tunable_registry.h"
+#include "thp/thp_params.h"
 
 namespace memtier {
 namespace {
@@ -226,6 +229,68 @@ TEST(AutotuneEndToEnd, SameSeedReplaysBitIdentical)
                   b.metricsEpochs[i].accesses);
         EXPECT_EQ(a.metricsEpochs[i].accessCycles,
                   b.metricsEpochs[i].accessCycles);
+    }
+}
+
+TEST(AutotuneEndToEnd, TunedRunMatchesAbsoluteGolden)
+{
+    // 4 KiB pages only: MEMTIER_THP=ON changes every counter.
+    if (thpForcedByEnv())
+        GTEST_SKIP() << "golden values captured with THP off";
+    // The tuner's whole trajectory, pinned absolutely: its counters,
+    // the base's counters, the tuned_*_milli values it converged to,
+    // the effective tunables and the number of epochs it observed.
+    const RunResult r = runWorkload(tunedConfig());
+    const std::vector<PolicyCounter> counters = {
+        {"tuner_epochs", 52u},
+        {"tuner_idle_epochs", 0u},
+        {"tuner_applied", 26u},
+        {"tuner_accepted", 12u},
+        {"tuner_reverted", 13u},
+        {"tuner_halvings", 0u},
+        {"tuner_restarts", 0u},
+        {"pages_scanned", 2411u},
+        {"hint_faults", 1709u},
+        {"hint_faults_nvm", 705u},
+        {"promoted_free_path", 0u},
+        {"promoted_threshold_path", 705u},
+        {"rejected_by_threshold", 0u},
+        {"rejected_by_rate_limit", 0u},
+        {"promotion_failures", 0u},
+        {"scans_paused", 0u},
+        {"huge_hint_faults", 0u},
+        {"thp_collapses", 0u},
+        {"thp_splits", 0u},
+        {"memory_failures", 0u},
+        {"promotions_held_off", 0u},
+        {"tuned_adjust_period_ms_milli", 1406u},
+        {"tuned_failure_holdoff_ms_milli", 9375u},
+        {"tuned_hot_threshold_ms_milli", 62500u},
+        {"tuned_rate_limit_kib_milli", 3840000u},
+        {"tuned_scan_pages_milli", 192000u},
+        {"tuned_scan_period_ms_milli", 469u},
+        {"tuned_threshold_max_ms_milli", 468750u},
+        {"tuned_threshold_min_ms_milli", 500u},
+    };
+    EXPECT_EQ(r.policyCounters, counters);
+    const std::vector<std::pair<std::string, std::string>> effective = {
+        {"adjust_period_ms", "1.40625"}, {"copy_threads", "1"},
+        {"failure_holdoff_ms", "9.375"}, {"hot_threshold_ms", "62.5"},
+        {"rate_limit_kib", "3840"},      {"scan_pages", "192"},
+        {"scan_period_ms", "0.46875"},   {"threshold_max_ms", "468.75"},
+        {"threshold_min_ms", "0.5"},
+    };
+    EXPECT_EQ(r.effectiveTunables, effective);
+    EXPECT_EQ(r.metricsEpochs.size(), 52u);
+    EXPECT_EQ(r.outputChecksum, 0xb5d59696c650f8d5ull);
+    if (::testing::Test::HasFailure()) {
+        std::printf("captured counters: {");
+        for (const auto &[key, value] : r.policyCounters)
+            std::printf("{\"%s\", %" PRIu64 "u}, ", key.c_str(), value);
+        std::printf("}\ncaptured effective: {");
+        for (const auto &[key, value] : r.effectiveTunables)
+            std::printf("{\"%s\", \"%s\"}, ", key.c_str(), value.c_str());
+        std::printf("}\ncaptured epochs: %zu\n", r.metricsEpochs.size());
     }
 }
 

@@ -9,6 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cinttypes>
+#include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -558,6 +562,50 @@ TEST(PolicyEndToEnd, ExchangePolicyExchanges)
     EXPECT_LT(r.vmstat.pgdemoteKswapd + r.vmstat.pgdemoteDirect,
               r.vmstat.pgexchangeSuccess);
     EXPECT_EQ(r.outputChecksum, 0xb5d59696c650f8d5ull);
+}
+
+TEST(PolicyEndToEnd, ExchangeMatchesAbsoluteGolden)
+{
+    SKIP_UNDER_FORCED_THP();
+    // The exchange run above, pinned absolutely: every VmStat word,
+    // every policy counter, the simulated time and the checksum. The
+    // exchange policy shares AutoNUMA's PROT_NONE scanner, so a change
+    // to the scan walk or to the policy hooks shows here.
+    RunConfig rc = goldenConfig();
+    rc.policy = "exchange";
+    rc.tunables = {"scan_period_ms=0.5", "protect_ms=2"};
+    const RunResult r = runWorkload(rc);
+
+    constexpr std::size_t kWords = sizeof(VmStat) / sizeof(std::uint64_t);
+    static_assert(kWords == 36, "recapture: VmStat gained a field");
+    std::array<std::uint64_t, kWords> words{};
+    std::memcpy(words.data(), &r.vmstat, sizeof(VmStat));
+    const std::array<std::uint64_t, kWords> golden = {
+        249u, 2104u, 770u, 658u, 96u, 0u, 0u, 770u, 658u, 1636u, 0u, 0u,
+        0u,   0u,    0u,   0u,   0u,  0u, 0u, 0u,   0u,   0u,    0u, 0u,
+        0u,   0u,    0u,   0u,   0u,  0u, 0u, 0u,   0u,   0u,    0u, 0u};
+    EXPECT_EQ(words, golden);
+
+    const std::vector<PolicyCounter> counters = {
+        {"pages_scanned", 2947u},  {"hint_faults", 2104u},
+        {"hint_faults_nvm", 1334u}, {"promotions", 0u},
+        {"exchanges", 770u},       {"rejected_cold", 0u},
+        {"rejected_batch", 564u},  {"no_victim", 0u},
+        {"demotions_vetoed", 0u},  {"scans_paused", 0u},
+        {"memory_failures", 0u},   {"promotions_held_off", 0u},
+    };
+    EXPECT_EQ(r.policyCounters, counters);
+    EXPECT_EQ(r.totalSeconds, 0.011406998846153846);
+    EXPECT_EQ(r.outputChecksum, 0xb5d59696c650f8d5ull);
+    if (::testing::Test::HasFailure()) {
+        std::printf("captured vmstat: {");
+        for (const std::uint64_t w : words)
+            std::printf("%" PRIu64 "u, ", w);
+        std::printf("}\ncaptured counters: {");
+        for (const auto &[key, value] : r.policyCounters)
+            std::printf("{\"%s\", %" PRIu64 "u}, ", key.c_str(), value);
+        std::printf("}\ncaptured seconds: %.17g\n", r.totalSeconds);
+    }
 }
 
 }  // namespace
