@@ -5,16 +5,17 @@
 #      then examples/policy_explorer once per mode under the invariant
 #      checker, so every example-reachable selection runs end to end,
 #      and examples/quickstart from a scratch directory without
-#      MEMTIER_SPILL_DIR, which must leave no .bigraph_spill behind;
+#      MEMTIER_SPILL_DIR, which must leave no .bigraph_spill* behind;
 #   2. an ASan/UBSan build of the test suite, to catch memory and UB
 #      bugs the functional tests would miss;
 #   3. a ThreadSanitizer pass: the test binaries holding the sweep
 #      cell pool and bigraph artifact cache tests, built with
 #      -fsanitize=thread, run those tests; any data race fails;
 #   4. a serving smoke pass: a short data-serving tail sweep (KV + LSM,
-#      two policies) run under the ASan/UBSan build, so the open-loop
-#      driver, the stores and the latency histograms get a sanitizer
-#      pass on every change;
+#      three policies) run under the ASan/UBSan build, so the open-loop
+#      driver, the stores, the latency histograms and the PROT_NONE
+#      scanner both scanning policies share get a sanitizer pass on
+#      every change;
 #   5. a chaos pass: the tier-1 binaries re-run with the kernel
 #      invariant checker forced on and a moderate fault-injection plan
 #      pushed into the chaos-aware tests, plus a segmented-CSR smoke
@@ -76,13 +77,14 @@ for mode in autonuma notiering object_static object_spill \
     MEMTIER_CHECK_INVARIANTS=ON \
         ./build-ci/examples/policy_explorer bfs kron "$mode" 12 > /dev/null
 done
-# A graph run without MEMTIER_SPILL_DIR spills under its working
-# directory and must remove the .bigraph_spill it created on exit.
+# A graph run without MEMTIER_SPILL_DIR spills into its own
+# .bigraph_spill.p<pid> under its working directory and must remove it
+# on exit.
 quickstart="$PWD/build-ci/examples/quickstart"
 spill_cwd=$(mktemp -d)
 (cd "$spill_cwd" && env -u MEMTIER_SPILL_DIR "$quickstart" > /dev/null)
-if [ -e "$spill_cwd/.bigraph_spill" ]; then
-    echo "spill check FAILED: quickstart left .bigraph_spill in its" \
+if compgen -G "$spill_cwd/.bigraph_spill*" > /dev/null; then
+    echo "spill check FAILED: quickstart left a .bigraph_spill* in its" \
          "working directory"
     exit 1
 fi
@@ -111,13 +113,15 @@ TSAN_OPTIONS=halt_on_error=1 MEMTIER_SPILL_DIR=build-tsan/spill \
     --gtest_filter='SegmentedCsr.Concurrent*'
 
 echo "=== [4/11] serving smoke: short tail sweep under ASan/UBSan ==="
-# One trial, two policies, THP off and on: small enough to stay fast
+# One trial, three policies, THP off and on: small enough to stay fast
 # under the sanitizers, big enough to drive the generator, both stores,
 # the LSM flush/compaction path and the phase histograms end to end.
-# The THP-on cells put PMD entries, THP splits and page-table leaf
-# release on the serving path under ASan/UBSan.
+# autonuma and exchange drive the one PROT_NONE scan walk
+# (Kernel::changeProtNuma). The THP-on cells put PMD entries, PMD-level
+# scan marks, THP splits and page-table leaf release on the serving
+# path under ASan/UBSan.
 ./build-asan/bench/serving_tail --trials=1 \
-    --policies=autonuma,dram-only \
+    --policies=autonuma,exchange,dram-only \
     --out=build-asan/BENCH_serving_smoke.json \
     --csv=build-asan/serving_smoke.csv
 

@@ -74,23 +74,25 @@ specKey(const BigraphSpec &s)
     return key;
 }
 
-/** MEMTIER_SPILL_DIR when set, else ".bigraph_spill". */
+/** MEMTIER_SPILL_DIR when set, else this process's own
+ *  ".bigraph_spill.p<pid>". */
 std::string
 spillDirPath()
 {
     if (const char *env = std::getenv("MEMTIER_SPILL_DIR"); env && *env)
         return env;
-    return ".bigraph_spill";
+    return ".bigraph_spill.p" + std::to_string(::getpid());
 }
 
 /**
  * Process-wide artifact cache, keyed by spec identity. Its spill files
- * carry the process id, so concurrent processes sharing a spill
- * directory never truncate each other's buckets; they are deleted when
- * the cache is cleared or the process exits, and so is a spill
- * directory this process created, once it is empty. @c mu is held
- * across lookup and build, so concurrent callers of one spec build it
- * once.
+ * carry the process id, so concurrent processes sharing an explicit
+ * MEMTIER_SPILL_DIR never truncate each other's buckets; they are
+ * deleted when the cache is cleared or the process exits, and so is a
+ * spill directory this process created, once it is empty. The default
+ * directory is per process, so it is always empty by then. @c mu is
+ * held across lookup and build, so concurrent callers of one spec
+ * build it once.
  */
 struct ArtifactCache
 {
@@ -432,9 +434,10 @@ prepareBigraph(const BigraphSpec &spec)
         art.segFiles[k] += std::to_string(k);
         art.segFiles[k] += ".pairs";
     }
-    // Another process sharing the directory removes it once empty
-    // (ArtifactCache::clear). The first bucket keeps it non-empty from
-    // here on; a directory removed before that is made again.
+    // Another process sharing an explicit MEMTIER_SPILL_DIR removes it
+    // once empty if it made it (ArtifactCache::clear). The first bucket
+    // keeps it non-empty from here on; a directory removed before that
+    // is made again. The default directory is this process's alone.
     for (int tries = 0;
          !FilePtr(std::fopen(art.segFiles[0].c_str(), "wb")); ++tries) {
         if (errno != ENOENT || tries == 8)

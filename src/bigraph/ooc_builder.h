@@ -76,9 +76,10 @@ struct BigraphArtifacts
 
 /**
  * Spill directory for the packed-pair buckets: MEMTIER_SPILL_DIR when
- * set, else ".bigraph_spill" under the working directory. Created on
- * first use; clearBigraphArtifacts() and process exit remove it again
- * once it is empty, unless it existed before this process made it.
+ * set (shared by every process that names it), else this process's own
+ * ".bigraph_spill.p<pid>" under the working directory. Created on first
+ * use; clearBigraphArtifacts() and process exit remove it again once it
+ * is empty, unless it existed before this process made it.
  */
 std::string bigraphSpillDir();
 

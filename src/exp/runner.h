@@ -12,9 +12,9 @@
 #include <string>
 #include <vector>
 
-#include "autonuma/autonuma.h"
 #include "core/placement_plan.h"
 #include "exp/workloads.h"
+#include "policy/autonuma.h"
 #include "profile/analysis.h"
 #include "profile/mmap_tracker.h"
 #include "profile/perf_mem.h"

@@ -59,12 +59,8 @@ Kernel::noteEvent(Cycles now)
 void
 Kernel::recordMigration(bool success, Cycles now)
 {
-    if (breaker.record(success, now)) {
+    if (breaker.record(success, now))
         ++stats.breakerTrips;
-        breakerOpenNotified = true;
-        if (tieringPolicy)
-            tieringPolicy->onBreakerEvent(true, now);
-    }
 }
 
 Cycles
@@ -107,18 +103,6 @@ Kernel::mirrorCopyCounters()
     stats.pgcopyBusyCycles = copyEngine_.busyCycles();
 }
 
-bool
-Kernel::migrationsPaused(Cycles now)
-{
-    const bool open = breaker.isOpen(now);
-    if (!open && breakerOpenNotified) {
-        breakerOpenNotified = false;
-        if (tieringPolicy)
-            tieringPolicy->onBreakerEvent(false, now);
-    }
-    return open;
-}
-
 std::optional<FrameNum>
 Kernel::allocFrame(MemNode node, FrameOwner owner, Cycles now)
 {
@@ -148,6 +132,53 @@ Kernel::shootdownHuge(PageNum base_vpn)
     ++xlatEpoch;
     if (shootdownClient)
         shootdownClient->tlbShootdownHuge(base_vpn);
+}
+
+std::uint32_t
+Kernel::changeProtNuma(Addr &cursor, std::uint32_t budget, Cycles now)
+{
+    std::uint32_t marked = 0;
+    for (int pass = 0; pass < 2 && marked < budget; ++pass) {
+        for (const auto &[start, vma] : space.vmas()) {
+            if (marked >= budget)
+                break;
+            if (vma.end <= cursor)
+                continue;
+            // Page-cache ranges are reclaim-only and mbind-pinned
+            // regions are never migrated (Section 7).
+            if (vma.pageCache || vma.policy.pinned())
+                continue;
+            PageNum vpn = pageOf(std::max(vma.start, cursor));
+            const PageNum end_vpn = pageOf(vma.end);
+            for (; vpn < end_vpn && marked < budget; ++vpn) {
+                // A PMD mapping is marked once at the PMD entry; the
+                // one hint fault it produces covers 512 base pages, so
+                // the whole range counts against the budget.
+                if (PageMeta *hm = pt.findHuge(vpn)) {
+                    const PageNum base = hugeBaseOf(vpn);
+                    if (hm->present && !hm->protNone && !hm->pinned) {
+                        hm->protNone = true;
+                        hm->scanTime = now;
+                        shootdownHuge(base);
+                        marked += kPagesPerHuge;
+                    }
+                    vpn = base + kPagesPerHuge - 1;
+                    continue;
+                }
+                PageMeta *meta = pt.find(vpn);
+                if (meta == nullptr || !meta->present || meta->protNone)
+                    continue;
+                meta->protNone = true;
+                meta->scanTime = now;
+                shootdown(vpn);
+                ++marked;
+            }
+            cursor = pageBase(vpn);
+        }
+        if (marked < budget)
+            cursor = 0;  // Wrap to the start of the address space.
+    }
+    return marked;
 }
 
 PageMeta *
@@ -640,8 +671,6 @@ Kernel::softOfflinePage(PageNum vpn, PageMeta &meta, Cycles now)
             phys.tier(dst).free(*frame, meta.owner);
             ++stats.pgmigrateFail;
             recordMigration(false, now);
-            if (tieringPolicy)
-                tieringPolicy->onMigrationFailure(vpn, now, false);
             if (attempt >= cfg.migrateRetryLimit) {
                 ++stats.hwpoisonSoftOfflineFail;
                 phys.tier(src).clearCorrectable(meta.frame);
@@ -747,8 +776,6 @@ Kernel::demotePage(PageNum vpn, PageMeta &meta, bool direct, Cycles now)
     if (!frame) {
         // Real ENOMEM: the slow tier is full, nothing to retry against.
         ++stats.pgmigrateFail;
-        if (tieringPolicy)
-            tieringPolicy->onMigrationFailure(vpn, now, false);
         return false;
     }
     if (faults && faults->shouldFail(FaultPoint::Migration, now)) {
@@ -757,8 +784,6 @@ Kernel::demotePage(PageNum vpn, PageMeta &meta, bool direct, Cycles now)
         phys.nvm().free(*frame, meta.owner);
         ++stats.pgmigrateFail;
         recordMigration(false, now);
-        if (tieringPolicy)
-            tieringPolicy->onMigrationFailure(vpn, now, false);
         return false;
     }
 
@@ -942,8 +967,6 @@ Kernel::promoteHugePage(PageNum vpn, Cycles now)
         phys.dram().freeHuge(*frame, FrameOwner::App);
         ++stats.pgmigrateFail;
         recordMigration(false, now);
-        if (tieringPolicy)
-            tieringPolicy->onMigrationFailure(vpn, now, true);
         return 0;
     }
 
@@ -993,8 +1016,6 @@ Kernel::promotePage(PageNum vpn, Cycles now)
                 // Real ENOMEM: DRAM cannot be freed; retrying cannot
                 // help, so fail the promotion outright.
                 ++stats.pgmigrateFail;
-                if (tieringPolicy)
-                    tieringPolicy->onMigrationFailure(vpn, now, true);
                 return 0;
             }
         }
@@ -1005,8 +1026,6 @@ Kernel::promotePage(PageNum vpn, Cycles now)
             phys.dram().free(*frame, meta->owner);
             ++stats.pgmigrateFail;
             recordMigration(false, now);
-            if (tieringPolicy)
-                tieringPolicy->onMigrationFailure(vpn, now, true);
             if (attempt >= cfg.migrateRetryLimit || migrationsPaused(now))
                 return 0;
             cost += cfg.migrateRetryBackoffCycles << attempt;
@@ -1066,8 +1085,6 @@ Kernel::exchangePages(PageNum nvm_vpn, PageNum dram_vpn, Cycles now)
         // touched yet, so the abort is free of side effects.
         ++stats.pgmigrateFail;
         recordMigration(false, now);
-        if (tieringPolicy)
-            tieringPolicy->onMigrationFailure(nvm_vpn, now, true);
         return 0;
     }
 

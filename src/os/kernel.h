@@ -160,7 +160,7 @@ class Kernel
     /** Install the CPU-side TLB shootdown client (required). */
     void setShootdownClient(TlbShootdownClient *client);
 
-    /** Install the AutoNUMA tiering policy (nullptr = AutoNUMA off). */
+    /** Install the tiering policy (nullptr = no policy). */
     void setTieringPolicy(TieringPolicy *policy);
 
     /** Install the mmap/munmap observer (nullptr = no tracking). */
@@ -261,10 +261,22 @@ class Kernel
 
     /**
      * True while the migration circuit breaker is open: promotions and
-     * exchanges are refused and scanners should pause marking. Detects
-     * the open->closed transition and notifies the tiering policy.
+     * exchanges are refused and scanners should pause marking.
      */
-    bool migrationsPaused(Cycles now);
+    bool migrationsPaused(Cycles now) const { return breaker.isOpen(now); }
+
+    /**
+     * One AutoNUMA scan round (Linux's change_prot_numa): walk the VMAs
+     * from @p cursor, wrapping once, and mark up to @p budget present
+     * pages PROT_NONE, stamping each with @p now. Page-cache and
+     * mbind-pinned regions are skipped; a PMD mapping is marked once at
+     * the PMD entry and counts 512 pages against the budget.
+     *
+     * @param cursor resume address; advanced past the last page walked.
+     * @return pages marked (PMD mappings count 512).
+     */
+    std::uint32_t changeProtNuma(Addr &cursor, std::uint32_t budget,
+                                 Cycles now);
 
     /** The migration circuit breaker (read-only introspection). */
     const CircuitBreaker &migrationBreaker() const { return breaker; }
@@ -307,7 +319,7 @@ class Kernel
         return hm != nullptr && hm->present;
     }
 
-    /** Mutable PMD metadata covering @p vpn (scanner marks it). */
+    /** Mutable PMD metadata covering @p vpn (tests mark it by hand). */
     PageMeta *hugeMetaMutable(PageNum vpn) { return pt.findHuge(vpn); }
 
     /** Issue a huge-TLB shootdown for the range at @p base_vpn. */
@@ -327,16 +339,16 @@ class Kernel
     /** Per-node usage (numastat + free equivalent). */
     NumaStatSnapshot numastat() const;
 
-    /** The process address space (scanner iterates its VMAs). */
+    /** The process address space (VMA list, for reports and policies). */
     const AddressSpace &addressSpace() const { return space; }
 
     /** Physical memory (tier timing access from the CPU model). */
     PhysicalMemory &physicalMemory() { return phys; }
 
-    /** Mutable page metadata (scanner marks PROT_NONE through this). */
+    /** Mutable page metadata (tests mark PROT_NONE through this). */
     PageMeta *pageMetaMutable(PageNum vpn) { return pt.find(vpn); }
 
-    /** Issue a TLB shootdown for @p vpn (used by the scanner). */
+    /** Issue a TLB shootdown for @p vpn. */
     void shootdown(PageNum vpn);
 
     /** Kernel tunables in effect. */
@@ -474,7 +486,6 @@ class Kernel
     InvariantChecker *invariants = nullptr;
 
     CircuitBreaker breaker;
-    bool breakerOpenNotified = false;
 
     CopyEngine copyEngine_;
 

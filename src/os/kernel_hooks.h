@@ -159,34 +159,6 @@ class TieringPolicy
     }
 
     /**
-     * A page migration attempt failed (transient fault or ENOMEM).
-     * Policies observe failures to adapt their aggressiveness.
-     *
-     * @param vpn the page whose migration failed.
-     * @param now failure time.
-     * @param promotion true for promotion/exchange, false for demotion.
-     */
-    virtual void
-    onMigrationFailure(PageNum vpn, Cycles now, bool promotion)
-    {
-        (void)vpn;
-        (void)now;
-        (void)promotion;
-    }
-
-    /**
-     * The migration circuit breaker changed state. While open
-     * (@p open true) the kernel refuses promotions and exchanges;
-     * scanning policies should stop marking pages until it closes.
-     */
-    virtual void
-    onBreakerEvent(bool open, Cycles now)
-    {
-        (void)open;
-        (void)now;
-    }
-
-    /**
      * The memory-failure handler retired a frame on @p node (soft
      * offline past the CE threshold, or the uncorrectable hard path).
      * The tier's effective capacity shrank by one page; scanning
@@ -245,24 +217,14 @@ class TieringPolicy
     /**
      * Register this policy's live-adjustable tunables into @p registry
      * (keyed exactly like the "--tunable key=value" CLI surface, owner
-     * tag == name()). Called once right after construction; policies
-     * without tunables keep the default no-op.
+     * tag == name()). PolicyRegistry::create calls it once right after
+     * construction, then applies the "--tunable" assignments to the
+     * keys it registered; policies without tunables keep the default
+     * no-op.
      */
     virtual void registerTunables(TunableRegistry &registry)
     {
         (void)registry;
-    }
-
-    /**
-     * Effective (post-tuning) tunable values as {key, formatted value}
-     * pairs, in key order — what the policy is running with *now*, not
-     * the defaults it started from. Exported into sweep CSVs and bench
-     * reports.
-     */
-    virtual std::vector<std::pair<std::string, std::string>>
-    effectiveTunables() const
-    {
-        return {};
     }
 
     /**

@@ -1,8 +1,8 @@
-#include "autonuma/autonuma.h"
+#include "policy/autonuma.h"
 
 #include <algorithm>
 
-#include "base/logging.h"
+#include "policy/tunable_registry.h"
 
 namespace memtier {
 
@@ -10,7 +10,6 @@ AutoNuma::AutoNuma(Kernel &kernel, const AutoNumaParams &params)
     : kernel(kernel), cfg(params), hotThreshold(params.initialThreshold),
       rateTokens(static_cast<double>(params.rateLimitBytesPerSec))
 {
-    kernel.setTieringPolicy(this);
 }
 
 void
@@ -22,56 +21,10 @@ AutoNuma::scanTick(Cycles now)
         ++stat.scansPaused;
         return;
     }
-    const AddressSpace &space = kernel.addressSpace();
-    if (space.vmas().empty())
+    if (kernel.addressSpace().vmas().empty())
         return;
-
-    std::uint32_t marked = 0;
-    // Walk VMAs starting from the cursor, wrapping once. Only scannable
-    // regions participate: page-cache ranges are reclaim-only and
-    // mbind-pinned regions are never migrated (Section 7).
-    for (int pass = 0; pass < 2 && marked < cfg.scanPagesPerRound;
-         ++pass) {
-        for (const auto &[start, vma] : space.vmas()) {
-            if (marked >= cfg.scanPagesPerRound)
-                break;
-            if (vma.end <= scanCursor)
-                continue;
-            if (vma.pageCache || vma.policy.pinned())
-                continue;
-            PageNum vpn = pageOf(std::max(vma.start, scanCursor));
-            const PageNum end_vpn = pageOf(vma.end);
-            for (; vpn < end_vpn && marked < cfg.scanPagesPerRound;
-                 ++vpn) {
-                // A PMD mapping is marked once at the PMD entry; the
-                // one hint fault it produces covers 512 base pages, so
-                // the whole range counts against the scan budget.
-                if (PageMeta *hm = kernel.hugeMetaMutable(vpn)) {
-                    const PageNum base = hugeBaseOf(vpn);
-                    if (hm->present && !hm->protNone && !hm->pinned) {
-                        hm->protNone = true;
-                        hm->scanTime = now;
-                        kernel.shootdownHuge(base);
-                        marked += kPagesPerHuge;
-                        stat.pagesScanned += kPagesPerHuge;
-                    }
-                    vpn = base + kPagesPerHuge - 1;
-                    continue;
-                }
-                PageMeta *meta = kernel.pageMetaMutable(vpn);
-                if (meta == nullptr || !meta->present || meta->protNone)
-                    continue;
-                meta->protNone = true;
-                meta->scanTime = now;
-                kernel.shootdown(vpn);
-                ++marked;
-                ++stat.pagesScanned;
-            }
-            scanCursor = pageBase(vpn);
-        }
-        if (marked < cfg.scanPagesPerRound)
-            scanCursor = 0;  // Wrap to the start of the address space.
-    }
+    stat.pagesScanned +=
+        kernel.changeProtNuma(scanCursor, cfg.scanPagesPerRound, now);
     maybeAdjustThreshold(now);
 }
 
@@ -218,6 +171,85 @@ AutoNuma::onThpSplit(PageNum base_vpn, Cycles now)
     (void)base_vpn;
     (void)now;
     ++stat.thpSplits;
+}
+
+void
+registerScanTunables(TunableRegistry &registry, const char *owner,
+                     Cycles &scanPeriod, std::uint32_t &scanPagesPerRound,
+                     Cycles &failureHoldoff)
+{
+    registry.add({"scan_period_ms", "cycles between scan rounds (ms)",
+                  owner, 0.05, 1000.0, false, /*rearmScan=*/true,
+                  [&scanPeriod] { return cyclesToSeconds(scanPeriod) * 1e3; },
+                  [&scanPeriod](double v) {
+                      scanPeriod = secondsToCycles(v / 1000.0);
+                  }});
+    registry.add({"scan_pages", "pages marked PROT_NONE per scan round",
+                  owner, 16.0, 4096.0, /*integerValued=*/true, false,
+                  [&scanPagesPerRound] {
+                      return static_cast<double>(scanPagesPerRound);
+                  },
+                  [&scanPagesPerRound](double v) {
+                      scanPagesPerRound = static_cast<std::uint32_t>(v);
+                  }});
+    registry.add({"failure_holdoff_ms",
+                  "promotion holdoff after a DRAM frame retirement (ms)",
+                  owner, 0.0, 1000.0, false, false,
+                  [&failureHoldoff] {
+                      return cyclesToSeconds(failureHoldoff) * 1e3;
+                  },
+                  [&failureHoldoff](double v) {
+                      failureHoldoff = secondsToCycles(v / 1000.0);
+                  }});
+}
+
+void
+AutoNuma::registerTunables(TunableRegistry &registry)
+{
+    registerScanTunables(registry, name(), cfg.scanPeriod,
+                         cfg.scanPagesPerRound, cfg.failureHoldoff);
+    registry.add({"hot_threshold_ms",
+                  "initial hint-fault hotness threshold (ms)", name(),
+                  0.01, 1000.0, false, false,
+                  [this] {
+                      return cyclesToSeconds(cfg.initialThreshold) * 1e3;
+                  },
+                  [this](double v) {
+                      cfg.initialThreshold = secondsToCycles(v / 1000.0);
+                      hotThreshold = cfg.initialThreshold;
+                  }});
+    registry.add({"threshold_min_ms",
+                  "lower clamp of the adaptive threshold", name(), 0.01,
+                  100.0, false, false,
+                  [this] { return cyclesToSeconds(cfg.thresholdMin) * 1e3; },
+                  [this](double v) {
+                      cfg.thresholdMin = secondsToCycles(v / 1000.0);
+                  }});
+    registry.add({"threshold_max_ms",
+                  "upper clamp of the adaptive threshold", name(), 1.0,
+                  5000.0, false, false,
+                  [this] { return cyclesToSeconds(cfg.thresholdMax) * 1e3; },
+                  [this](double v) {
+                      cfg.thresholdMax = secondsToCycles(v / 1000.0);
+                  }});
+    registry.add({"rate_limit_kib", "promotion rate limit (KiB per second)",
+                  name(), 64.0, 1048576.0, /*integerValued=*/true, false,
+                  [this] {
+                      return static_cast<double>(cfg.rateLimitBytesPerSec /
+                                                 kKiB);
+                  },
+                  [this](double v) {
+                      cfg.rateLimitBytesPerSec =
+                          static_cast<std::uint64_t>(v) * kKiB;
+                      rateTokens =
+                          static_cast<double>(cfg.rateLimitBytesPerSec);
+                  }});
+    registry.add({"adjust_period_ms", "threshold adjustment interval (ms)",
+                  name(), 0.1, 1000.0, false, false,
+                  [this] { return cyclesToSeconds(cfg.adjustPeriod) * 1e3; },
+                  [this](double v) {
+                      cfg.adjustPeriod = secondsToCycles(v / 1000.0);
+                  }});
 }
 
 std::vector<PolicyCounter>

@@ -13,10 +13,14 @@
  *    promotion rate limit.
  *  - Demotion happens through the kernel's reclaim path (kswapd/direct),
  *    not here.
+ *
+ * The scan walk itself is the kernel's (Kernel::changeProtNuma); the
+ * exchange policy drives the same walk and registers the same scanner
+ * tunables (registerScanTunables).
  */
 
-#ifndef MEMTIER_AUTONUMA_AUTONUMA_H_
-#define MEMTIER_AUTONUMA_AUTONUMA_H_
+#ifndef MEMTIER_POLICY_AUTONUMA_H_
+#define MEMTIER_POLICY_AUTONUMA_H_
 
 #include <cstdint>
 
@@ -96,6 +100,16 @@ struct AutoNumaStats
     TimeSeries thresholdSeconds;
 };
 
+/**
+ * Register the tunables every hint-fault scanning policy shares --
+ * scan_period_ms, scan_pages and failure_holdoff_ms -- under @p owner,
+ * backed by the owner's own parameter fields.
+ */
+void registerScanTunables(TunableRegistry &registry, const char *owner,
+                          Cycles &scanPeriod,
+                          std::uint32_t &scanPagesPerRound,
+                          Cycles &failureHoldoff);
+
 /** The AutoNUMA tiering policy. */
 class AutoNuma : public TieringPolicy
 {
@@ -148,50 +162,14 @@ class AutoNuma : public TieringPolicy
     /** Configured scan period (the engine schedules scanTick with it). */
     Cycles scanPeriod() const override { return cfg.scanPeriod; }
 
-    // -- Live tunable setters (control-plane apply callbacks) ---------
-    //
-    // The policy layer registers these into the TunableRegistry (this
-    // library sits below src/policy and cannot name the registry
-    // itself). Each setter re-establishes exactly the state a fresh
-    // construction with the new value would have produced, so applying
-    // a tunable at cycle 0 is bit-identical to passing it to the ctor.
-
-    /** Current parameter block (live values, after any tuning). */
-    const AutoNumaParams &config() const { return cfg; }
-
-    void setScanPeriod(Cycles p) { cfg.scanPeriod = p; }
-
-    void
-    setScanPagesPerRound(std::uint32_t n)
-    {
-        cfg.scanPagesPerRound = n;
-    }
-
-    /** Moves both the configured initial threshold and the live
-     *  adaptive threshold, as a fresh construction would. */
-    void
-    setHotThreshold(Cycles t)
-    {
-        cfg.initialThreshold = t;
-        hotThreshold = t;
-    }
-
-    void setThresholdMin(Cycles t) { cfg.thresholdMin = t; }
-
-    void setThresholdMax(Cycles t) { cfg.thresholdMax = t; }
-
-    /** Installs the new rate and refills the token bucket to the new
-     *  full one-second budget, as a fresh construction would. */
-    void
-    setRateLimit(std::uint64_t bytesPerSec)
-    {
-        cfg.rateLimitBytesPerSec = bytesPerSec;
-        rateTokens = static_cast<double>(bytesPerSec);
-    }
-
-    void setAdjustPeriod(Cycles p) { cfg.adjustPeriod = p; }
-
-    void setFailureHoldoff(Cycles c) { cfg.failureHoldoff = c; }
+    /**
+     * Register every AutoNumaParams field as a live tunable. Each apply
+     * re-establishes the state a fresh construction with the new value
+     * would have produced (hot_threshold_ms also resets the live
+     * threshold; rate_limit_kib refills the token bucket), so applying
+     * a tunable at cycle 0 is bit-identical to passing it to the ctor.
+     */
+    void registerTunables(TunableRegistry &registry) override;
 
   private:
     void maybeAdjustThreshold(Cycles now);
@@ -218,4 +196,4 @@ class AutoNuma : public TieringPolicy
 
 }  // namespace memtier
 
-#endif  // MEMTIER_AUTONUMA_AUTONUMA_H_
+#endif  // MEMTIER_POLICY_AUTONUMA_H_

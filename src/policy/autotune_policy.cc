@@ -7,29 +7,20 @@
 
 namespace memtier {
 
-AutoTunePolicy::AutoTunePolicy(Kernel &kernel,
-                               std::unique_ptr<TieringPolicy> base,
+AutoTunePolicy::AutoTunePolicy(std::unique_ptr<TieringPolicy> base,
                                const AutoTuneParams &params,
-                               TunableRegistry *registry,
-                               std::unique_ptr<TunableRegistry>
-                                   owned_registry)
-    : base_(std::move(base)), params_(params),
-      ownedRegistry_(std::move(owned_registry)),
-      registry_(registry != nullptr ? registry : ownedRegistry_.get()),
+                               TunableRegistry &registry)
+    : base_(std::move(base)), params_(params), registry_(registry),
       rng_(params.seed), step_(params.step)
 {
     MEMTIER_ASSERT(base_ != nullptr, "autotune needs a base policy");
-    MEMTIER_ASSERT(registry_ != nullptr, "autotune needs a registry");
     adoptBase();
-    // The base installed itself during its own construction; the
-    // wrapper re-installs on top so the kernel talks to the tuner.
-    kernel.setTieringPolicy(this);
 }
 
 void
 AutoTunePolicy::adoptBase()
 {
-    keys_ = registry_->keysOwnedBy(base_->name());
+    keys_ = registry_.keysOwnedBy(base_->name());
     initialDir_.reserve(keys_.size());
     // One seeded draw per key, in sorted key order: the only random
     // input the tuner ever consumes, so same-seed runs replay exactly.
@@ -110,7 +101,7 @@ AutoTunePolicy::epochTick(Cycles now, const MetricsView &mv)
             baselineReward_ = reward;
             // Keep climbing the same key in the same direction.
         } else {
-            registry_->set(pendingKey_, pendingOld_, now);
+            registry_.set(pendingKey_, pendingOld_, now);
             ++stat.reverted;
             advanceCursor();
         }
@@ -125,7 +116,7 @@ AutoTunePolicy::epochTick(Cycles now, const MetricsView &mv)
         return;
 
     const std::string &key = keys_[cursor_];
-    const TunableRegistry::Tunable *t = registry_->find(key);
+    const TunableRegistry::Tunable *t = registry_.find(key);
     const double old = t->get();
     const int dir = currentDir();
     double proposed = old * (1.0 + dir * step_);
@@ -135,7 +126,7 @@ AutoTunePolicy::epochTick(Cycles now, const MetricsView &mv)
         // so small integer tunables still get explored.
         proposed = old + dir;
     }
-    const double applied = registry_->set(key, proposed, now);
+    const double applied = registry_.set(key, proposed, now);
     if (applied == old) {
         // Clamped back onto the current value: nothing to measure.
         advanceCursor();
@@ -166,15 +157,9 @@ AutoTunePolicy::snapshotStats() const
     for (const std::string &key : keys_) {
         out.emplace_back("tuned_" + key + "_milli",
                          static_cast<std::uint64_t>(std::llround(
-                             registry_->value(key) * 1000.0)));
+                             registry_.value(key) * 1000.0)));
     }
     return out;
-}
-
-std::vector<std::pair<std::string, std::string>>
-AutoTunePolicy::effectiveTunables() const
-{
-    return registry_->effectiveFor(base_->name());
 }
 
 }  // namespace memtier

@@ -77,18 +77,12 @@ class AutoTunePolicy : public TieringPolicy
 {
   public:
     /**
-     * @param kernel the kernel (the wrapper installs itself on top of
-     *        the base policy's earlier installation).
      * @param base the wrapped policy; all hooks delegate to it.
      * @param params tuner meta-parameters.
      * @param registry registry holding the base's tunables.
-     * @param owned_registry set when the wrapper owns the registry
-     *        (standalone construction without an engine); may be null.
      */
-    AutoTunePolicy(Kernel &kernel, std::unique_ptr<TieringPolicy> base,
-                   const AutoTuneParams &params,
-                   TunableRegistry *registry,
-                   std::unique_ptr<TunableRegistry> owned_registry);
+    AutoTunePolicy(std::unique_ptr<TieringPolicy> base,
+                   const AutoTuneParams &params, TunableRegistry &registry);
 
     const char *name() const override { return "autotune"; }
 
@@ -124,18 +118,6 @@ class AutoTunePolicy : public TieringPolicy
     }
 
     void
-    onMigrationFailure(PageNum vpn, Cycles now, bool promotion) override
-    {
-        base_->onMigrationFailure(vpn, now, promotion);
-    }
-
-    void
-    onBreakerEvent(bool open, Cycles now) override
-    {
-        base_->onBreakerEvent(open, now);
-    }
-
-    void
     onMemoryFailure(PageNum vpn, MemNode node, bool uncorrectable,
                     Cycles now) override
     {
@@ -164,10 +146,6 @@ class AutoTunePolicy : public TieringPolicy
     /** Tuner counters, base counters, and tuned_* effective values. */
     std::vector<PolicyCounter> snapshotStats() const override;
 
-    /** Effective (post-tuning) values of the base's tunables. */
-    std::vector<std::pair<std::string, std::string>>
-    effectiveTunables() const override;
-
     /** The wrapped policy. */
     const TieringPolicy &base() const { return *base_; }
 
@@ -188,8 +166,7 @@ class AutoTunePolicy : public TieringPolicy
     AutoTuneParams params_;
     AutoTuneStats stat;
 
-    std::unique_ptr<TunableRegistry> ownedRegistry_;
-    TunableRegistry *registry_;
+    TunableRegistry &registry_;
 
     Rng rng_;
     std::vector<std::string> keys_;  ///< Base-owned tunables, sorted.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "policy/autonuma.h"
 #include "policy/tunable_registry.h"
 
 namespace memtier {
@@ -10,7 +11,6 @@ ExchangePolicy::ExchangePolicy(Kernel &kernel,
                                const ExchangePolicyParams &params)
     : kernel(kernel), cfg(params)
 {
-    kernel.setTieringPolicy(this);
 }
 
 void
@@ -22,54 +22,10 @@ ExchangePolicy::scanTick(Cycles now)
         ++stat.scansPaused;
         return;
     }
-    const AddressSpace &space = kernel.addressSpace();
-    if (space.vmas().empty())
+    if (kernel.addressSpace().vmas().empty())
         return;
-
-    std::uint32_t marked = 0;
-    // Same walk as the AutoNUMA scanner: resume from the cursor, wrap
-    // once, skip page-cache and mbind-pinned regions.
-    for (int pass = 0; pass < 2 && marked < cfg.scanPagesPerRound;
-         ++pass) {
-        for (const auto &[start, vma] : space.vmas()) {
-            if (marked >= cfg.scanPagesPerRound)
-                break;
-            if (vma.end <= scanCursor)
-                continue;
-            if (vma.pageCache || vma.policy.pinned())
-                continue;
-            PageNum vpn = pageOf(std::max(vma.start, scanCursor));
-            const PageNum end_vpn = pageOf(vma.end);
-            for (; vpn < end_vpn && marked < cfg.scanPagesPerRound;
-                 ++vpn) {
-                // PMD mappings are marked once at the PMD entry (same
-                // PMD-granularity model as the AutoNUMA scanner).
-                if (PageMeta *hm = kernel.hugeMetaMutable(vpn)) {
-                    const PageNum base = hugeBaseOf(vpn);
-                    if (hm->present && !hm->protNone && !hm->pinned) {
-                        hm->protNone = true;
-                        hm->scanTime = now;
-                        kernel.shootdownHuge(base);
-                        marked += kPagesPerHuge;
-                        stat.pagesScanned += kPagesPerHuge;
-                    }
-                    vpn = base + kPagesPerHuge - 1;
-                    continue;
-                }
-                PageMeta *meta = kernel.pageMetaMutable(vpn);
-                if (meta == nullptr || !meta->present || meta->protNone)
-                    continue;
-                meta->protNone = true;
-                meta->scanTime = now;
-                kernel.shootdown(vpn);
-                ++marked;
-                ++stat.pagesScanned;
-            }
-            scanCursor = pageBase(vpn);
-        }
-        if (marked < cfg.scanPagesPerRound)
-            scanCursor = 0;  // Wrap to the start of the address space.
-    }
+    stat.pagesScanned +=
+        kernel.changeProtNuma(scanCursor, cfg.scanPagesPerRound, now);
 
     // Expire stale protection entries so the map stays bounded.
     for (auto it = protectedUntil.begin(); it != protectedUntil.end();) {
@@ -198,21 +154,8 @@ ExchangePolicy::snapshotStats() const
 void
 ExchangePolicy::registerTunables(TunableRegistry &registry)
 {
-    registry.add({"scan_period_ms", "cycles between scan rounds (ms)",
-                  name(), 0.05, 1000.0, false, /*rearmScan=*/true,
-                  [this] { return cyclesToSeconds(cfg.scanPeriod) * 1e3; },
-                  [this](double v) {
-                      cfg.scanPeriod = secondsToCycles(v / 1000.0);
-                  }});
-    registry.add({"scan_pages", "pages marked PROT_NONE per scan round",
-                  name(), 16.0, 4096.0, /*integerValued=*/true, false,
-                  [this] {
-                      return static_cast<double>(cfg.scanPagesPerRound);
-                  },
-                  [this](double v) {
-                      cfg.scanPagesPerRound =
-                          static_cast<std::uint32_t>(v);
-                  }});
+    registerScanTunables(registry, name(), cfg.scanPeriod,
+                         cfg.scanPagesPerRound, cfg.failureHoldoff);
     registry.add({"hot_threshold_ms",
                   "fixed hint-fault hotness threshold (ms)", name(), 0.01,
                   1000.0, false, false,
@@ -238,15 +181,6 @@ ExchangePolicy::registerTunables(TunableRegistry &registry)
                   },
                   [this](double v) {
                       cfg.protectWindow = secondsToCycles(v / 1000.0);
-                  }});
-    registry.add({"failure_holdoff_ms",
-                  "promotion holdoff after a DRAM frame retirement (ms)",
-                  name(), 0.0, 1000.0, false, false,
-                  [this] {
-                      return cyclesToSeconds(cfg.failureHoldoff) * 1e3;
-                  },
-                  [this](double v) {
-                      cfg.failureHoldoff = secondsToCycles(v / 1000.0);
                   }});
 }
 

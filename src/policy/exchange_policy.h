@@ -101,9 +101,6 @@ class ExchangePolicy : public TieringPolicy
     /** Policy statistics. */
     const ExchangePolicyStats &stats() const { return stat; }
 
-    /** Current parameter block (live values, after any tuning). */
-    const ExchangePolicyParams &config() const { return cfg; }
-
   private:
     Kernel &kernel;
     ExchangePolicyParams cfg;

@@ -13,99 +13,6 @@ namespace memtier {
 
 namespace {
 
-/**
- * Register every AutoNumaParams field of @p p as a live tunable.
- * AutoNuma lives below src/policy and cannot name the registry itself,
- * so the registration happens here; the setters it exposes restore
- * construction-equivalent state (threshold sync, token-bucket refill).
- */
-void
-registerAutoNumaTunables(AutoNuma &p, TunableRegistry &r)
-{
-    const char *owner = p.name();
-    r.add({"scan_period_ms", "cycles between scan rounds (ms)", owner,
-           0.05, 1000.0, false, /*rearmScan=*/true,
-           [&p] { return cyclesToSeconds(p.config().scanPeriod) * 1e3; },
-           [&p](double v) {
-               p.setScanPeriod(secondsToCycles(v / 1000.0));
-           }});
-    r.add({"scan_pages", "pages marked PROT_NONE per scan round", owner,
-           16.0, 4096.0, /*integerValued=*/true, false,
-           [&p] {
-               return static_cast<double>(p.config().scanPagesPerRound);
-           },
-           [&p](double v) {
-               p.setScanPagesPerRound(static_cast<std::uint32_t>(v));
-           }});
-    r.add({"hot_threshold_ms",
-           "initial hint-fault hotness threshold (ms)", owner, 0.01,
-           1000.0, false, false,
-           [&p] {
-               return cyclesToSeconds(p.config().initialThreshold) * 1e3;
-           },
-           [&p](double v) {
-               p.setHotThreshold(secondsToCycles(v / 1000.0));
-           }});
-    r.add({"threshold_min_ms", "lower clamp of the adaptive threshold",
-           owner, 0.01, 100.0, false, false,
-           [&p] {
-               return cyclesToSeconds(p.config().thresholdMin) * 1e3;
-           },
-           [&p](double v) {
-               p.setThresholdMin(secondsToCycles(v / 1000.0));
-           }});
-    r.add({"threshold_max_ms", "upper clamp of the adaptive threshold",
-           owner, 1.0, 5000.0, false, false,
-           [&p] {
-               return cyclesToSeconds(p.config().thresholdMax) * 1e3;
-           },
-           [&p](double v) {
-               p.setThresholdMax(secondsToCycles(v / 1000.0));
-           }});
-    r.add({"rate_limit_kib", "promotion rate limit (KiB per second)",
-           owner, 64.0, 1048576.0, /*integerValued=*/true, false,
-           [&p] {
-               return static_cast<double>(
-                   p.config().rateLimitBytesPerSec / kKiB);
-           },
-           [&p](double v) {
-               p.setRateLimit(static_cast<std::uint64_t>(v) * kKiB);
-           }});
-    r.add({"adjust_period_ms", "threshold adjustment interval (ms)",
-           owner, 0.1, 1000.0, false, false,
-           [&p] {
-               return cyclesToSeconds(p.config().adjustPeriod) * 1e3;
-           },
-           [&p](double v) {
-               p.setAdjustPeriod(secondsToCycles(v / 1000.0));
-           }});
-    r.add({"failure_holdoff_ms",
-           "promotion holdoff after a DRAM frame retirement (ms)", owner,
-           0.0, 1000.0, false, false,
-           [&p] {
-               return cyclesToSeconds(p.config().failureHoldoff) * 1e3;
-           },
-           [&p](double v) {
-               p.setFailureHoldoff(secondsToCycles(v / 1000.0));
-           }});
-}
-
-/** Apply every CLI assignment through the registry's construction
- *  path (legacy parse semantics, no clamping). */
-void
-applyAssignments(const PolicyContext &ctx, TunableRegistry &reg)
-{
-    for (const auto &[key, value] : ctx.tunables.items())
-        reg.setFromString(key, value);
-}
-
-/** ctx.registry when the caller wired one, else @p local. */
-TunableRegistry &
-pickRegistry(const PolicyContext &ctx, TunableRegistry &local)
-{
-    return ctx.registry != nullptr ? *ctx.registry : local;
-}
-
 /** Tuner meta-parameters ("autotune"'s own keys, never registered). */
 const std::vector<std::string> kAutotuneKeys = {
     "base",     "epoch_ms",  "max_restarts", "max_steps",
@@ -130,13 +37,8 @@ PolicyRegistry::PolicyRegistry()
          "threshold_min_ms", "threshold_max_ms", "rate_limit_kib",
          "adjust_period_ms", "failure_holdoff_ms"},
         [](const PolicyContext &ctx) -> std::unique_ptr<TieringPolicy> {
-            auto p = std::make_unique<AutoNuma>(ctx.kernel,
-                                                ctx.autonumaDefaults);
-            TunableRegistry local;
-            TunableRegistry &reg = pickRegistry(ctx, local);
-            registerAutoNumaTunables(*p, reg);
-            applyAssignments(ctx, reg);
-            return p;
+            return std::make_unique<AutoNuma>(ctx.kernel,
+                                              ctx.autonumaDefaults);
         });
 
     add("exchange",
@@ -151,12 +53,7 @@ PolicyRegistry::PolicyRegistry()
             ep.scanPeriod = ctx.autonumaDefaults.scanPeriod;
             ep.scanPagesPerRound = ctx.autonumaDefaults.scanPagesPerRound;
             ep.hotThreshold = ctx.autonumaDefaults.initialThreshold;
-            auto p = std::make_unique<ExchangePolicy>(ctx.kernel, ep);
-            TunableRegistry local;
-            TunableRegistry &reg = pickRegistry(ctx, local);
-            p->registerTunables(reg);
-            applyAssignments(ctx, reg);
-            return p;
+            return std::make_unique<ExchangePolicy>(ctx.kernel, ep);
         });
 
     add("dram-only",
@@ -171,13 +68,8 @@ PolicyRegistry::PolicyRegistry()
         "Static page-interleaved placement across DRAM and NVM "
         "(MPOL_INTERLEAVE), never migrate",
         {"dram_stride", "nvm_stride"},
-        [](const PolicyContext &ctx) -> std::unique_ptr<TieringPolicy> {
-            auto p = std::make_unique<InterleavePolicy>(ctx.kernel);
-            TunableRegistry local;
-            TunableRegistry &reg = pickRegistry(ctx, local);
-            p->registerTunables(reg);
-            applyAssignments(ctx, reg);
-            return p;
+        [](const PolicyContext &) -> std::unique_ptr<TieringPolicy> {
+            return std::make_unique<InterleavePolicy>();
         });
 
     add("object-dynamic",
@@ -209,18 +101,11 @@ PolicyRegistry::PolicyRegistry()
             p.maxSteps = t.getU64("max_steps", p.maxSteps);
             p.maxRestarts = t.getU64("max_restarts", p.maxRestarts);
 
-            // Standalone construction (no engine-provided registry)
-            // still works: the wrapper owns a private registry that the
-            // base registers into.
-            std::unique_ptr<TunableRegistry> owned;
-            TunableRegistry *reg = ctx.registry;
-            if (reg == nullptr) {
-                owned = std::make_unique<TunableRegistry>();
-                reg = owned.get();
-            }
-
+            // The base registers its tunables (and takes every
+            // non-tuner assignment) in the same registry the tuner
+            // then climbs over.
             PolicyContext basectx{ctx.kernel, ctx.autonumaDefaults,
-                                  PolicyTunables{}, reg};
+                                  PolicyTunables{}, ctx.registry};
             for (const auto &[key, value] : t.items()) {
                 if (!isAutotuneKey(key))
                     basectx.tunables.set(key, value);
@@ -230,9 +115,8 @@ PolicyRegistry::PolicyRegistry()
                                                           basectx, &err);
             if (base == nullptr)
                 fatal("autotune: %s", err.c_str());
-            return std::make_unique<AutoTunePolicy>(
-                ctx.kernel, std::move(base), p, ctx.registry,
-                std::move(owned));
+            return std::make_unique<AutoTunePolicy>(std::move(base), p,
+                                                    ctx.registry);
         },
         [](const PolicyTunables &t) {
             // Accept the tuner's own keys plus whatever the selected
@@ -302,7 +186,16 @@ PolicyRegistry::create(const std::string &name, const PolicyContext &ctx,
         }
         return nullptr;
     }
-    return entry->factory(ctx);
+    std::unique_ptr<TieringPolicy> policy = entry->factory(ctx);
+    policy->registerTunables(ctx.registry);
+    // Only the keys this policy registered: a wrapper's base already
+    // took its own, and a wrapper's meta keys are never registered.
+    for (const auto &[key, value] : ctx.tunables.items()) {
+        const TunableRegistry::Tunable *t = ctx.registry.find(key);
+        if (t != nullptr && t->owner == policy->name())
+            ctx.registry.setFromString(key, value);
+    }
+    return policy;
 }
 
 bool

@@ -5,6 +5,8 @@
  * configure it through a string-keyed tunables map instead of
  * constructing concrete policy classes; each policy declares the
  * tunable keys it understands so unknown keys are rejected up front.
+ * A factory only constructs: create() registers the new policy's
+ * tunables and applies the assignments, the same way for every policy.
  */
 
 #ifndef MEMTIER_POLICY_POLICY_REGISTRY_H_
@@ -15,8 +17,8 @@
 #include <string>
 #include <vector>
 
-#include "autonuma/autonuma.h"
 #include "os/kernel_hooks.h"
+#include "policy/autonuma.h"
 #include "policy/tunables.h"
 
 namespace memtier {
@@ -40,13 +42,9 @@ struct PolicyContext
     /** String-keyed tunables from the CLI/config. */
     PolicyTunables tunables;
 
-    /**
-     * Live tunable registry the factory registers the policy's tunables
-     * into before applying the CLI assignments through it. When null
-     * (legacy/standalone construction) the factory uses a throwaway
-     * registry: the assignments still apply, nothing stays adjustable.
-     */
-    TunableRegistry *registry = nullptr;
+    /** Live tunable registry create() registers the policy's tunables
+     *  into and applies the assignments through. */
+    TunableRegistry &registry;
 };
 
 /** Builds one configured policy instance. */
@@ -83,10 +81,14 @@ class PolicyRegistry
              PolicyFactory factory, TunableKeysFn keys_fn = nullptr);
 
     /**
-     * Build the policy registered under @p name.
+     * Build the policy registered under @p name, register its tunables
+     * into ctx.registry, and apply each assignment whose key it
+     * registered (unclamped, through TunableRegistry::setFromString).
+     * The caller installs the policy in the kernel.
      *
      * @param name registry key.
-     * @param ctx construction context (kernel, defaults, tunables).
+     * @param ctx construction context (kernel, defaults, tunables,
+     *        registry).
      * @param error receives a human-readable message on failure
      *        (unknown name, unknown tunable key); may be nullptr.
      * @return the policy, or nullptr on failure.

@@ -14,10 +14,7 @@ StaticPolicy::snapshotStats() const
     };
 }
 
-DramOnlyPolicy::DramOnlyPolicy(Kernel &kernel) : kernel(kernel)
-{
-    kernel.setTieringPolicy(this);
-}
+DramOnlyPolicy::DramOnlyPolicy(Kernel &kernel) : kernel(kernel) {}
 
 MemNode
 DramOnlyPolicy::onFirstTouchAlloc(PageNum vpn, Cycles now, MemNode chosen)
@@ -38,13 +35,11 @@ DramOnlyPolicy::onFirstTouchAlloc(PageNum vpn, Cycles now, MemNode chosen)
     return node;
 }
 
-InterleavePolicy::InterleavePolicy(Kernel &kernel,
-                                   std::uint32_t dram_stride,
+InterleavePolicy::InterleavePolicy(std::uint32_t dram_stride,
                                    std::uint32_t nvm_stride)
-    : kernel(kernel), dramStride(dram_stride ? dram_stride : 1),
+    : dramStride(dram_stride ? dram_stride : 1),
       nvmStride(nvm_stride ? nvm_stride : 1)
 {
-    kernel.setTieringPolicy(this);
 }
 
 void

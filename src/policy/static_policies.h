@@ -79,12 +79,11 @@ class InterleavePolicy : public StaticPolicy
 {
   public:
     /**
-     * @param kernel the kernel whose placement this policy steers.
      * @param dram_stride pages sent to DRAM per interleave period.
      * @param nvm_stride pages sent to NVM per interleave period.
      */
-    InterleavePolicy(Kernel &kernel, std::uint32_t dram_stride = 1,
-                     std::uint32_t nvm_stride = 1);
+    explicit InterleavePolicy(std::uint32_t dram_stride = 1,
+                              std::uint32_t nvm_stride = 1);
 
     const char *name() const override { return "interleave"; }
 
@@ -95,7 +94,6 @@ class InterleavePolicy : public StaticPolicy
     void registerTunables(TunableRegistry &registry) override;
 
   private:
-    Kernel &kernel;
     std::uint32_t dramStride;
     std::uint32_t nvmStride;
     std::uint64_t counter = 0;  ///< Position within the period.

@@ -125,15 +125,4 @@ TunableRegistry::formatValue(const std::string &key) const
     return buf;
 }
 
-std::vector<std::pair<std::string, std::string>>
-TunableRegistry::effectiveFor(const std::string &owner) const
-{
-    std::vector<std::pair<std::string, std::string>> out;
-    for (const auto &[key, t] : tunables_) {
-        if (t.owner == owner)
-            out.emplace_back(key, formatValue(key));
-    }
-    return out;
-}
-
 }  // namespace memtier

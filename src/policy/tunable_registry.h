@@ -107,10 +107,6 @@ class TunableRegistry
      *  integer for integer-valued tunables). */
     std::string formatValue(const std::string &key) const;
 
-    /** {key, formatted value} for every tunable of @p owner, sorted. */
-    std::vector<std::pair<std::string, std::string>>
-    effectiveFor(const std::string &owner) const;
-
     /** Install the post-apply observer (replaces any previous one). */
     void setApplyObserver(ApplyObserver fn) { observer_ = std::move(fn); }
 

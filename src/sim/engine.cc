@@ -113,7 +113,7 @@ Engine::Engine(const SystemConfig &config)
             : (cfg.autonumaEnabled ? "autonuma" : "");
     if (!policy_name.empty()) {
         PolicyContext ctx{*kern, cfg.autonuma, cfg.policyTunables,
-                          &registry_};
+                          registry_};
         std::string error;
         tiering =
             PolicyRegistry::instance().create(policy_name, ctx, &error);

@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "autonuma/autonuma.h"
 #include "base/stats.h"
 #include "base/types.h"
 #include "cache/set_assoc_cache.h"
@@ -27,6 +26,7 @@
 #include "os/kernel.h"
 #include "os/metrics_view.h"
 #include "os/physical_memory.h"
+#include "policy/autonuma.h"
 #include "policy/tunable_registry.h"
 #include "sim/access_observer.h"
 #include "sim/system_config.h"

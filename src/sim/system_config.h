@@ -18,11 +18,11 @@
 
 #include <string>
 
-#include "autonuma/autonuma.h"
 #include "cache/cache_params.h"
 #include "fault/fault_plan.h"
 #include "mem/tier_params.h"
 #include "os/kernel.h"
+#include "policy/autonuma.h"
 #include "policy/tunables.h"
 #include "thp/thp_params.h"
 

@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "autonuma/autonuma.h"
+#include "policy/autonuma.h"
 #include "os/kernel.h"
 #include "os/physical_memory.h"
 
@@ -34,7 +34,15 @@ class AutoNumaTest : public ::testing::Test
         params.initialThreshold = secondsToCycles(0.01);
         params.adjustPeriod = secondsToCycles(0.01);
         params.rateLimitBytesPerSec = 100 * kMiB;  // Effectively off.
+        install();
+    }
+
+    /** Build the policy from @p params and install it in the kernel. */
+    void
+    install()
+    {
         numa = std::make_unique<AutoNuma>(kern, params);
+        kern.setTieringPolicy(numa.get());
     }
 
     /** Map and first-touch @p pages pages; returns the base address. */
@@ -170,7 +178,7 @@ TEST_F(AutoNumaTest, HotPagePromotedThroughThresholdPath)
 TEST_F(AutoNumaTest, RateLimitBlocksPromotionBurst)
 {
     params.rateLimitBytesPerSec = kPageSize;  // One page per second.
-    numa = std::make_unique<AutoNuma>(kern, params);
+    install();
 
     populate(kDramPages);
     const Addr b = populate(8);
@@ -188,7 +196,7 @@ TEST_F(AutoNumaTest, RateLimitBlocksPromotionBurst)
 TEST_F(AutoNumaTest, ThresholdDecreasesUnderCandidatePressure)
 {
     params.rateLimitBytesPerSec = kPageSize;  // Tiny budget.
-    numa = std::make_unique<AutoNuma>(kern, params);
+    install();
     const Cycles th0 = numa->threshold();
 
     populate(kDramPages);
@@ -234,7 +242,7 @@ TEST_F(AutoNumaTest, RateLimitSurvivesNonMonotonicClocks)
     // refill the token bucket (unsigned underflow would set elapsed to
     // ~2^64 cycles and disable the limiter entirely).
     params.rateLimitBytesPerSec = kPageSize;  // One page per second.
-    numa = std::make_unique<AutoNuma>(kern, params);
+    install();
 
     populate(kDramPages);
     const Addr b = populate(8);

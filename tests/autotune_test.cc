@@ -142,9 +142,10 @@ TEST_F(RegistryFixture, FormatsValuesByType)
     EXPECT_EQ(reg.formatValue("period_ms"), "10");
     reg.set("period_ms", 12.25, 1);
     EXPECT_EQ(reg.formatValue("period_ms"), "12.25");
-    EXPECT_EQ(reg.effectiveFor("alpha"),
-              (std::vector<std::pair<std::string, std::string>>{
-                  {"period_ms", "12.25"}}));
+    reg.set("batch", 11.6, 2);
+    EXPECT_EQ(reg.formatValue("batch"), "12");
+    reg.setFromString("period_ms", "0.000125");
+    EXPECT_EQ(reg.formatValue("period_ms"), "0.000125");
 }
 
 // ---------------------------------------------------- Autotune end-to-end

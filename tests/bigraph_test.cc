@@ -334,6 +334,32 @@ TEST(SpillDir, ClearKeepsPreexistingDir)
     std::filesystem::remove(dir);
 }
 
+TEST(SpillDir, DefaultDirIsPerProcessAndClearedAway)
+{
+    // Without MEMTIER_SPILL_DIR a run spills into a directory of its
+    // own under the working directory, so clearing always leaves the
+    // working directory as it found it, whatever other processes do.
+    const std::filesystem::path cwd = scratchSpillDir("memtier_spill_cwd");
+    std::filesystem::remove_all(cwd);
+    std::filesystem::create_directories(cwd);
+    const std::filesystem::path old_cwd = std::filesystem::current_path();
+    std::filesystem::current_path(cwd);
+    {
+        const ScopedSpillDir scoped("");
+        const std::string dir = bigraphSpillDir();
+        EXPECT_EQ(dir, ".bigraph_spill.p" + std::to_string(::getpid()));
+        const BigraphArtifacts &art = prepareBigraph(smallSpec());
+        ASSERT_FALSE(art.segFiles.empty());
+        EXPECT_EQ(std::filesystem::path(art.segFiles[0]).parent_path(),
+                  dir);
+        EXPECT_TRUE(std::filesystem::exists(art.segFiles[0]));
+        clearBigraphArtifacts();
+        EXPECT_TRUE(std::filesystem::is_empty(cwd));
+    }
+    std::filesystem::current_path(old_cwd);
+    std::filesystem::remove_all(cwd);
+}
+
 // ---------------------------------------------- Materialization golden
 
 TEST(SegmentedCsr, MaterializedGraphMatchesAbsoluteGolden)

@@ -23,6 +23,7 @@
 #include "policy/exchange_policy.h"
 #include "policy/policy_registry.h"
 #include "policy/static_policies.h"
+#include "policy/tunable_registry.h"
 #include "policy/tunables.h"
 #include "thp/thp_params.h"
 
@@ -198,20 +199,64 @@ TEST_F(PolicyKernelTest, RegistryCreatesEveryBuiltin)
 {
     for (const std::string &name :
          PolicyRegistry::instance().names()) {
-        PolicyContext ctx{kern, AutoNumaParams{}, PolicyTunables{}};
+        TunableRegistry reg;
+        PolicyContext ctx{kern, AutoNumaParams{}, PolicyTunables{}, reg};
         std::string error;
         const auto policy =
             PolicyRegistry::instance().create(name, ctx, &error);
         ASSERT_NE(policy, nullptr) << name << ": " << error;
         EXPECT_EQ(policy->name(), name);
-        // Reset: the static policies attach themselves on construction.
-        kern.setTieringPolicy(nullptr);
+    }
+}
+
+TEST_F(PolicyKernelTest, TunableKeysMatchWhatEachPolicyRegisters)
+{
+    // The hand-written key lists drive create()'s unknown-key check
+    // and policy_sweep --list; they must name exactly what each policy
+    // registers under its own name.
+    PolicyRegistry &policies = PolicyRegistry::instance();
+    for (const std::string &name : policies.names()) {
+        if (name == "autotune")
+            continue;
+        TunableRegistry reg;
+        std::string error;
+        const auto policy = policies.create(
+            name, PolicyContext{kern, AutoNumaParams{}, PolicyTunables{},
+                                reg},
+            &error);
+        ASSERT_NE(policy, nullptr) << name << ": " << error;
+        std::vector<std::string> listed = policies.tunableKeys(name);
+        std::sort(listed.begin(), listed.end());
+        EXPECT_EQ(listed, reg.keysOwnedBy(name)) << name;
+        EXPECT_EQ(listed, reg.keys()) << name;
+    }
+
+    // autotune registers nothing of its own: it accepts its meta keys
+    // plus whatever its base registers.
+    const std::vector<std::string> meta = {
+        "base",     "epoch_ms", "max_restarts", "max_steps",
+        "min_gain", "min_step", "seed",         "step"};
+    EXPECT_EQ(policies.tunableKeys("autotune"), meta);
+    for (const std::string &base : policies.names()) {
+        if (base == "autotune")
+            continue;
+        TunableRegistry reg;
+        PolicyContext ctx{kern, AutoNumaParams{}, PolicyTunables{}, reg};
+        ctx.tunables.set("base", base);
+        std::string error;
+        const auto policy = policies.create("autotune", ctx, &error);
+        ASSERT_NE(policy, nullptr) << base << ": " << error;
+        EXPECT_TRUE(reg.keysOwnedBy("autotune").empty()) << base;
+        std::vector<std::string> listed = policies.tunableKeys(base);
+        std::sort(listed.begin(), listed.end());
+        EXPECT_EQ(reg.keysOwnedBy(base), listed) << base;
     }
 }
 
 TEST_F(PolicyKernelTest, RegistryRejectsUnknownName)
 {
-    PolicyContext ctx{kern, AutoNumaParams{}, PolicyTunables{}};
+    TunableRegistry reg;
+    PolicyContext ctx{kern, AutoNumaParams{}, PolicyTunables{}, reg};
     std::string error;
     EXPECT_EQ(PolicyRegistry::instance().create("numad", ctx, &error),
               nullptr);
@@ -221,7 +266,8 @@ TEST_F(PolicyKernelTest, RegistryRejectsUnknownName)
 
 TEST_F(PolicyKernelTest, RegistryRejectsUnknownTunable)
 {
-    PolicyContext ctx{kern, AutoNumaParams{}, PolicyTunables{}};
+    TunableRegistry reg;
+    PolicyContext ctx{kern, AutoNumaParams{}, PolicyTunables{}, reg};
     ctx.tunables.set("exchange_batch", "8");  // An exchange-only key.
     std::string error;
     EXPECT_EQ(
@@ -239,7 +285,8 @@ TEST_F(PolicyKernelTest, ObjectDynamicIsRegisteredWithoutTunables)
     EXPECT_TRUE(reg.tunableKeys("object-dynamic").empty());
 
     // No key is understood, not even the scanner's.
-    PolicyContext ctx{kern, AutoNumaParams{}, PolicyTunables{}};
+    TunableRegistry tunables;
+    PolicyContext ctx{kern, AutoNumaParams{}, PolicyTunables{}, tunables};
     ctx.tunables.set("scan_period_ms", "7");
     std::string error;
     EXPECT_EQ(reg.create("object-dynamic", ctx, &error), nullptr);
@@ -249,7 +296,8 @@ TEST_F(PolicyKernelTest, ObjectDynamicIsRegisteredWithoutTunables)
     // the access feed.
     const auto policy = reg.create("object-dynamic",
                                    PolicyContext{kern, AutoNumaParams{},
-                                                 PolicyTunables{}},
+                                                 PolicyTunables{},
+                                                 tunables},
                                    &error);
     ASSERT_NE(policy, nullptr) << error;
     EXPECT_EQ(policy->scanPeriod(), secondsToCycles(0.02));
@@ -258,14 +306,15 @@ TEST_F(PolicyKernelTest, ObjectDynamicIsRegisteredWithoutTunables)
 
 TEST_F(PolicyKernelTest, RegistryAppliesTunables)
 {
-    PolicyContext ctx{kern, AutoNumaParams{}, PolicyTunables{}};
+    TunableRegistry reg;
+    PolicyContext ctx{kern, AutoNumaParams{}, PolicyTunables{}, reg};
     ctx.tunables.set("scan_period_ms", "7");
     std::string error;
     const auto policy =
         PolicyRegistry::instance().create("autonuma", ctx, &error);
     ASSERT_NE(policy, nullptr) << error;
     EXPECT_EQ(policy->scanPeriod(), secondsToCycles(0.007));
-    kern.setTieringPolicy(nullptr);
+    EXPECT_EQ(reg.formatValue("scan_period_ms"), "7");
 }
 
 // ------------------------------------------------------- Exchange hooks
@@ -344,7 +393,8 @@ TEST_F(PolicyKernelTest, ExchangeRejectsWrongResidence)
 
 TEST_F(PolicyKernelTest, VetoedDemotionLeavesPageTableConsistent)
 {
-    DramOnlyPolicy policy(kern);  // Attaches itself; vetoes everything.
+    DramOnlyPolicy policy(kern);  // Vetoes every demotion.
+    kern.setTieringPolicy(&policy);
     const std::uint64_t pages = kDramPages + 32;
     const Addr base = populate(pages);
 
