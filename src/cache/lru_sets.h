@@ -6,10 +6,11 @@
  * Each set stores its resident keys in MRU-first order plus a fill
  * count: slots [0, fill) are valid, slot 0 is the most recently used
  * and slot fill-1 the least. A hit shifts the keys in front of it back
- * by one slot and puts the hit key at slot 0 (a memmove of at most
- * ways-1 words); an insert does the same from the end, so the victim of
- * a full set is always the last slot and needs no scan. Invalidate
- * closes the gap, and clear zeroes the fill counts.
+ * by one slot and puts the hit key at slot 0; an insert does the same
+ * from the end, so the victim of a full set is always the last slot and
+ * needs no scan. Invalidate closes the gap, and clear zeroes the fill
+ * counts. Every shift is a plain word loop of at most ways-1 words:
+ * a variable-length memmove would be a libc call per hit and per fill.
  *
  * This is exactly true LRU, identical to stamping each way with a
  * per-level tick on every use and evicting the smallest stamp after the
@@ -29,7 +30,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <cstring>
+#include <utility>
 #include <vector>
 
 #include "base/logging.h"
@@ -130,7 +131,11 @@ class LruSets
         const unsigned i = find(slots, n, key);
         if (i == n)
             return false;
-        std::memmove(slots + i, slots + i + 1, (n - 1 - i) * sizeof(Key));
+        // Close the gap from the back: each key behind slot i moves one
+        // slot forward. (A forward copy loop GCC turns into memmove.)
+        Key carry = slots[n - 1];
+        for (unsigned j = n - 1; j > i; --j)
+            std::swap(slots[j - 1], carry);
         fill[s] = static_cast<std::uint8_t>(n - 1);
         return true;
     }
@@ -166,8 +171,8 @@ class LruSets
     static void
     moveToFront(Key *slots, unsigned i, Key key)
     {
-        if (i > 0)
-            std::memmove(slots + 1, slots, i * sizeof(Key));
+        for (; i > 0; --i)
+            slots[i] = slots[i - 1];
         slots[0] = key;
     }
 

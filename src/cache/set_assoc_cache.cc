@@ -23,50 +23,6 @@ SetAssocCache::SetAssocCache(std::string name, std::uint64_t size_bytes,
 {
 }
 
-CacheEviction
-SetAssocCache::evictionOf(const Lines::Victim &victim)
-{
-    CacheEviction evicted;
-    if (victim.valid) {
-        evicted.valid = true;
-        evicted.line = victim.key >> 1;
-        evicted.dirty = victim.key & 1;
-        if (evicted.dirty)
-            ++writeback_count;
-    }
-    return evicted;
-}
-
-bool
-SetAssocCache::access(Addr line, bool is_write)
-{
-    if (lines.touch(key(line, is_write))) {
-        ++hit_count;
-        return true;
-    }
-    ++miss_count;
-    return false;
-}
-
-CacheEviction
-SetAssocCache::insert(Addr line, bool dirty)
-{
-    return evictionOf(lines.insert(key(line, dirty)));
-}
-
-bool
-SetAssocCache::accessOrInsert(Addr line, bool dirty, CacheEviction &evicted)
-{
-    Lines::Victim victim;
-    if (lines.touchOrInsert(key(line, dirty), victim)) {
-        ++hit_count;
-        return true;
-    }
-    ++miss_count;
-    evicted = evictionOf(victim);
-    return false;
-}
-
 void
 SetAssocCache::accessRepeats(Addr line, std::uint64_t count,
                              bool any_write)
@@ -87,12 +43,6 @@ void
 SetAssocCache::clear()
 {
     lines.clear();
-}
-
-bool
-SetAssocCache::contains(Addr line) const
-{
-    return lines.contains(key(line, false));
 }
 
 }  // namespace memtier

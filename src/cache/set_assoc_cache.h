@@ -116,6 +116,61 @@ class SetAssocCache
     std::uint64_t writeback_count = 0;
 };
 
+// The per-access methods are inline so the engine's hot path folds
+// them into its own code. accessOrInsert, the probe of every access,
+// is forced inline: GCC otherwise keeps one out-of-line copy that the
+// engine's three level probes and its victim push all call.
+
+inline CacheEviction
+SetAssocCache::evictionOf(const Lines::Victim &victim)
+{
+    CacheEviction evicted;
+    if (victim.valid) {
+        evicted.valid = true;
+        evicted.line = victim.key >> 1;
+        evicted.dirty = victim.key & 1;
+        if (evicted.dirty)
+            ++writeback_count;
+    }
+    return evicted;
+}
+
+inline bool
+SetAssocCache::access(Addr line, bool is_write)
+{
+    if (lines.touch(key(line, is_write))) {
+        ++hit_count;
+        return true;
+    }
+    ++miss_count;
+    return false;
+}
+
+inline CacheEviction
+SetAssocCache::insert(Addr line, bool dirty)
+{
+    return evictionOf(lines.insert(key(line, dirty)));
+}
+
+[[gnu::always_inline]] inline bool
+SetAssocCache::accessOrInsert(Addr line, bool dirty, CacheEviction &evicted)
+{
+    Lines::Victim victim;
+    if (lines.touchOrInsert(key(line, dirty), victim)) {
+        ++hit_count;
+        return true;
+    }
+    ++miss_count;
+    evicted = evictionOf(victim);
+    return false;
+}
+
+inline bool
+SetAssocCache::contains(Addr line) const
+{
+    return lines.contains(key(line, false));
+}
+
 }  // namespace memtier
 
 #endif  // MEMTIER_CACHE_SET_ASSOC_CACHE_H_

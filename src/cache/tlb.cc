@@ -29,18 +29,20 @@ Tlb::Tlb(const TlbParams &params)
 TlbOutcome
 Tlb::lookup(PageNum vpn)
 {
-    if (l1.touch(vpn)) {
+    // One walk per level: a first-level miss installs the entry in the
+    // same walk, and the second level either hits or installs it too.
+    // The levels are separate arrays, so filling the first before
+    // probing the second changes nothing.
+    Level::Victim unused;
+    if (l1.touchOrInsert(vpn, unused)) {
         ++l1_hits;
         return TlbOutcome::L1Hit;
     }
-    if (stlb.touch(vpn)) {
+    if (stlb.touchOrInsert(vpn, unused)) {
         ++stlb_hits;
-        l1.insert(vpn);
         return TlbOutcome::StlbHit;
     }
     ++miss_count;
-    l1.insert(vpn);
-    stlb.insert(vpn);
     return TlbOutcome::Miss;
 }
 
@@ -50,18 +52,16 @@ Tlb::lookupHuge(PageNum base_vpn)
     // Key by huge-page number, not base vpn: a 2 MiB base has nine zero
     // low bits, which would otherwise alias every range onto set 0.
     const PageNum key = base_vpn >> kPagesPerHugeShift;
-    if (l1Huge.touch(key)) {
+    Level::Victim unused;
+    if (l1Huge.touchOrInsert(key, unused)) {
         ++huge_l1_hits;
         return TlbOutcome::L1Hit;
     }
-    if (stlbHuge.touch(key)) {
+    if (stlbHuge.touchOrInsert(key, unused)) {
         ++huge_stlb_hits;
-        l1Huge.insert(key);
         return TlbOutcome::StlbHit;
     }
     ++huge_miss_count;
-    l1Huge.insert(key);
-    stlbHuge.insert(key);
     return TlbOutcome::Miss;
 }
 

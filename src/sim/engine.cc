@@ -62,6 +62,18 @@ Engine::Engine(const SystemConfig &config)
       phys(config.dram, config.nvm),
       l3("L3", config.cache.l3Size, config.cache.l3Ways)
 {
+    // accessCore fills a missing line during its probes, before the
+    // prefetch of line+1 runs. That matches filling it afterwards only
+    // while line and line+1 never share a set, i.e. with >= 2 sets (a
+    // power of two) at every level.
+    const auto setsOf = [](std::uint64_t bytes, unsigned ways) {
+        return bytes / (std::uint64_t{ways} * kLineSize);
+    };
+    const CacheParams &cp = config.cache;
+    MEMTIER_ASSERT(setsOf(cp.l1Size, cp.l1Ways) >= 2 &&
+                       setsOf(cp.l2Size, cp.l2Ways) >= 2 &&
+                       setsOf(cp.l3Size, cp.l3Ways) >= 2,
+                   "every cache level needs at least two sets");
     if (thpForcedByEnv())
         cfg.thp.enabled = true;
     if (scalarForcedByEnv())
@@ -310,25 +322,19 @@ Engine::pushVictim(ThreadContext &t, SetAssocCache &lower,
 }
 
 void
-Engine::fillOnMiss(ThreadContext &t, Addr line, bool dirty, MemLevel from)
+Engine::prefetchFill(ThreadContext &t, Addr line)
 {
-    // Install the line at every level above the servicing one; victims
-    // trickle downward and dirty L3 victims write back to memory.
-    if (from == MemLevel::DRAM || from == MemLevel::NVM) {
-        const CacheEviction ev = l3.insert(line, false);
-        if (ev.valid && ev.dirty)
-            writebackLine(t, ev.line);
-    }
-    if (from != MemLevel::L2) {
-        const CacheEviction ev = t.l2.insert(line, false);
-        pushVictim(t, l3, ev);
-    }
-    const CacheEviction ev = t.l1.insert(line, dirty);
-    pushVictim(t, t.l2, ev);
+    // Install the clean line top-down from L3; victims trickle downward
+    // and dirty L3 victims write back to memory.
+    const CacheEviction l3_victim = l3.insert(line, false);
+    if (l3_victim.valid && l3_victim.dirty)
+        writebackLine(t, l3_victim.line);
+    pushVictim(t, l3, t.l2.insert(line, false));
+    pushVictim(t, t.l2, t.l1.insert(line, false));
 }
 
 Cycles
-Engine::memoryAccess(ThreadContext &t, Addr addr, MemNode node, MemOp op,
+Engine::memoryAccess(ThreadContext &t, Addr addr, MemNode node,
                      Cycles issue_time)
 {
     // Stream detection against the previous memory-serviced address.
@@ -356,12 +362,11 @@ Engine::memoryAccess(ThreadContext &t, Addr addr, MemNode node, MemOp op,
                 !l3.contains(next_line)) {
                 const Cycles pf_lat = phys.tier(node).access(
                     issue_time, MemOp::Load, /*sequential=*/true);
-                fillOnMiss(t, next_line, false, MemLevel::DRAM);
+                prefetchFill(t, next_line);
                 t.lfb.add(next_line, issue_time + pf_lat);
             }
         }
     }
-    (void)op;
     return lat;
 }
 
@@ -429,8 +434,14 @@ Engine::accessCore(ThreadContext &t, Addr addr, MemOp op, bool assists)
       }
     }
 
+    // Each probe fills its level on a miss, in the same set walk. The
+    // victims are held and pushed down once the levels below are
+    // filled, in the order a separate top-down fill would push them.
+    // Filling before the prefetch of line+1 is safe while every level
+    // has >= 2 sets (the constructor checks it; DESIGN.md §8).
     MemLevel level;
-    if (t.l1.access(line, op == MemOp::Store)) {
+    CacheEviction l1_victim;
+    if (t.l1.accessOrInsert(line, op == MemOp::Store, l1_victim)) {
         // An L1 hit within the fill window of an outstanding miss is
         // attributed to the line-fill buffer, as PEBS does. When every
         // recorded fill is stale past the residency window, the batched
@@ -452,23 +463,29 @@ Engine::accessCore(ThreadContext &t, Addr addr, MemOp op, bool assists)
             level = MemLevel::L1;
             cost += cp.l1Latency;
         }
-    } else if (t.l2.access(line, false)) {
-        level = MemLevel::L2;
-        cost += cp.l2Latency;
-        fillOnMiss(t, line, op == MemOp::Store, MemLevel::L2);
-    } else if (l3.access(line, false)) {
-        level = MemLevel::L3;
-        cost += cp.l3Latency;
-        fillOnMiss(t, line, op == MemOp::Store, MemLevel::L3);
     } else {
-        if (!node_known)
-            node = kern->nodeOf(vpn);
-        cost += cp.l3Latency;
-        cost += memoryAccess(t, addr, node, op, t.clock() + cost);
-        level = node == MemNode::DRAM ? MemLevel::DRAM : MemLevel::NVM;
-        fillOnMiss(t, line, op == MemOp::Store,
-                   node == MemNode::DRAM ? MemLevel::DRAM : MemLevel::NVM);
-        t.lfb.add(line, t.clock() + cost);
+        CacheEviction l2_victim;
+        CacheEviction l3_victim;
+        if (t.l2.accessOrInsert(line, false, l2_victim)) {
+            level = MemLevel::L2;
+            cost += cp.l2Latency;
+        } else if (l3.accessOrInsert(line, false, l3_victim)) {
+            level = MemLevel::L3;
+            cost += cp.l3Latency;
+        } else {
+            if (!node_known)
+                node = kern->nodeOf(vpn);
+            cost += cp.l3Latency;
+            cost += memoryAccess(t, addr, node, t.clock() + cost);
+            level = node == MemNode::DRAM ? MemLevel::DRAM : MemLevel::NVM;
+            // Released after the demand and prefetch reads: the tier's
+            // channel state depends on the order it sees them in.
+            if (l3_victim.valid && l3_victim.dirty)
+                writebackLine(t, l3_victim.line);
+            t.lfb.add(line, t.clock() + cost);
+        }
+        pushVictim(t, l3, l2_victim);
+        pushVictim(t, t.l2, l1_victim);
     }
 
     t.advance(cost);

@@ -452,17 +452,13 @@ class Engine : public TlbShootdownClient
                    bool is_store, std::uint64_t &consumed,
                    bool &prologue_next);
     /**
-     * Install @p line in L1 and every level above @p from (L2 when it
-     * serviced from L3 or memory, L3 too when from memory), pushing
-     * each level's victim down the non-inclusive hierarchy.
-     * Precondition: @p line just missed in every level it is installed
-     * in -- accessCore's L2-hit, L3-hit and memory paths and the
-     * prefetch (guarded by three contains) all call it so -- which lets
-     * the fills skip residency probes. SetAssocCache::insert's debug
-     * assertion checks it.
+     * Install the next-line prefetch @p line clean in L3, L2 and L1, in
+     * that order, pushing each level's victim down the non-inclusive
+     * hierarchy. Precondition: no level holds @p line (memoryAccess
+     * checks all three), so the fills skip residency probes;
+     * SetAssocCache::insert's debug assertion checks it.
      */
-    void fillOnMiss(ThreadContext &t, Addr line, bool dirty,
-                    MemLevel from);
+    void prefetchFill(ThreadContext &t, Addr line);
     /**
      * Merge a displaced @p victim into @p lower (L2 or the shared L3):
      * a hit absorbs its dirty bit, a miss fills it and cascades the
@@ -472,7 +468,7 @@ class Engine : public TlbShootdownClient
                     const CacheEviction &victim);
     void writebackLine(ThreadContext &t, Addr line);
     Cycles memoryAccess(ThreadContext &t, Addr addr, MemNode node,
-                        MemOp op, Cycles issue_time);
+                        Cycles issue_time);
 
     SystemConfig cfg;
     PhysicalMemory phys;

@@ -75,6 +75,59 @@ TEST(LruSets, TouchOrInsertFusesHitAndFill)
     EXPECT_EQ(v.key, 2u);
 }
 
+/**
+ * The keys of a one-set @p sets, LRU first: inserting ways() fresh keys
+ * (all from @p fresh up) evicts every old key oldest first.
+ */
+std::vector<std::uint64_t>
+lruFirst(LruSets<0> &sets, std::uint64_t fresh)
+{
+    std::vector<std::uint64_t> out;
+    for (unsigned k = 0; k < sets.ways(); ++k) {
+        const LruSets<0>::Victim v = sets.insert(fresh + k);
+        if (v.valid)
+            out.push_back(v.key);
+    }
+    return out;
+}
+
+// The shift loops at the narrowest and the widest set: a hit at the
+// last slot, a fill of a full set, and invalidates of slot 0 and of
+// the last slot.
+TEST(LruSets, ShiftEdgesAtOneAndMaxWays)
+{
+    for (const unsigned ways : {1u, 255u}) {
+        SCOPED_TRACE(ways);
+        LruSets<0> sets(1, ways);
+        std::vector<std::uint64_t> lru;  // Expected keys, LRU first.
+        for (std::uint64_t k = 0; k < ways; ++k) {
+            EXPECT_FALSE(sets.insert(k).valid);
+            lru.push_back(k);
+        }
+        // Hit at the last slot: the LRU key becomes MRU.
+        EXPECT_TRUE(sets.touch(0));
+        lru.erase(lru.begin());
+        lru.push_back(0);
+        // Fill of a full set evicts the last slot.
+        LruSets<0>::Victim v;
+        EXPECT_FALSE(sets.touchOrInsert(1000, v));
+        ASSERT_TRUE(v.valid);
+        EXPECT_EQ(v.key, lru.front());
+        lru.erase(lru.begin());
+        lru.push_back(1000);
+        // Invalidate of slot 0 (the MRU key just filled).
+        EXPECT_TRUE(sets.invalidate(1000));
+        lru.pop_back();
+        EXPECT_FALSE(sets.contains(1000));
+        // Invalidate of the last slot, when any key is left.
+        if (!lru.empty()) {
+            EXPECT_TRUE(sets.invalidate(lru.front()));
+            lru.erase(lru.begin());
+        }
+        EXPECT_EQ(lruFirst(sets, 5000), lru);
+    }
+}
+
 TEST(LruSets, ClearEmptiesEverySet)
 {
     LruSets<0> sets(4, 2);
@@ -790,7 +843,7 @@ TEST_P(TlbDifferential, MatchesTickStampedReference)
     for (std::uint64_t step = 0; step < 40000; ++step) {
         const PageNum vpn = rng.nextBounded(pages);
         const PageNum base = rng.nextBounded(ranges) << kPagesPerHugeShift;
-        switch (rng.nextBounded(16)) {
+        switch (rng.nextBounded(18)) {
           case 0: case 1: case 2: case 3: case 4: case 5:
             ASSERT_EQ(got.lookup(vpn), want.lookup(vpn)) << "step " << step;
             break;
@@ -828,12 +881,21 @@ TEST_P(TlbDifferential, MatchesTickStampedReference)
             got.invalidateHuge(base);
             want.invalidateHuge(base);
             break;
-          default:
+          case 15:
             if (rng.nextBounded(1024) == 0) {
                 got.flushAll();
                 want.flushAll();
             }
             break;
+          default: {
+            // A run of neighbouring pages: each fused fill is probed
+            // again at once, at both levels.
+            for (PageNum k = 0, n = 2 + rng.nextBounded(15); k < n; ++k) {
+                ASSERT_EQ(got.lookup(vpn + k), want.lookup(vpn + k))
+                    << "step " << step;
+            }
+            break;
+          }
         }
     }
     EXPECT_EQ(got.l1Hits(), want.l1_hits);
@@ -861,14 +923,26 @@ tlbShape(unsigned l1, unsigned l1_ways, unsigned stlb, unsigned stlb_ways)
     return p;
 }
 
+/** A fully associative 4-entry dTLB (one set) over a 64x4 STLB. */
+TlbParams
+oneSetL1Shape()
+{
+    TlbParams p = tlbShape(8, 4, 64, 4);
+    p.l1Entries = 4;
+    p.l1HugeEntries = 4;
+    return p;
+}
+
 // The default dTLB (64x4) / STLB (1536x12) with its huge classes, then
-// 1-, 2-, 8- and 16-way shapes.
+// 1-, 2-, 8- and 16-way shapes, a one-set dTLB, and an STLB with fewer
+// sets (8) than the dTLB (16).
 INSTANTIATE_TEST_SUITE_P(
     Shapes, TlbDifferential,
     ::testing::Values(TlbParams{}, tlbShape(16, 1, 64, 1),
                       tlbShape(16, 2, 128, 2), tlbShape(32, 8, 256, 8),
                       tlbShape(64, 16, 512, 16),
-                      tlbShape(32, 4, 384, 12)),
+                      tlbShape(32, 4, 384, 12), oneSetL1Shape(),
+                      tlbShape(64, 4, 64, 8)),
     [](const ::testing::TestParamInfo<TlbParams> &info) {
         return "l1_" + std::to_string(info.param.l1Ways) + "way_stlb_" +
                std::to_string(info.param.stlbEntries) + "x" +

@@ -11,10 +11,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstring>
+#include <ostream>
+#include <string>
+#include <tuple>
 #include <vector>
 
+#include "base/rng.h"
 #include "exp/runner.h"
 #include "os/kernel.h"
 #include "os/physical_memory.h"
@@ -624,6 +629,263 @@ TEST(HierarchyGolden, PageRankKron15Thp)
          {3283111u, 11491u, 9820u, 1572780u, 0u, 83u},
          {628160u, 2812834u, 414812u, 444637u, 550647u, 26195u},
          0.036499884230769233});
+}
+
+// The next-line prefetcher off: the only run whose memory misses fill
+// without a prefetch in between.
+TEST(HierarchyGolden, PageRankKron12NoPrefetch)
+{
+    if (thpForcedByEnv())
+        GTEST_SKIP() << "golden values captured with THP off";
+    RunConfig rc = hotpathConfig(App::PR);
+    rc.sys.nextLinePrefetch = false;
+    expectHierarchy(
+        runWorkload(rc),
+        {{450622u, 90399u, 8673u, 145875u, 30406u, 6797u, 10992u, 37880u,
+          6761u},
+         {540166u, 0u, 855u, 0u, 0u, 0u},
+         {234943u, 215679u, 60049u, 7776u, 18859u, 3715u},
+         0.0025852746153846155});
+}
+
+// -------------------------------------------- Hierarchy differential
+//
+// accessCore fills each cache level in the same set walk as its probe
+// and holds the victims until the levels below are filled. The
+// reference here keeps the order that fusion replaced: probe every
+// level, fill the next-line prefetch, then fill the demand line top
+// down and push each victim one level lower. Seeded streams of
+// sequential runs, strides and random lines, loads and stores, must
+// give both the same hits, misses and writebacks at every level, on
+// the batched and the forced scalar path.
+
+/** One thread's unfused L1/L2 over an L3, serving from DRAM. */
+class RefHierarchy
+{
+  public:
+    explicit RefHierarchy(const SystemConfig &cfg)
+        : l1("L1", cfg.cache.l1Size, cfg.cache.l1Ways),
+          l2("L2", cfg.cache.l2Size, cfg.cache.l2Ways),
+          l3("L3", cfg.cache.l3Size, cfg.cache.l3Ways),
+          prefetch(cfg.nextLinePrefetch),
+          granularity(cfg.dram.internalGranularity)
+    {
+    }
+
+    void
+    access(Addr addr, MemOp op)
+    {
+        const Addr line = lineOf(addr);
+        const bool store = op == MemOp::Store;
+        if (l1.access(line, store)) {
+            ++served[0];
+            return;
+        }
+        if (l2.access(line, false)) {
+            ++served[1];
+            fill(line, store, false);
+            return;
+        }
+        if (l3.access(line, false)) {
+            ++served[2];
+            fill(line, store, true);
+            return;
+        }
+        ++served[3];
+        const bool sequential =
+            addr >= lastMemAddr && addr - lastMemAddr <= granularity;
+        lastMemAddr = addr;
+        const Addr next = line + 1;
+        if (prefetch && sequential &&
+            pageOf(next << kLineShift) == pageOf(addr) &&
+            !l1.contains(next) && !l2.contains(next) &&
+            !l3.contains(next)) {
+            l3.insert(next, false);
+            fill(next, false, true);
+        }
+        l3.insert(line, false);
+        fill(line, store, true);
+    }
+
+    SetAssocCache l1;
+    SetAssocCache l2;
+    SetAssocCache l3;
+    /** Accesses served by L1 (or the LFB), L2, L3 and DRAM. */
+    std::array<std::uint64_t, 4> served{};
+
+  private:
+    /** Install @p line in L2 when @p into_l2, then in L1. */
+    void
+    fill(Addr line, bool dirty, bool into_l2)
+    {
+        if (into_l2)
+            push(l3, l2.insert(line, false));
+        push(l2, l1.insert(line, dirty));
+    }
+
+    void
+    push(SetAssocCache &lower, const CacheEviction &victim)
+    {
+        CacheEviction next;
+        if (victim.valid &&
+            !lower.accessOrInsert(victim.line, victim.dirty, next) &&
+            &lower == &l2)
+            push(l3, next);
+    }
+
+    bool prefetch;
+    std::uint64_t granularity;
+    Addr lastMemAddr = ~Addr{0};
+};
+
+struct HierarchyShape
+{
+    const char *name;
+    std::uint64_t l1Sets, l1Ways, l2Sets, l2Ways, l3Sets, l3Ways;
+};
+
+void
+PrintTo(const HierarchyShape &shape, std::ostream *os)
+{
+    *os << shape.name;
+}
+
+using HierarchyCase = std::tuple<HierarchyShape, bool>;
+
+class HierarchyDifferential
+    : public ::testing::TestWithParam<HierarchyCase>
+{
+};
+
+/** A one-thread machine whose every page fits in DRAM. */
+SystemConfig
+dramOnlyConfig(const HierarchyShape &shape, bool prefetch)
+{
+    SystemConfig cfg;
+    cfg.numThreads = 1;
+    cfg.autonumaEnabled = false;
+    cfg.tieringKernel = false;
+    cfg.dram = makeDramParams(1024 * kPageSize);
+    cfg.nvm = makeNvmParams(64 * kPageSize);
+    cfg.nextLinePrefetch = prefetch;
+    cfg.cache.l1Size = shape.l1Sets * shape.l1Ways * kLineSize;
+    cfg.cache.l1Ways = static_cast<unsigned>(shape.l1Ways);
+    cfg.cache.l2Size = shape.l2Sets * shape.l2Ways * kLineSize;
+    cfg.cache.l2Ways = static_cast<unsigned>(shape.l2Ways);
+    cfg.cache.l3Size = shape.l3Sets * shape.l3Ways * kLineSize;
+    cfg.cache.l3Ways = static_cast<unsigned>(shape.l3Ways);
+    return cfg;
+}
+
+/** Counters of @p c as {hits, misses, writebacks}. */
+std::array<std::uint64_t, 3>
+countersOf(const SetAssocCache &c)
+{
+    return {c.hits(), c.misses(), c.writebacks()};
+}
+
+TEST_P(HierarchyDifferential, MatchesUnfusedReference)
+{
+    const auto [shape, prefetch] = GetParam();
+    constexpr std::uint64_t kPages = 128;  // 4x the default L3.
+    for (const bool scalar : {false, true}) {
+        SystemConfig cfg = dramOnlyConfig(shape, prefetch);
+        cfg.scalarPath = scalar;
+        Engine eng(cfg);
+        ThreadContext &t = eng.thread(0);
+        const Addr base = eng.sysMmap(t, kPages * kPageSize, 0, "stream");
+        RefHierarchy ref(cfg);
+        Rng rng(0x5eed + shape.l1Sets * 7 + shape.l2Sets + prefetch);
+        std::vector<AccessRequest> reqs;
+        std::vector<Addr> addrs;
+        const std::uint64_t bytes = kPages * kPageSize;
+        for (int segment = 0; segment < 1500; ++segment) {
+            const MemOp op =
+                rng.nextBool(0.3) ? MemOp::Store : MemOp::Load;
+            const Addr start = rng.nextBounded(bytes / 8) * 8;
+            switch (rng.nextBounded(4)) {
+              case 0:    // Sequential words or lines.
+              case 1: {  // Strides of a few lines or about a page.
+                const std::uint32_t stride =
+                    rng.nextBounded(2) == 0
+                        ? (rng.nextBool(0.5) ? 8 : kLineSize)
+                        : static_cast<std::uint32_t>(
+                              kLineSize * (2 + rng.nextBounded(70)));
+                const std::uint64_t count =
+                    std::min<std::uint64_t>(1 + rng.nextBounded(200),
+                                            (bytes - 1 - start) / stride +
+                                                1);
+                eng.accessRange(t, base + start, count, stride, op);
+                for (std::uint64_t k = 0; k < count; ++k)
+                    ref.access(base + start + k * stride, op);
+                break;
+              }
+              case 2: {  // Random lines, mixed loads and stores.
+                reqs.clear();
+                for (std::uint64_t k = 1 + rng.nextBounded(64); k > 0; --k) {
+                    reqs.push_back(
+                        {base + rng.nextBounded(bytes / 8) * 8,
+                         rng.nextBool(0.3) ? MemOp::Store : MemOp::Load});
+                }
+                eng.accessBatch(t, reqs);
+                for (const AccessRequest &r : reqs)
+                    ref.access(r.addr, r.op);
+                break;
+              }
+              default: {  // A gather over nearby random words.
+                addrs.clear();
+                const std::uint64_t window =
+                    std::min<std::uint64_t>(4 * kPageSize, bytes - start);
+                for (std::uint64_t k = 1 + rng.nextBounded(64); k > 0; --k)
+                    addrs.push_back(base + start +
+                                    rng.nextBounded(window / 8) * 8);
+                eng.accessMany(t, addrs, op);
+                for (const Addr a : addrs)
+                    ref.access(a, op);
+                break;
+              }
+            }
+        }
+        SCOPED_TRACE(scalar ? "scalar path" : "batched path");
+        EXPECT_EQ(countersOf(t.l1), countersOf(ref.l1));
+        EXPECT_EQ(countersOf(t.l2), countersOf(ref.l2));
+        EXPECT_EQ(countersOf(eng.sharedL3()), countersOf(ref.l3));
+        EXPECT_EQ(eng.levelCount(MemLevel::L1) +
+                      eng.levelCount(MemLevel::LFB),
+                  ref.served[0]);
+        EXPECT_EQ(eng.levelCount(MemLevel::L2), ref.served[1]);
+        EXPECT_EQ(eng.levelCount(MemLevel::L3), ref.served[2]);
+        EXPECT_EQ(eng.levelCount(MemLevel::DRAM), ref.served[3]);
+        EXPECT_EQ(eng.levelCount(MemLevel::NVM), 0u);
+        // The streams must reach every level and evict dirty lines.
+        EXPECT_GT(ref.served[2], 0u);
+        EXPECT_GT(ref.l1.writebacks(), 0u);
+        EXPECT_GT(ref.l3.writebacks(), 0u);
+    }
+}
+
+// The default geometry (32x8, 128x8, 128x16), a 2-set L1, an L2 with
+// fewer sets than L1, and 2 sets everywhere, the least the engine
+// accepts.
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, HierarchyDifferential,
+    ::testing::Combine(
+        ::testing::Values(HierarchyShape{"default", 32, 8, 128, 8, 128, 16},
+                          HierarchyShape{"l1_2sets", 2, 8, 128, 8, 128, 16},
+                          HierarchyShape{"l2_fewer_sets", 32, 8, 8, 16, 64,
+                                         16},
+                          HierarchyShape{"all_2sets", 2, 4, 2, 8, 2, 16}),
+        ::testing::Bool()),
+    [](const ::testing::TestParamInfo<HierarchyCase> &info) {
+        return std::string(std::get<0>(info.param).name) +
+               (std::get<1>(info.param) ? "_prefetch" : "_no_prefetch");
+    });
+
+TEST(HierarchyDifferential, OneSetLevelIsRejected)
+{
+    const HierarchyShape one_set_l1{"one_set_l1", 1, 8, 128, 8, 128, 16};
+    EXPECT_DEATH(Engine eng(dramOnlyConfig(one_set_l1, true)),
+                 "every cache level needs at least two sets");
 }
 
 // --------------------------------------- Absolute sample-stream golden
