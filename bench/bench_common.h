@@ -16,6 +16,7 @@
 #include <sstream>
 #include <string>
 
+#include "base/env.h"
 #include "base/logging.h"
 #include "exp/report.h"
 #include "exp/runner.h"
@@ -28,14 +29,7 @@ namespace memtier {
 inline int
 benchScale()
 {
-    const char *env = std::getenv("MEMTIER_SCALE");
-    if (env == nullptr)
-        return 18;
-    char *end = nullptr;
-    const long scale = std::strtol(env, &end, 10);
-    if (end == env || *end != '\0' || scale < 10 || scale > 24)
-        fatal("MEMTIER_SCALE='%s' is not a scale in 10..24", env);
-    return static_cast<int>(scale);
+    return static_cast<int>(envInt("MEMTIER_SCALE", 10, 24).value_or(18));
 }
 
 /**

@@ -33,7 +33,8 @@
 #      scalar-vs-batched diff of every golden workload;
 #   8. a perf-regression gate: bench/hotpath_speed re-run at its
 #      committed parameters and compared against the checked-in
-#      BENCH_hotpath.json (prints both records' host, fails when
+#      BENCH_hotpath.json (prints both records' host and this run's
+#      batched/scalar speedup beside the record's, ungated; fails when
 #      batched throughput drops below 80% of the recorded baseline,
 #      and when the same run's sampled throughput -- perf-mem sampler
 #      on -- drops below 70% of its unsampled throughput),
@@ -200,6 +201,11 @@ print(f"perf gate: baseline {base:.3e} acc/s, now {now:.3e} acc/s "
 sampled = now_rec["sampled_over_batched"]
 print(f"perf gate: sampled/batched throughput {sampled:.2f}x "
       f"(same run; baseline record {base_rec.get('sampled_over_batched', 'n/a')})")
+# Batched over scalar, both measured in this one run: a ratio from one
+# process is immune to the host's drift between runs. Printed, not gated.
+print(f"perf gate: batched/scalar speedup {now_rec['speedup']:.2f}x "
+      f"(same run; baseline record {base_rec.get('speedup', 'n/a')}; "
+      f"not gated)")
 if ratio < 0.8:
     sys.exit("perf gate FAILED: batched hot path regressed >20% "
              "vs BENCH_hotpath.json (refresh the baseline via "

@@ -41,8 +41,8 @@ class SimVector
 
   public:
     /**
-     * Elements per accessBatch issued by the bulk operations. Chunking
-     * bounds the request scratch buffer; batch boundaries are free to
+     * Elements per engine call issued by the bulk operations. Chunking
+     * bounds the address scratch buffer; batch boundaries are free to
      * move because the batched path is bit-identical to per-element
      * issue regardless of where a batch starts or ends. The engine's
      * own materialized chunks use the same size.
@@ -108,12 +108,12 @@ class SimVector
 
     // -- Bulk operations ----------------------------------------------
     //
-    // Each builds one request list in the thread's scratch buffer and
-    // issues a single Engine::accessBatch per chunk, so the engine can
-    // coalesce same-line runs and deliver observer records batch-at-a-
-    // time. The timed access sequence is exactly the per-element loop's
-    // (same addresses, same ops, same order); only the host-side
-    // dispatch is amortized.
+    // Each issues one Engine::accessRange per chunk of a contiguous
+    // range, or one Engine::accessMany per chunk of indices, so the
+    // engine can coalesce same-line runs and deliver observer records
+    // batch-at-a-time. The timed access sequence is exactly the
+    // per-element loop's (same addresses, same ops, same order); only
+    // the host-side dispatch is amortized.
 
     /**
      * Timed loads of [@p begin, @p end); calls @p fn(i, value) for each
@@ -229,15 +229,8 @@ class SimVector
         for (std::uint64_t c = begin; c < end;) {
             const std::uint64_t stop = std::min(end, c + kBulkChunk);
             idx.issueRange(t, c, stop, MemOp::Load);
-            auto &addrs = t.addrScratch;
-            addrs.clear();
-            for (std::uint64_t k = c; k < stop; ++k) {
-                const auto i = static_cast<std::uint64_t>(idx.raw(k));
-                MEMTIER_ASSERT(i < n, "SimVector gather out of range");
-                addrs.push_back(addrOf(i));
-            }
-            eng->accessMany(t, std::span<const Addr>(addrs),
-                            MemOp::Load);
+            issueIndexed(t, c, stop, MemOp::Load,
+                         [&](std::uint64_t k) { return idx.raw(k); });
             for (std::uint64_t k = c; k < stop; ++k)
                 dst[k - begin] =
                     hostPtr[static_cast<std::uint64_t>(idx.raw(k))];
@@ -257,15 +250,8 @@ class SimVector
             const std::size_t stop =
                 std::min(indices.size(),
                          c + static_cast<std::size_t>(kBulkChunk));
-            auto &addrs = t.addrScratch;
-            addrs.clear();
-            for (std::size_t k = c; k < stop; ++k) {
-                const auto i = static_cast<std::uint64_t>(indices[k]);
-                MEMTIER_ASSERT(i < n, "SimVector gather out of range");
-                addrs.push_back(addrOf(i));
-            }
-            eng->accessMany(t, std::span<const Addr>(addrs),
-                            MemOp::Load);
+            issueIndexed(t, c, stop, MemOp::Load,
+                         [&](std::uint64_t k) { return indices[k]; });
             for (std::size_t k = c; k < stop; ++k)
                 dst[k] = hostPtr[static_cast<std::uint64_t>(indices[k])];
             c = stop;
@@ -281,15 +267,8 @@ class SimVector
             const std::size_t stop =
                 std::min(indices.size(),
                          c + static_cast<std::size_t>(kBulkChunk));
-            auto &addrs = t.addrScratch;
-            addrs.clear();
-            for (std::size_t k = c; k < stop; ++k) {
-                const auto i = static_cast<std::uint64_t>(indices[k]);
-                MEMTIER_ASSERT(i < n, "SimVector scatter out of range");
-                addrs.push_back(addrOf(i));
-            }
-            eng->accessMany(t, std::span<const Addr>(addrs),
-                            MemOp::Store);
+            issueIndexed(t, c, stop, MemOp::Store,
+                         [&](std::uint64_t k) { return indices[k]; });
             for (std::size_t k = c; k < stop; ++k)
                 hostPtr[static_cast<std::uint64_t>(indices[k])] = value;
             c = stop;
@@ -324,6 +303,26 @@ class SimVector
     T raw(std::uint64_t i) const { return hostPtr[i]; }
 
   private:
+    /**
+     * Stage the address of element @p index_at(k) for k in
+     * [@p begin, @p end) in the thread's scratch buffer, range-checked,
+     * and issue them in that order as one accessMany of @p op.
+     */
+    template <typename IndexAt>
+    void
+    issueIndexed(ThreadContext &t, std::uint64_t begin, std::uint64_t end,
+                 MemOp op, IndexAt &&index_at) const
+    {
+        auto &addrs = t.addrScratch;
+        addrs.clear();
+        for (std::uint64_t k = begin; k < end; ++k) {
+            const auto i = static_cast<std::uint64_t>(index_at(k));
+            MEMTIER_ASSERT(i < n, "SimVector index out of range");
+            addrs.push_back(addrOf(i));
+        }
+        eng->accessMany(t, std::span<const Addr>(addrs), op);
+    }
+
     Engine *eng = nullptr;
     Addr baseAddr = 0;
     T *hostPtr = nullptr;

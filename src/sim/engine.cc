@@ -1,7 +1,6 @@
 #include "sim/engine.h"
 
-#include <cstdlib>
-
+#include "base/env.h"
 #include "base/logging.h"
 #include "policy/policy_registry.h"
 
@@ -9,41 +8,8 @@ namespace memtier {
 
 namespace {
 
-/** MEMTIER_CHECK_INVARIANTS=ON/1 force-enables the checker. */
-bool
-invariantsForcedByEnv()
-{
-    const char *env = std::getenv("MEMTIER_CHECK_INVARIANTS");
-    if (env == nullptr)
-        return false;
-    const std::string value(env);
-    return value == "ON" || value == "on" || value == "1";
-}
-
-/** MEMTIER_SCALAR_PATH=ON/1 forces the reference scalar access path. */
-bool
-scalarForcedByEnv()
-{
-    const char *env = std::getenv("MEMTIER_SCALAR_PATH");
-    if (env == nullptr)
-        return false;
-    const std::string value(env);
-    return value == "ON" || value == "on" || value == "1";
-}
-
-/** Positive integer from @p name, or 0 when unset/unparsable. */
-std::uint32_t
-positiveIntFromEnv(const char *name)
-{
-    const char *env = std::getenv(name);
-    if (env == nullptr || *env == '\0')
-        return 0;
-    char *end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end == env || *end != '\0' || v <= 0)
-        return 0;
-    return static_cast<std::uint32_t>(v);
-}
+/** Upper bound of the copy_threads tunable and MEMTIER_COPY_THREADS. */
+constexpr long kMaxCopyThreads = 64;
 
 /** Engine::splitAtDueLoads' next_due for a call of @p n loads. */
 auto
@@ -76,14 +42,15 @@ Engine::Engine(const SystemConfig &config)
                    "every cache level needs at least two sets");
     if (thpForcedByEnv())
         cfg.thp.enabled = true;
-    if (scalarForcedByEnv())
+    if (envFlag("MEMTIER_SCALAR_PATH"))
         cfg.scalarPath = true;
     KernelParams kp = cfg.kernel;
     kp.thp = cfg.thp;
     // MEMTIER_COPY_THREADS sizes the migration copy engine's worker
     // pool without recompiling, like the other MEMTIER_* overrides.
-    if (const std::uint32_t cw = positiveIntFromEnv("MEMTIER_COPY_THREADS"))
-        kp.copyThreads = cw;
+    if (const auto cw =
+            envInt("MEMTIER_COPY_THREADS", 1, kMaxCopyThreads))
+        kp.copyThreads = static_cast<std::uint32_t>(*cw);
     // The vanilla baseline has no demotion path; tiering kernels keep
     // it even when the AutoNUMA scanner is replaced by another policy.
     kp.demoteOnReclaim = cfg.tieringKernel;
@@ -93,7 +60,8 @@ Engine::Engine(const SystemConfig &config)
     // Kernel-owned live tunables: registered before the policy so the
     // control plane exists even for policy-less (vanilla) machines.
     registry_.add({"copy_threads", "migration copy-engine worker threads",
-                   "kernel", 1.0, 64.0, /*integerValued=*/true, false,
+                   "kernel", 1.0, static_cast<double>(kMaxCopyThreads),
+                   /*integerValued=*/true, false,
                    [this] {
                        return static_cast<double>(
                            kern->copyEngine().params().workers);
@@ -110,7 +78,7 @@ Engine::Engine(const SystemConfig &config)
         faults_ = std::make_unique<FaultInjector>(cfg.faults);
         kern->setFaultInjector(faults_.get());
     }
-    if (cfg.checkInvariants || invariantsForcedByEnv()) {
+    if (cfg.checkInvariants || envFlag("MEMTIER_CHECK_INVARIANTS")) {
         invariants_ = std::make_unique<InvariantChecker>(
             *kern, cfg.invariantCheckPeriod);
         kern->setInvariantChecker(invariants_.get());
@@ -513,256 +481,157 @@ Engine::observersChanged()
                              });
 }
 
-inline Cycles
-Engine::batchBody(ThreadContext &t, std::span<const AccessRequest> reqs,
-                  bool record)
+namespace {
+
+// Element sources of Engine::runAccesses. Each gives an element's
+// address and op, the end of the same-line run that starts at an
+// element, the number of stores in [b, e), and a sub-range.
+
+/** A request list: per-element address and op; runs are scanned. */
+struct RequestList
 {
-    if (record)
+    std::span<const AccessRequest> reqs;
+
+    std::uint64_t size() const { return reqs.size(); }
+    Addr addrAt(std::uint64_t k) const { return reqs[k].addr; }
+    MemOp opAt(std::uint64_t k) const { return reqs[k].op; }
+
+    std::uint64_t
+    runEnd(std::uint64_t k) const
+    {
+        const Addr line = lineOf(reqs[k].addr);
+        std::uint64_t e = k + 1;
+        while (e < reqs.size() && lineOf(reqs[e].addr) == line)
+            ++e;
+        return e;
+    }
+
+    std::uint64_t
+    storesIn(std::uint64_t b, std::uint64_t e) const
+    {
+        std::uint64_t st = 0;
+        for (; b < e; ++b)
+            st += reqs[b].op == MemOp::Store;
+        return st;
+    }
+};
+
+/** The op side of a source whose every element has op @p op. */
+struct UniformOp
+{
+    MemOp op;
+
+    MemOp opAt(std::uint64_t) const { return op; }
+
+    std::uint64_t
+    storesIn(std::uint64_t b, std::uint64_t e) const
+    {
+        return op == MemOp::Store ? e - b : 0;
+    }
+};
+
+/** @p count elements at @p base + k * @p stride; runs follow from the
+ *  stride, no per-element scan. */
+struct Stride : UniformOp
+{
+    Addr base;
+    std::uint64_t count;
+    std::uint32_t stride;
+
+    std::uint64_t size() const { return count; }
+    Addr addrAt(std::uint64_t k) const { return base + k * stride; }
+
+    std::uint64_t
+    runEnd(std::uint64_t k) const
+    {
+        // Elements share the line while they stay below its end.
+        const Addr addr = addrAt(k);
+        const Addr line_end = (lineOf(addr) + 1) << kLineShift;
+        return k + std::min<std::uint64_t>(
+                       count - k, (line_end - addr + stride - 1) / stride);
+    }
+
+    Stride
+    slice(std::uint64_t b, std::uint64_t e) const
+    {
+        return {{op}, addrAt(b), e - b, stride};
+    }
+};
+
+/** One element per address of @p addrs; runs are scanned. */
+struct AddressList : UniformOp
+{
+    std::span<const Addr> addrs;
+
+    std::uint64_t size() const { return addrs.size(); }
+    Addr addrAt(std::uint64_t k) const { return addrs[k]; }
+
+    std::uint64_t
+    runEnd(std::uint64_t k) const
+    {
+        const Addr line = lineOf(addrs[k]);
+        std::uint64_t e = k + 1;
+        while (e < addrs.size() && lineOf(addrs[e]) == line)
+            ++e;
+        return e;
+    }
+
+    AddressList
+    slice(std::uint64_t b, std::uint64_t e) const
+    {
+        return {{op}, addrs.subspan(b, e - b)};
+    }
+};
+
+}  // namespace
+
+template <bool Record, typename Source>
+inline Cycles
+Engine::runAccesses(ThreadContext &t, Source src)
+{
+    if constexpr (Record)
         recScratch_.clear();
+    // The forced scalar path makes every run one element long, so each
+    // element takes the full head machinery with no assists.
     const bool assists = !cfg.scalarPath;
-    const CacheParams &cp = cfg.cache;
+    const std::uint64_t n = src.size();
     Cycles total = 0;
-
-    std::size_t i = 0;
+    std::uint64_t i = 0;
     bool prologue_done = false;
-    while (i < reqs.size()) {
-        const Addr head_addr = reqs[i].addr;
-        const Addr line = lineOf(head_addr);
-
-        // Coalesce the same-line run starting here. The forced scalar
-        // path keeps runs at one element, so every element takes the
-        // full head machinery below.
-        std::size_t run_end = i + 1;
-        if (assists) {
-            while (run_end < reqs.size() &&
-                   lineOf(reqs[run_end].addr) == line)
-                ++run_end;
-        }
+    while (i < n) {
+        const Addr addr = src.addrAt(i);
+        const MemOp op = src.opAt(i);
+        const std::uint64_t run_end = assists ? src.runEnd(i) : i + 1;
 
         // Head element: full scalar-equivalent processing. Runs of one
-        // (every element on the forced scalar path, and the random
-        // elements of gathers and scatters on the batched path) skip
-        // the epoch bookkeeping -- it only guards tail processing.
+        // skip the epoch bookkeeping -- it only guards the tails.
         if (!prologue_done)
             accessPrologue(t, assists);
         prologue_done = false;
         const bool has_tails = run_end != i + 1;
         const std::uint64_t head_epoch =
             has_tails ? kern->translationEpoch() : 0;
-        const AccessOutcome head =
-            accessCore(t, head_addr, reqs[i].op, assists);
+        const AccessOutcome head = accessCore(t, addr, op, assists);
         total += head.cost;
-        if (record) {
-            AccessRecord rec;
-            rec.tid = t.id();
-            rec.vaddr = head_addr;
-            rec.op = reqs[i].op;
-            rec.level = head.level;
-            rec.latency = head.cost + cfg.issueCycles;
-            rec.tlbMiss = head.tlbMiss;
-            rec.time = t.clock();
-            recScratch_.push_back(rec);
+        if constexpr (Record) {
+            recScratch_.push_back({t.id(), addr, op, head.level,
+                                   head.cost + cfg.issueCycles,
+                                   head.tlbMiss, t.clock()});
         }
         ++i;
-        if (!has_tails)
-            continue;
-        if (kern->translationEpoch() != head_epoch) {
-            // The head's touchPage remapped something -- possibly the
-            // very translation it just filled (hint-fault promotion).
-            // Reprocess the rest of the run as fresh heads.
-            continue;
+        // A head whose touchPage remapped something -- possibly the
+        // very translation it just filled (hint-fault promotion) --
+        // leaves the rest of its run to fresh heads.
+        if (has_tails && kern->translationEpoch() == head_epoch) {
+            const TailsSettled tails = settleTails<Record>(
+                t, src, addr, head.huge, head_epoch, i, run_end);
+            total += tails.cost;
+            i = tails.next;
+            prologue_done = tails.prologueDone;
         }
-
-        // Tail elements: the head left the line resident and most
-        // recently used in L1 and the translation resident in the TLB,
-        // and no shootdown intervened (the epoch is unchanged), so each
-        // remaining same-line access is a guaranteed TLB-L1 + cache-L1
-        // hit. Per element only the LFB attribution can vary; the TLB,
-        // L1 and LFB hit-counter updates are settled in bulk after the
-        // run with the batch-accounting entry points.
-        const PageNum vpn = pageOf(head_addr);
-        const Cycles run_delta = cfg.issueCycles + cp.l1Latency;
-
-        // Hot one-shot case: the LFB is quiet (every recorded fill's
-        // residency window closed before even the first tail's
-        // post-issue clock, so each tail is a plain L1 hit) and the
-        // whole run finishes before the next service deadline. The run
-        // then collapses to one clock jump plus bulk accounting.
-        if (!record &&
-            t.lfb.quietAt(t.clock() + cfg.issueCycles,
-                          cp.lfbResidencyCycles) &&
-            t.clock() + (run_end - i) * run_delta < nextServiceDue_) {
-            const std::uint64_t m = run_end - i;
-            std::uint64_t st = 0;
-            for (std::size_t k = i; k < run_end; ++k)
-                if (reqs[k].op == MemOp::Store)
-                    ++st;
-            t.advance(m * run_delta);
-            total += m * cp.l1Latency;
-            if (head.huge)
-                t.tlb.repeatHitsHuge(hugeBaseOf(vpn), m);
-            else
-                t.tlb.repeatHits(vpn, m);
-            t.l1.accessRepeats(line, m, st > 0);
-            level_counts[static_cast<int>(MemLevel::L1)] += m;
-            t.loads += m - st;
-            t.stores += st;
-            i = run_end;
-            continue;
-        }
-        std::uint64_t repeats = 0;
-        std::uint64_t lfb_hits = 0;
-        bool any_write = false;
-        const auto flushRun = [&]() {
-            if (repeats == 0)
-                return;
-            if (head.huge)
-                t.tlb.repeatHitsHuge(hugeBaseOf(vpn), repeats);
-            else
-                t.tlb.repeatHits(vpn, repeats);
-            t.l1.accessRepeats(line, repeats, any_write);
-            if (lfb_hits > 0)
-                t.lfb.countHits(lfb_hits);
-            repeats = 0;
-            lfb_hits = 0;
-            any_write = false;
-        };
-        // The LFB cannot change during the tails (only head misses
-        // add() entries), so one scan per run captures every entry that
-        // could ever attribute a tail to the LFB; per-tail attribution
-        // is then arithmetic over those ready times, bit-identical to
-        // the per-element quietAt/inFlight/recentlyFilled cascade.
-        Cycles match_ready[LineFillBuffer::kEntries];
-        const std::size_t nmatch = t.lfb.matchesInto(line, match_ready);
-        Cycles match_max_ready = 0;
-        Cycles match_end = 0;
-        for (std::size_t k = 0; k < nmatch; ++k) {
-            match_max_ready =
-                std::max<Cycles>(match_max_ready, match_ready[k]);
-            match_end = std::max<Cycles>(match_end,
-                                         match_ready[k] +
-                                             cp.lfbResidencyCycles);
-        }
-        const Cycles delta = cfg.issueCycles + cp.l1Latency;
-        while (i < run_end) {
-            // Constant-cost phases: once this tail's post-issue clock
-            // reaches every matching entry's ready time, no fill is in
-            // flight for it or any later tail, so each remaining
-            // element costs exactly l1Latency; attribution is LFB while
-            // the residency window is open (post-issue clock below
-            // match_end -- monotone once every ready time has passed)
-            // and L1 after. Collapse the largest prefix whose
-            // per-element service check cannot fire into one bulk step;
-            // a prefix boundary falls back to the per-element step
-            // below, which runs the service and re-enters here.
-            if (!record && delta > 0 &&
-                (nmatch == 0 ||
-                 t.clock() + cfg.issueCycles >= match_max_ready)) {
-                std::uint64_t safe = 0;
-                if (t.clock() + cfg.issueCycles < nextServiceDue_) {
-                    const Cycles room =
-                        nextServiceDue_ - t.clock() - cfg.issueCycles;
-                    safe = std::min<std::uint64_t>(
-                        run_end - i, (room - 1) / delta + 1);
-                }
-                if (safe > 0) {
-                    // Tails still inside the residency window are LFB
-                    // hits; the rest are plain L1 hits. Same cost.
-                    std::uint64_t lfb_n = 0;
-                    const Cycles base = t.clock() + cfg.issueCycles;
-                    if (nmatch > 0 && base < match_end)
-                        lfb_n = std::min<std::uint64_t>(
-                            safe, (match_end - base - 1) / delta + 1);
-                    std::uint64_t st = 0;
-                    for (std::size_t k = i; k < i + safe; ++k)
-                        if (reqs[k].op == MemOp::Store)
-                            ++st;
-                    t.advance(safe * delta);
-                    total += safe * cp.l1Latency;
-                    repeats += safe;
-                    lfb_hits += lfb_n;
-                    any_write = any_write || st > 0;
-                    level_counts[static_cast<int>(MemLevel::LFB)] +=
-                        lfb_n;
-                    level_counts[static_cast<int>(MemLevel::L1)] +=
-                        safe - lfb_n;
-                    t.loads += safe - st;
-                    t.stores += st;
-                    i += safe;
-                    continue;
-                }
-            }
-            const MemOp op = reqs[i].op;
-            t.advance(cfg.issueCycles);
-            const Cycles now = t.clock();
-            if (now >= nextServiceDue_) {
-                // Settle the accumulated accounting first: a service
-                // may shoot down the very entries it covers, and the
-                // scalar order puts those hits before the service.
-                flushRun();
-                maybeRunServices(now);
-                if (kern->translationEpoch() != head_epoch) {
-                    // A service remapped pages; this element's issue
-                    // and service work is done, so the outer loop must
-                    // not repeat the prologue for it.
-                    prologue_done = true;
-                    break;
-                }
-            }
-            MemLevel level;
-            Cycles cost;
-            Cycles rem = 0;
-            bool in_flight = false;
-            bool recent = false;
-            for (std::size_t k = 0; k < nmatch; ++k) {
-                if (now < match_ready[k]) {
-                    if (!in_flight) {
-                        in_flight = true;
-                        rem = match_ready[k] - now;
-                    }
-                } else if (now <
-                           match_ready[k] + cp.lfbResidencyCycles) {
-                    recent = true;
-                }
-            }
-            if (in_flight) {
-                level = MemLevel::LFB;
-                cost = std::min<Cycles>(rem, cp.l3Latency);
-                ++lfb_hits;
-            } else if (recent) {
-                level = MemLevel::LFB;
-                cost = cp.l1Latency;
-                ++lfb_hits;
-            } else {
-                level = MemLevel::L1;
-                cost = cp.l1Latency;
-            }
-            t.advance(cost);
-            total += cost;
-            ++repeats;
-            any_write = any_write || op == MemOp::Store;
-            ++level_counts[static_cast<int>(level)];
-            if (op == MemOp::Load)
-                ++t.loads;
-            else
-                ++t.stores;
-            if (record) {
-                AccessRecord rec;
-                rec.tid = t.id();
-                rec.vaddr = reqs[i].addr;
-                rec.op = op;
-                rec.level = level;
-                rec.latency = cost + cfg.issueCycles;
-                rec.tlbMiss = false;
-                rec.time = t.clock();
-                recScratch_.push_back(rec);
-            }
-            ++i;
-        }
-        flushRun();
     }
 
-    if (record) {
+    if constexpr (Record) {
         for (AccessObserver *obs : observers)
             obs->onBatch(recScratch_.data(), recScratch_.size());
     }
@@ -770,99 +639,25 @@ Engine::batchBody(ThreadContext &t, std::span<const AccessRequest> reqs,
     return total;
 }
 
-inline Cycles
-Engine::rangeBody(ThreadContext &t, Addr base, std::uint64_t count,
-                  std::uint32_t stride, MemOp op)
+template <bool Record, typename Source>
+Engine::TailsSettled
+Engine::settleTails(ThreadContext &t, Source src, Addr head_addr,
+                    bool huge, std::uint64_t head_epoch, std::uint64_t i,
+                    std::uint64_t run_end)
 {
-    Cycles total = 0;
-    if (cfg.scalarPath) {
-        // Reference semantics: the legacy element-at-a-time loop.
-        for (std::uint64_t k = 0; k < count; ++k) {
-            accessPrologue(t, false);
-            total += accessCore(t, base + k * stride, op, false).cost;
-        }
-        accessCycles_ += total;
-        return total;
-    }
-
-    const bool is_store = op == MemOp::Store;
-    std::uint64_t k = 0;
-    bool prologue_done = false;
-    while (k < count) {
-        const Addr addr = base + k * stride;
-        const Addr line = lineOf(addr);
-        // Elements share the head's line while their address stays
-        // below the next line boundary; the run length follows from the
-        // stride, no per-element scan needed.
-        const Addr line_end = (line + 1) << kLineShift;
-        const std::uint64_t run = std::min<std::uint64_t>(
-            count - k, (line_end - addr + stride - 1) / stride);
-
-        if (!prologue_done)
-            accessPrologue(t, true);
-        prologue_done = false;
-        const std::uint64_t head_epoch =
-            run > 1 ? kern->translationEpoch() : 0;
-        const AccessOutcome head = accessCore(t, addr, op, true);
-        total += head.cost;
-        ++k;
-        if (run == 1)
-            continue;
-        if (kern->translationEpoch() != head_epoch) {
-            // The head's touchPage remapped something; reprocess the
-            // rest of the run as fresh heads.
-            continue;
-        }
-
-        std::uint64_t consumed = 0;
-        total += tailRun(t, line, pageOf(addr), head.huge, head_epoch,
-                         run - 1, is_store, consumed, prologue_done);
-        k += consumed;
-    }
-    accessCycles_ += total;
-    return total;
-}
-
-Cycles
-Engine::tailRun(ThreadContext &t, Addr line, PageNum vpn, bool huge,
-                std::uint64_t head_epoch, std::uint64_t m, bool is_store,
-                std::uint64_t &consumed, bool &prologue_next)
-{
+    // The head left the line resident and most recently used in L1 and
+    // the translation resident in the TLB, and no shootdown intervened
+    // (the epoch is unchanged), so each tail is a guaranteed TLB-L1 +
+    // cache-L1 hit. Per element only the LFB attribution can vary; the
+    // TLB, L1 and LFB hit counters are settled in bulk by flushRun.
     const CacheParams &cp = cfg.cache;
+    const Addr line = lineOf(head_addr);
+    const PageNum vpn = pageOf(head_addr);
     const Cycles delta = cfg.issueCycles + cp.l1Latency;
     Cycles total = 0;
-    consumed = 0;
-    prologue_next = false;
-
-    // Hot one-shot case, as in accessBatch: quiet LFB and the whole
-    // run ahead of the next service deadline collapse the tails to
-    // one clock jump plus bulk accounting.
-    if (delta > 0 &&
-        t.lfb.quietAt(t.clock() + cfg.issueCycles,
-                      cp.lfbResidencyCycles) &&
-        t.clock() + m * delta < nextServiceDue_) {
-        t.advance(m * delta);
-        total += m * cp.l1Latency;
-        if (huge)
-            t.tlb.repeatHitsHuge(hugeBaseOf(vpn), m);
-        else
-            t.tlb.repeatHits(vpn, m);
-        t.l1.accessRepeats(line, m, is_store);
-        level_counts[static_cast<int>(MemLevel::L1)] += m;
-        if (is_store)
-            t.stores += m;
-        else
-            t.loads += m;
-        consumed = m;
-        return total;
-    }
-
-    // General tail machinery, mirroring accessBatch for a uniform
-    // op: one LFB scan per run, constant-cost phases in bulk,
-    // per-element steps only across service deadlines or while a
-    // fill is genuinely in flight.
     std::uint64_t repeats = 0;
     std::uint64_t lfb_hits = 0;
+    bool any_write = false;
     const auto flushRun = [&]() {
         if (repeats == 0)
             return;
@@ -870,160 +665,135 @@ Engine::tailRun(ThreadContext &t, Addr line, PageNum vpn, bool huge,
             t.tlb.repeatHitsHuge(hugeBaseOf(vpn), repeats);
         else
             t.tlb.repeatHits(vpn, repeats);
-        t.l1.accessRepeats(line, repeats, is_store);
+        t.l1.accessRepeats(line, repeats, any_write);
         if (lfb_hits > 0)
             t.lfb.countHits(lfb_hits);
         repeats = 0;
         lfb_hits = 0;
+        any_write = false;
     };
+    // Settle the next @p m tails at l1Latency each, the first @p lfb_n
+    // of them attributed to the LFB and the rest to L1.
+    const auto bulk = [&](std::uint64_t m, std::uint64_t lfb_n) {
+        const std::uint64_t st = src.storesIn(i, i + m);
+        t.advance(m * delta);
+        total += m * cp.l1Latency;
+        repeats += m;
+        lfb_hits += lfb_n;
+        any_write = any_write || st > 0;
+        level_counts[static_cast<int>(MemLevel::LFB)] += lfb_n;
+        level_counts[static_cast<int>(MemLevel::L1)] += m - lfb_n;
+        t.loads += m - st;
+        t.stores += st;
+        i += m;
+    };
+
+    // Hot one-shot case: the LFB is quiet (every recorded fill's
+    // residency window closed before even the first tail's post-issue
+    // clock, so each tail is a plain L1 hit) and the whole run finishes
+    // before the next service deadline. The run then collapses to one
+    // clock jump plus bulk accounting, with no LFB scan.
+    if (!Record &&
+        t.lfb.quietAt(t.clock() + cfg.issueCycles, cp.lfbResidencyCycles) &&
+        t.clock() + (run_end - i) * delta < nextServiceDue_) {
+        bulk(run_end - i, 0);
+        flushRun();
+        return {total, i, false};
+    }
+
+    // The LFB cannot change during the tails (only head misses add()
+    // entries), so one scan per run captures every entry that could
+    // ever attribute a tail to the LFB; per-tail attribution is then
+    // arithmetic over those ready times, bit-identical to the
+    // per-element quietAt/inFlight/recentlyFilled cascade.
     Cycles match_ready[LineFillBuffer::kEntries];
     const std::size_t nmatch = t.lfb.matchesInto(line, match_ready);
     Cycles match_max_ready = 0;
     Cycles match_end = 0;
-    for (std::size_t j = 0; j < nmatch; ++j) {
-        match_max_ready =
-            std::max<Cycles>(match_max_ready, match_ready[j]);
-        match_end = std::max<Cycles>(match_end,
-                                     match_ready[j] +
-                                         cp.lfbResidencyCycles);
+    for (std::size_t k = 0; k < nmatch; ++k) {
+        match_max_ready = std::max<Cycles>(match_max_ready, match_ready[k]);
+        match_end = std::max<Cycles>(
+            match_end, match_ready[k] + cp.lfbResidencyCycles);
     }
-    while (consumed < m) {
-        if (delta > 0 &&
-            (nmatch == 0 ||
-             t.clock() + cfg.issueCycles >= match_max_ready)) {
-            std::uint64_t safe = 0;
-            if (t.clock() + cfg.issueCycles < nextServiceDue_) {
-                const Cycles room =
-                    nextServiceDue_ - t.clock() - cfg.issueCycles;
-                safe = std::min<std::uint64_t>(m - consumed,
-                                               (room - 1) / delta + 1);
-            }
-            if (safe > 0) {
-                std::uint64_t lfb_n = 0;
-                const Cycles at = t.clock() + cfg.issueCycles;
-                if (nmatch > 0 && at < match_end)
-                    lfb_n = std::min<std::uint64_t>(
-                        safe, (match_end - at - 1) / delta + 1);
-                t.advance(safe * delta);
-                total += safe * cp.l1Latency;
-                repeats += safe;
-                lfb_hits += lfb_n;
-                level_counts[static_cast<int>(MemLevel::LFB)] += lfb_n;
-                level_counts[static_cast<int>(MemLevel::L1)] +=
-                    safe - lfb_n;
-                if (is_store)
-                    t.stores += safe;
-                else
-                    t.loads += safe;
-                consumed += safe;
-                continue;
-            }
+    while (i < run_end) {
+        // Constant-cost phases: once this tail's post-issue clock
+        // reaches every matching entry's ready time, no fill is in
+        // flight for it or any later tail, so each remaining element
+        // costs exactly l1Latency; attribution is LFB while the
+        // residency window is open (post-issue clock below match_end --
+        // monotone once every ready time has passed) and L1 after.
+        // Collapse the largest prefix whose per-element service check
+        // cannot fire into one bulk step; a prefix boundary falls back
+        // to the per-element step below, which runs the service and
+        // re-enters here.
+        const Cycles at = t.clock() + cfg.issueCycles;
+        if (!Record && delta > 0 && at < nextServiceDue_ &&
+            (nmatch == 0 || at >= match_max_ready)) {
+            const std::uint64_t safe = std::min<std::uint64_t>(
+                run_end - i, (nextServiceDue_ - at - 1) / delta + 1);
+            std::uint64_t lfb_n = 0;
+            if (nmatch > 0 && at < match_end)
+                lfb_n = std::min<std::uint64_t>(
+                    safe, (match_end - at - 1) / delta + 1);
+            bulk(safe, lfb_n);
+            continue;
         }
+
+        const MemOp op = src.opAt(i);
         t.advance(cfg.issueCycles);
         const Cycles now = t.clock();
         if (now >= nextServiceDue_) {
+            // Settle the accumulated accounting first: a service may
+            // shoot down the very entries it covers, and the scalar
+            // order puts those hits before the service.
             flushRun();
             maybeRunServices(now);
             if (kern->translationEpoch() != head_epoch) {
-                prologue_next = true;
-                break;
+                // A service remapped pages; this element's issue and
+                // service work is done, so the head loop must not
+                // repeat the prologue for it.
+                return {total, i, true};
             }
         }
-        MemLevel level;
-        Cycles cost;
+        MemLevel level = MemLevel::L1;
+        Cycles cost = cp.l1Latency;
         Cycles rem = 0;
         bool in_flight = false;
         bool recent = false;
-        for (std::size_t j = 0; j < nmatch; ++j) {
-            if (now < match_ready[j]) {
+        for (std::size_t k = 0; k < nmatch; ++k) {
+            if (now < match_ready[k]) {
                 if (!in_flight) {
                     in_flight = true;
-                    rem = match_ready[j] - now;
+                    rem = match_ready[k] - now;
                 }
-            } else if (now < match_ready[j] + cp.lfbResidencyCycles) {
+            } else if (now < match_ready[k] + cp.lfbResidencyCycles) {
                 recent = true;
             }
         }
-        if (in_flight) {
+        if (in_flight || recent) {
             level = MemLevel::LFB;
-            cost = std::min<Cycles>(rem, cp.l3Latency);
+            if (in_flight)
+                cost = std::min<Cycles>(rem, cp.l3Latency);
             ++lfb_hits;
-        } else if (recent) {
-            level = MemLevel::LFB;
-            cost = cp.l1Latency;
-            ++lfb_hits;
-        } else {
-            level = MemLevel::L1;
-            cost = cp.l1Latency;
         }
         t.advance(cost);
         total += cost;
         ++repeats;
+        any_write = any_write || op == MemOp::Store;
         ++level_counts[static_cast<int>(level)];
-        if (is_store)
-            ++t.stores;
-        else
+        if (op == MemOp::Load)
             ++t.loads;
-        ++consumed;
+        else
+            ++t.stores;
+        if constexpr (Record) {
+            recScratch_.push_back({t.id(), src.addrAt(i), op, level,
+                                   cost + cfg.issueCycles, false,
+                                   t.clock()});
+        }
+        ++i;
     }
     flushRun();
-    return total;
-}
-
-inline Cycles
-Engine::manyBody(ThreadContext &t, std::span<const Addr> addrs, MemOp op)
-{
-    Cycles total = 0;
-    if (cfg.scalarPath) {
-        // Reference semantics: the legacy element-at-a-time loop.
-        for (const Addr addr : addrs) {
-            accessPrologue(t, false);
-            total += accessCore(t, addr, op, false).cost;
-        }
-        accessCycles_ += total;
-        return total;
-    }
-
-    const bool is_store = op == MemOp::Store;
-    std::size_t i = 0;
-    bool prologue_done = false;
-    while (i < addrs.size()) {
-        const Addr addr = addrs[i];
-        const Addr line = lineOf(addr);
-        std::size_t run_end = i + 1;
-        while (run_end < addrs.size() && lineOf(addrs[run_end]) == line)
-            ++run_end;
-
-        if (!prologue_done)
-            accessPrologue(t, true);
-        prologue_done = false;
-        const bool has_tails = run_end != i + 1;
-        const std::uint64_t head_epoch =
-            has_tails ? kern->translationEpoch() : 0;
-        const AccessOutcome head = accessCore(t, addr, op, true);
-        total += head.cost;
-        ++i;
-        if (!has_tails)
-            continue;
-        if (kern->translationEpoch() != head_epoch) {
-            // The head's touchPage remapped something; reprocess the
-            // rest of the run as fresh heads.
-            continue;
-        }
-
-        std::uint64_t consumed = 0;
-        total += tailRun(t, line, pageOf(addr), head.huge, head_epoch,
-                         run_end - i, is_store, consumed, prologue_done);
-        i += consumed;
-    }
-    accessCycles_ += total;
-    return total;
-}
-
-Cycles
-Engine::dueAccess(ThreadContext &t, const AccessRequest &req)
-{
-    return batchBody(t, std::span<const AccessRequest>(&req, 1), true);
+    return {total, i, false};
 }
 
 template <typename NextDue, typename Stretch, typename Due>
@@ -1078,11 +848,19 @@ Engine::materializedBatches(ThreadContext &t, std::uint64_t count, MemOp op,
 }
 
 Cycles
+Engine::recordedBatch(ThreadContext &t, std::span<const AccessRequest> reqs)
+{
+    return runAccesses<true>(t, RequestList{reqs});
+}
+
+Cycles
 Engine::accessBatch(ThreadContext &t, std::span<const AccessRequest> reqs)
 {
+    if (observers.empty())
+        return runAccesses<false>(t, RequestList{reqs});
     if (skipLoads_)
         return skippingBatch(t, reqs);
-    return batchBody(t, reqs, !observers.empty());
+    return recordedBatch(t, reqs);
 }
 
 Cycles
@@ -1106,9 +884,31 @@ Engine::skippingBatch(ThreadContext &t, std::span<const AccessRequest> reqs)
     return splitAtDueLoads(
         t, reqs.size(), next_due,
         [&](std::uint64_t b, std::uint64_t e) {
-            return batchBody(t, reqs.subspan(b, e - b), false);
+            return runAccesses<false>(t, RequestList{reqs.subspan(b, e - b)});
         },
-        [&](std::uint64_t k) { return dueAccess(t, reqs[k]); });
+        [&](std::uint64_t k) { return recordedBatch(t, reqs.subspan(k, 1)); });
+}
+
+template <typename Source>
+inline Cycles
+Engine::uniformAccess(ThreadContext &t, Source src)
+{
+    const std::uint64_t n = src.size();
+    if (observers.empty() || (skipLoads_ && src.op == MemOp::Store))
+        return runAccesses<false>(t, src);
+    if (!skipLoads_) {
+        return materializedBatches(
+            t, n, src.op, [&](std::uint64_t k) { return src.addrAt(k); });
+    }
+    return splitAtDueLoads(
+        t, n, allLoads(n),
+        [&](std::uint64_t b, std::uint64_t e) {
+            return runAccesses<false>(t, src.slice(b, e));
+        },
+        [&](std::uint64_t k) {
+            const AccessRequest req{src.addrAt(k), src.op};
+            return recordedBatch(t, {&req, 1});
+        });
 }
 
 Cycles
@@ -1116,38 +916,13 @@ Engine::accessRange(ThreadContext &t, Addr base, std::uint64_t count,
                     std::uint32_t stride, MemOp op)
 {
     MEMTIER_ASSERT(stride > 0, "accessRange needs a positive stride");
-    if (observers.empty() || (skipLoads_ && op == MemOp::Store))
-        return rangeBody(t, base, count, stride, op);
-    if (!skipLoads_) {
-        return materializedBatches(t, count, op, [&](std::uint64_t k) {
-            return base + k * stride;
-        });
-    }
-    return splitAtDueLoads(
-        t, count, allLoads(count),
-        [&](std::uint64_t b, std::uint64_t e) {
-            return rangeBody(t, base + b * stride, e - b, stride, op);
-        },
-        [&](std::uint64_t k) {
-            return dueAccess(t, {base + k * stride, op});
-        });
+    return uniformAccess(t, Stride{{op}, base, count, stride});
 }
 
 Cycles
 Engine::accessMany(ThreadContext &t, std::span<const Addr> addrs, MemOp op)
 {
-    if (observers.empty() || (skipLoads_ && op == MemOp::Store))
-        return manyBody(t, addrs, op);
-    if (!skipLoads_) {
-        return materializedBatches(t, addrs.size(), op,
-                                   [&](std::uint64_t k) { return addrs[k]; });
-    }
-    return splitAtDueLoads(
-        t, addrs.size(), allLoads(addrs.size()),
-        [&](std::uint64_t b, std::uint64_t e) {
-            return manyBody(t, addrs.subspan(b, e - b), op);
-        },
-        [&](std::uint64_t k) { return dueAccess(t, {addrs[k], op}); });
+    return uniformAccess(t, AddressList{{op}, addrs});
 }
 
 Addr

@@ -147,8 +147,9 @@ class Engine : public TlbShootdownClient
      * the load-skip contract, the batch is split at each due load: the
      * stretches between run as if no observer were attached, and each
      * due load runs as a batch of one whose record is delivered at
-     * once. SystemConfig::scalarPath or MEMTIER_SCALAR_PATH=ON forces
-     * the reference element-at-a-time machinery instead.
+     * once. SystemConfig::scalarPath or MEMTIER_SCALAR_PATH=ON makes
+     * every run one element long, the reference element-at-a-time
+     * machinery.
      *
      * @return the summed latency charged (excluding issue cycles).
      */
@@ -157,16 +158,15 @@ class Engine : public TlbShootdownClient
 
     /**
      * Execute @p count same-op accesses at @p base, @p base + @p stride,
-     * ... on thread @p t -- the contiguous-range form of accessBatch.
-     * The addresses are synthesized on the fly, so neither path
-     * materializes a request list: the batched pipeline walks line runs
-     * arithmetically and the forced scalar reference runs the legacy
-     * element-at-a-time loop. Observers under the load-skip contract
-     * keep that: the range is split at each due load as accessBatch
-     * splits (a store range produces no record at all). Any other
-     * observer makes the range fall back to materialized accessBatch
-     * chunks of kAccessChunk, so record staging and batch delivery stay
-     * in one place.
+     * ... on thread @p t -- the contiguous-range form of accessBatch,
+     * run by the same loop. The addresses are synthesized on the fly
+     * and each same-line run's length follows from the stride, so no
+     * request list is materialized and no per-element op is read.
+     * Observers under the load-skip contract keep that: the range is
+     * split at each due load as accessBatch splits (a store range
+     * produces no record at all). Any other observer makes the range
+     * fall back to materialized accessBatch chunks of kAccessChunk, so
+     * record staging and batch delivery stay in one place.
      *
      * @return the summed latency charged (excluding issue cycles).
      */
@@ -175,10 +175,10 @@ class Engine : public TlbShootdownClient
 
     /**
      * Execute one same-op access per address in @p addrs, in order --
-     * the uniform-op form of accessBatch used by gathers and scatters.
-     * Halves the staging traffic of a materialized request list and
-     * lets the batch machinery skip per-element op reads. Observers are
-     * served as accessRange serves them.
+     * the uniform-op form of accessBatch used by gathers and scatters,
+     * run by the same loop. Halves the staging traffic of a
+     * materialized request list and reads no per-element op. Observers
+     * are served as accessRange serves them.
      *
      * @return the summed latency charged (excluding issue cycles).
      */
@@ -384,21 +384,47 @@ class Engine : public TlbShootdownClient
     void observersChanged();
 
     /**
-     * @name Access bodies
-     * The bodies of accessBatch, accessRange and accessMany, inlined
-     * into them so the observer-free path pays no extra call. Only
-     * batchBody builds records (when @p record); the other two run
-     * without records.
+     * @name The access loop
+     * accessBatch, accessRange and accessMany all run runAccesses over
+     * an element source (engine.cc: a request list, a stride or an
+     * address list). Each same-line run's head takes the full access
+     * core and settleTails settles the rest of the run; on the forced
+     * scalar path every run is one element long. With Record set every
+     * element gets a record, delivered once per call through onBatch,
+     * and tails skip the bulk collapse; only recordedBatch records.
      */
     ///@{
-    [[gnu::always_inline]] inline Cycles
-    batchBody(ThreadContext &t, std::span<const AccessRequest> reqs,
-              bool record);
-    [[gnu::always_inline]] inline Cycles
-    rangeBody(ThreadContext &t, Addr base, std::uint64_t count,
-              std::uint32_t stride, MemOp op);
-    [[gnu::always_inline]] inline Cycles
-    manyBody(ThreadContext &t, std::span<const Addr> addrs, MemOp op);
+    /** The head loop over @p src, inlined into its callers so the
+     *  observer-free path pays no extra call. */
+    template <bool Record, typename Source>
+    [[gnu::always_inline]] inline Cycles runAccesses(ThreadContext &t,
+                                                     Source src);
+
+    /** What settleTails settled. */
+    struct TailsSettled
+    {
+        Cycles cost;        ///< Summed latency (excluding issue cycles).
+        std::uint64_t next; ///< First element not settled.
+        bool prologueDone;  ///< A mid-run service ran next's prologue.
+    };
+
+    /**
+     * Settle the tails [@p i, @p run_end) of @p src after a head at
+     * @p head_addr that left its line resident in L1 and its
+     * translation (2 MiB when @p huge) in the TLB at translation epoch
+     * @p head_epoch. Stops short when a mid-run service bumps the
+     * epoch; the element it stops at becomes the next head.
+     */
+    template <bool Record, typename Source>
+    TailsSettled settleTails(ThreadContext &t, Source src, Addr head_addr,
+                             bool huge, std::uint64_t head_epoch,
+                             std::uint64_t i, std::uint64_t run_end);
+
+    /** Observer dispatch of the uniform-op sources (accessRange and
+     *  accessMany). */
+    template <typename Source>
+    [[gnu::always_inline]] inline Cycles uniformAccess(ThreadContext &t,
+                                                       Source src);
     ///@}
 
     /** The load-skip splitter of accessBatch, out of its hot path. */
@@ -419,8 +445,13 @@ class Engine : public TlbShootdownClient
                            NextDue &&next_due, Stretch &&stretch,
                            Due &&due);
 
-    /** Execute @p req as a batch of one and deliver its record now. */
-    Cycles dueAccess(ThreadContext &t, const AccessRequest &req);
+    /**
+     * Execute @p reqs and deliver their records to every observer at
+     * once: accessBatch's path for observers that see every access,
+     * and the due load of the load-skip splitter.
+     */
+    Cycles recordedBatch(ThreadContext &t,
+                         std::span<const AccessRequest> reqs);
 
     /**
      * Fallback of accessRange and accessMany for observers that see
@@ -436,21 +467,6 @@ class Engine : public TlbShootdownClient
     AccessOutcome accessCore(ThreadContext &t, Addr addr, MemOp op,
                              bool assists);
 
-    /**
-     * Process @p m uniform-op tail accesses of @p line after a head
-     * that left the line resident in L1 and @p vpn in the TLB: the
-     * one-shot quiet-LFB collapse plus the general bulk machinery
-     * shared by accessRange and accessMany. Sets @p consumed to the
-     * number of tails settled (short on an epoch break) and
-     * @p prologue_next when a mid-run service already covered the next
-     * element's issue-side prologue.
-     *
-     * @return the summed latency charged (excluding issue cycles).
-     */
-    Cycles tailRun(ThreadContext &t, Addr line, PageNum vpn, bool huge,
-                   std::uint64_t head_epoch, std::uint64_t m,
-                   bool is_store, std::uint64_t &consumed,
-                   bool &prologue_next);
     /**
      * Install the next-line prefetch @p line clean in L3, L2 and L1, in
      * that order, pushing each level's victim down the non-inclusive

@@ -50,7 +50,7 @@ struct SystemConfig
     /**
      * Transparent huge pages. Off by default: every THP code path is
      * gated on thp.enabled, keeping 4 KiB-only runs bit-identical. The
-     * MEMTIER_THP environment variable (ON/1) force-enables it.
+     * MEMTIER_THP environment variable (ON/on/1) force-enables it.
      */
     ThpParams thp;
 
@@ -101,7 +101,7 @@ struct SystemConfig
     /**
      * Run the kernel invariant checker every invariantCheckPeriod
      * kernel events. Tests keep it on; the MEMTIER_CHECK_INVARIANTS
-     * environment variable (ON/1) force-enables it for any run.
+     * environment variable (ON/on/1) force-enables it for any run.
      */
     bool checkInvariants = false;
 
@@ -109,13 +109,14 @@ struct SystemConfig
     std::uint64_t invariantCheckPeriod = 4096;
 
     /**
-     * Force the reference scalar access path: accessBatch degenerates
-     * to element-at-a-time processing with no run coalescing, no
-     * quiet-LFB shortcut and no bulk fill accounting. The results
-     * are bit-identical either way (the golden tests assert it); this
-     * knob exists to prove that and to baseline the batched path's
-     * host-side speedup. The MEMTIER_SCALAR_PATH environment variable
-     * (ON/1) force-enables it.
+     * Force the reference scalar access path: accessBatch, accessRange
+     * and accessMany all degenerate to element-at-a-time processing
+     * (every same-line run is one element long) with no run
+     * coalescing, no quiet-LFB shortcut and no bulk fill accounting.
+     * The results are bit-identical either way (the golden tests
+     * assert it); this knob exists to prove that and to baseline the
+     * batched path's host-side speedup. The MEMTIER_SCALAR_PATH
+     * environment variable (ON/on/1) force-enables it.
      */
     bool scalarPath = false;
 };

@@ -11,9 +11,8 @@
 #define MEMTIER_THP_THP_PARAMS_H_
 
 #include <cstdint>
-#include <cstdlib>
-#include <string>
 
+#include "base/env.h"
 #include "base/types.h"
 
 namespace memtier {
@@ -45,15 +44,11 @@ struct ThpParams
     std::uint32_t khugepagedMaxCollapses = 8;
 };
 
-/** MEMTIER_THP=ON/1 force-enables the THP model for any run. */
+/** MEMTIER_THP=ON/on/1 force-enables the THP model for any run. */
 inline bool
 thpForcedByEnv()
 {
-    const char *env = std::getenv("MEMTIER_THP");
-    if (env == nullptr)
-        return false;
-    const std::string value(env);
-    return value == "ON" || value == "on" || value == "1";
+    return envFlag("MEMTIER_THP");
 }
 
 }  // namespace memtier

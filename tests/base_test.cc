@@ -1,13 +1,18 @@
 /**
  * @file
- * Unit tests for the base library: types, RNG, statistics, CSV.
+ * Unit tests for the base library: types, RNG, statistics, CSV,
+ * logging and the environment-override parsers.
  */
 
+#include <cstdlib>
+#include <optional>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "base/csv.h"
+#include "base/env.h"
 #include "base/logging.h"
 #include "base/rng.h"
 #include "base/stats.h"
@@ -448,6 +453,65 @@ TEST(Logging, LevelRoundTrip)
     setLogLevel(LogLevel::Quiet);
     EXPECT_EQ(logLevel(), LogLevel::Quiet);
     setLogLevel(before);
+}
+
+// ------------------------------------------------------------------ env
+
+constexpr const char *kTestVar = "MEMTIER_TEST_ENV_PARSE";
+
+TEST(Env, FlagAcceptsOnOffSpellings)
+{
+    unsetenv(kTestVar);
+    EXPECT_FALSE(envFlag(kTestVar));
+    for (const char *off : {"", "0", "OFF", "off"}) {
+        setenv(kTestVar, off, 1);
+        EXPECT_FALSE(envFlag(kTestVar)) << "'" << off << "'";
+    }
+    for (const char *on : {"1", "ON", "on"}) {
+        setenv(kTestVar, on, 1);
+        EXPECT_TRUE(envFlag(kTestVar)) << "'" << on << "'";
+    }
+    unsetenv(kTestVar);
+}
+
+TEST(Env, FlagRejectsTypos)
+{
+    for (const char *typo : {"true", "yes", "On", "2", " on", "ON "}) {
+        EXPECT_DEATH(
+            {
+                setenv(kTestVar, typo, 1);
+                envFlag(kTestVar);
+            },
+            "MEMTIER_TEST_ENV_PARSE='.*' is not a switch")
+            << "'" << typo << "'";
+    }
+}
+
+TEST(Env, IntAcceptsUnsetEmptyAndInRange)
+{
+    unsetenv(kTestVar);
+    EXPECT_EQ(envInt(kTestVar, 1, 64), std::nullopt);
+    setenv(kTestVar, "", 1);
+    EXPECT_EQ(envInt(kTestVar, 1, 64), std::nullopt);
+    for (const long v : {1L, 7L, 64L}) {
+        setenv(kTestVar, std::to_string(v).c_str(), 1);
+        EXPECT_EQ(envInt(kTestVar, 1, 64), v);
+    }
+    unsetenv(kTestVar);
+}
+
+TEST(Env, IntRejectsMalformedAndOutOfRange)
+{
+    for (const char *bad : {"0", "65", "-3", "4x", "abc", " ", "1e3",
+                            "99999999999999999999"}) {
+        EXPECT_DEATH(
+            {
+                setenv(kTestVar, bad, 1);
+                envInt(kTestVar, 1, 64);
+            },
+            "MEMTIER_TEST_ENV_PARSE='.*' is not an integer in 1..64")
+            << "'" << bad << "'";
+    }
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "base/env.h"
 #include "exp/runner.h"
 #include "fault/circuit_breaker.h"
 #include "fault/fault_injector.h"
@@ -774,8 +775,7 @@ TEST(FaultEngine, NoInjectorConstructedWithoutPlan)
     EXPECT_EQ(eng.faultInjector(), nullptr);
     // The chaos CI stage forces the checker on via the environment, so
     // only assert its absence when that override is not active.
-    const char *forced = std::getenv("MEMTIER_CHECK_INVARIANTS");
-    if (forced == nullptr || forced[0] == '\0') {
+    if (!envFlag("MEMTIER_CHECK_INVARIANTS")) {
         EXPECT_EQ(eng.invariantChecker(), nullptr);
     }
 }

@@ -5,8 +5,8 @@
  * migrations interleaved with batched sweeps, 4 KiB and THP, diffed
  * against the forced scalar path), the golden scalar-vs-batched
  * bit-identity of whole workload runs, absolute cache/TLB counter and
- * sample-stream goldens, and the observers' load-skip contract on
- * whole runs.
+ * sample-stream goldens, the cross-form differential of the bulk
+ * access forms, and the observers' load-skip contract on whole runs.
  */
 
 #include <gtest/gtest.h>
@@ -886,6 +886,270 @@ TEST(HierarchyDifferential, OneSetLevelIsRejected)
     const HierarchyShape one_set_l1{"one_set_l1", 1, 8, 128, 8, 128, 16};
     EXPECT_DEATH(Engine eng(dramOnlyConfig(one_set_l1, true)),
                  "every cache level needs at least two sets");
+}
+
+// ------------------------------------------ Cross-form differential
+//
+// accessBatch, accessRange, accessMany and one access() per element are
+// four spellings of the same uniform-op stream and must settle it
+// identically: the same clocks, level attribution (LFB versus L1 of
+// same-line tails included), cache, TLB and vmstat counters, and the
+// same records for an observer. The machine is under DRAM pressure
+// with a fast scanner and the next-line prefetcher on, so services,
+// translation-epoch bumps and in-flight LFB fills land inside runs.
+
+/** One uniform-op stretch of the stream, issued to one thread. */
+struct FormSegment
+{
+    MemOp op;
+    std::vector<Addr> addrs;
+};
+
+/**
+ * Seeded segments over [@p base, @p base + @p bytes): sequential
+ * words, strides of a few lines, and groups of same-line gather
+ * neighbours in no particular order.
+ */
+std::vector<FormSegment>
+crossFormStream(Addr base, std::uint64_t bytes)
+{
+    constexpr std::uint64_t kWord = sizeof(std::uint64_t);
+    Rng rng(0xf0a5);
+    std::vector<FormSegment> out;
+    for (int s = 0; s < 600; ++s) {
+        FormSegment seg;
+        seg.op = rng.nextBool(0.3) ? MemOp::Store : MemOp::Load;
+        const Addr start = rng.nextBounded(bytes / kWord) * kWord;
+        switch (rng.nextBounded(3)) {
+          case 0: {  // Sequential words across lines and pages.
+            const std::uint64_t count = std::min<std::uint64_t>(
+                1 + rng.nextBounded(700), (bytes - start) / kWord);
+            for (std::uint64_t k = 0; k < count; ++k)
+                seg.addrs.push_back(base + start + k * kWord);
+            break;
+          }
+          case 1: {  // Strides of a few lines.
+            const std::uint64_t stride = kLineSize * (2 + rng.nextBounded(3));
+            const std::uint64_t count = std::min<std::uint64_t>(
+                1 + rng.nextBounded(200), (bytes - 1 - start) / stride + 1);
+            for (std::uint64_t k = 0; k < count; ++k)
+                seg.addrs.push_back(base + start + k * stride);
+            break;
+          }
+          default: {  // Same-line gather neighbours, a few lines apart.
+            const Addr first_line = lineOf(start);
+            const std::uint64_t last_line = lineOf(bytes - 1);
+            for (std::uint64_t g = 1 + rng.nextBounded(40); g > 0; --g) {
+                const Addr line = std::min<Addr>(
+                    last_line, first_line + rng.nextBounded(16));
+                for (std::uint64_t k = 1 + rng.nextBounded(8); k > 0; --k)
+                    seg.addrs.push_back(
+                        base + (line << kLineShift) +
+                        rng.nextBounded(kLineSize / kWord) * kWord);
+            }
+            break;
+          }
+        }
+        out.push_back(std::move(seg));
+    }
+    return out;
+}
+
+enum class AccessForm { Batch, Range, Many, PerElement };
+enum class FormObserver { None, RecordAll, Sampler };
+
+/** Keeps a copy of every record, without the load-skip contract. */
+class RecordAll : public AccessObserver
+{
+  public:
+    void onAccess(const AccessRecord &r) override { records.push_back(r); }
+
+    std::vector<AccessRecord> records;
+};
+
+/** Everything the cross-form differential compares. */
+struct FormOutcome
+{
+    std::vector<Cycles> clocks;
+    std::vector<std::uint64_t> counters;  ///< Levels, caches, TLB, LFB.
+    std::vector<std::uint64_t> vmstat;    ///< Every VmStat word.
+    std::vector<std::uint64_t> records;   ///< Every field, in order.
+};
+
+/** Every field of @p r, appended to @p out. */
+void
+appendRecord(std::vector<std::uint64_t> &out, ThreadId tid, Addr vaddr,
+             MemOp op, MemLevel level, Cycles latency, bool tlb_miss,
+             Cycles time)
+{
+    out.insert(out.end(), {tid, vaddr, static_cast<std::uint64_t>(op),
+                           static_cast<std::uint64_t>(level), latency,
+                           tlb_miss, time});
+}
+
+/**
+ * Issue @p addrs as accessRange calls, one per maximal stretch with a
+ * constant positive stride (batch boundaries are free to move).
+ */
+void
+issueAsRanges(Engine &eng, ThreadContext &t, const std::vector<Addr> &addrs,
+              MemOp op)
+{
+    std::size_t k = 0;
+    while (k < addrs.size()) {
+        std::size_t end = k + 1;
+        std::uint64_t stride = sizeof(std::uint64_t);
+        if (end < addrs.size() && addrs[end] > addrs[k]) {
+            stride = addrs[end] - addrs[k];
+            while (end < addrs.size() && addrs[end] > addrs[end - 1] &&
+                   addrs[end] - addrs[end - 1] == stride)
+                ++end;
+        }
+        eng.accessRange(t, addrs[k], end - k,
+                        static_cast<std::uint32_t>(stride), op);
+        k = end;
+    }
+}
+
+FormOutcome
+runCrossForm(AccessForm form, FormObserver observe, bool thp, bool scalar)
+{
+    SystemConfig cfg;
+    cfg.numThreads = 2;
+    cfg.thp.enabled = thp;
+    cfg.scalarPath = scalar;
+    cfg.nextLinePrefetch = true;
+    cfg.dram = makeDramParams(thp ? 4 * kMiB : 96 * kPageSize);
+    cfg.nvm = makeNvmParams(thp ? 32 * kMiB : 4096 * kPageSize);
+    cfg.autonuma.scanPeriod = secondsToCycles(0.0001);
+    cfg.autonuma.adjustPeriod = secondsToCycles(0.0005);
+    cfg.autonuma.rateLimitBytesPerSec = 64 * kMiB;
+    cfg.kswapdPeriod = secondsToCycles(0.00005);
+    Engine eng(cfg);
+    RecordAll record_all;
+    SamplerParams sp;
+    sp.period = 7;
+    PerfMemSampler sampler(sp);
+    if (observe == FormObserver::RecordAll)
+        eng.addObserver(&record_all);
+    else if (observe == FormObserver::Sampler)
+        eng.addObserver(&sampler);
+
+    const std::uint64_t bytes = thp ? 8 * kMiB : 320 * kPageSize;
+    const Addr base = eng.sysMmap(eng.thread(0), bytes, 0, "stream");
+    std::vector<AccessRequest> reqs;
+    const std::vector<FormSegment> stream = crossFormStream(base, bytes);
+    for (std::size_t s = 0; s < stream.size(); ++s) {
+        const FormSegment &seg = stream[s];
+        ThreadContext &t = eng.thread(static_cast<std::uint32_t>(s % 2));
+        switch (form) {
+          case AccessForm::Batch:
+            reqs.clear();
+            for (const Addr a : seg.addrs)
+                reqs.push_back({a, seg.op});
+            eng.accessBatch(t, reqs);
+            break;
+          case AccessForm::Range:
+            issueAsRanges(eng, t, seg.addrs, seg.op);
+            break;
+          case AccessForm::Many:
+            eng.accessMany(t, seg.addrs, seg.op);
+            break;
+          case AccessForm::PerElement:
+            for (const Addr a : seg.addrs)
+                eng.access(t, a, seg.op);
+            break;
+        }
+    }
+
+    FormOutcome out;
+    for (std::uint32_t i = 0; i < cfg.numThreads; ++i) {
+        const ThreadContext &t = eng.thread(i);
+        out.clocks.push_back(t.clock());
+        for (const SetAssocCache *c : {&t.l1, &t.l2})
+            out.counters.insert(out.counters.end(),
+                                {c->hits(), c->misses(), c->writebacks()});
+        out.counters.insert(
+            out.counters.end(),
+            {t.tlb.l1Hits(), t.tlb.stlbHits(), t.tlb.misses(),
+             t.tlb.hugeL1Hits(), t.tlb.hugeStlbHits(), t.tlb.hugeMisses(),
+             t.lfb.hits(), t.loads, t.stores, t.pageFaults, t.hintFaults});
+    }
+    const SetAssocCache &l3 = eng.sharedL3();
+    out.counters.insert(out.counters.end(),
+                        {l3.hits(), l3.misses(), l3.writebacks()});
+    for (int l = 0; l < kNumMemLevels; ++l)
+        out.counters.push_back(eng.levelCount(static_cast<MemLevel>(l)));
+    const VmStat &vs = eng.kernel().vmstat();
+    out.vmstat.resize(sizeof(VmStat) / sizeof(std::uint64_t));
+    std::memcpy(out.vmstat.data(), &vs, sizeof(VmStat));
+    for (const AccessRecord &r : record_all.records)
+        appendRecord(out.records, r.tid, r.vaddr, r.op, r.level, r.latency,
+                     r.tlbMiss, r.time);
+    for (const MemorySample &m : sampler.takeSamples())
+        appendRecord(out.records, m.tid, m.vaddr, MemOp::Load, m.level,
+                     m.latency, m.tlbMiss, m.time);
+    out.records.push_back(sampler.loadsSeen());
+
+    // The stream only tests the tail machinery if the machine really
+    // moved pages under it and tails met in-flight or resident fills.
+    EXPECT_GT(vs.pgmigrateSuccess, 0u);
+    EXPECT_GT(eng.levelCount(MemLevel::LFB), 0u);
+    EXPECT_GT(eng.levelCount(MemLevel::NVM), 0u);
+    if (observe == FormObserver::RecordAll) {
+        EXPECT_EQ(record_all.records.size(), eng.thread(0).loads +
+                                                 eng.thread(0).stores +
+                                                 eng.thread(1).loads +
+                                                 eng.thread(1).stores);
+    }
+    if (observe == FormObserver::Sampler) {
+        EXPECT_GT(out.records.size(), 1u);
+    }
+    return out;
+}
+
+/** Index of the first differing element of @p a and @p b, or -1. */
+long
+firstDifference(const std::vector<std::uint64_t> &a,
+                const std::vector<std::uint64_t> &b)
+{
+    const auto [ia, ib] = std::mismatch(a.begin(), a.end(), b.begin(),
+                                        b.end());
+    if (ia == a.end() && ib == b.end())
+        return -1;
+    return ia - a.begin();
+}
+
+TEST(BulkForms, EveryFormSettlesTheSameStream)
+{
+    for (const bool thp : {false, true}) {
+        for (const bool scalar : {false, true}) {
+            for (const FormObserver observe :
+                 {FormObserver::None, FormObserver::RecordAll,
+                  FormObserver::Sampler}) {
+                SCOPED_TRACE(::testing::Message()
+                             << (thp ? "thp" : "4k") << ", "
+                             << (scalar ? "scalar" : "batched")
+                             << ", observer " << static_cast<int>(observe));
+                const FormOutcome ref = runCrossForm(
+                    AccessForm::PerElement, observe, thp, scalar);
+                for (const AccessForm form :
+                     {AccessForm::Batch, AccessForm::Range,
+                      AccessForm::Many}) {
+                    SCOPED_TRACE(::testing::Message()
+                                 << "form " << static_cast<int>(form));
+                    const FormOutcome got =
+                        runCrossForm(form, observe, thp, scalar);
+                    EXPECT_EQ(got.clocks, ref.clocks);
+                    EXPECT_EQ(got.counters, ref.counters);
+                    EXPECT_EQ(got.vmstat, ref.vmstat);
+                    EXPECT_EQ(firstDifference(got.records, ref.records), -1)
+                        << got.records.size() << " vs "
+                        << ref.records.size() << " record words";
+                }
+            }
+        }
+    }
 }
 
 // --------------------------------------- Absolute sample-stream golden

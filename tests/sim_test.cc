@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <set>
+#include <string>
 #include <utility>
 
 #include "base/rng.h"
@@ -123,6 +126,60 @@ TEST(Engine, ShootdownInvalidatesAllThreads)
         eng.load(eng.thread(i), a);
     for (const auto &r : obs.records)
         EXPECT_TRUE(r.tlbMiss);
+}
+
+/** Set @p name to @p value for one scope, then restore it. */
+class ScopedEnv
+{
+  public:
+    ScopedEnv(const char *name, const char *value) : name_(name)
+    {
+        if (const char *old = std::getenv(name))
+            old_ = old;
+        setenv(name, value, 1);
+    }
+
+    ~ScopedEnv()
+    {
+        if (old_)
+            setenv(name_, old_->c_str(), 1);
+        else
+            unsetenv(name_);
+    }
+
+  private:
+    const char *name_;
+    std::optional<std::string> old_;
+};
+
+TEST(Engine, EnvOverridesRejectTypos)
+{
+    // Each override fatal()s before the kernel exists, so no machine
+    // (and no copy-worker pool) is ever built from a bad value.
+    const std::pair<const char *, const char *> bad[] = {
+        {"MEMTIER_THP", "true"},
+        {"MEMTIER_SCALAR_PATH", "enabled"},
+        {"MEMTIER_CHECK_INVARIANTS", "yes"},
+        {"MEMTIER_COPY_THREADS", "0"},
+        {"MEMTIER_COPY_THREADS", "65"},
+        {"MEMTIER_COPY_THREADS", "four"},
+    };
+    for (const auto &[name, value] : bad) {
+        EXPECT_DEATH(
+            {
+                setenv(name, value, 1);
+                Engine eng(tinyConfig(1));
+            },
+            std::string(name) + "='" + value + "'")
+            << name << "=" << value;
+    }
+}
+
+TEST(Engine, CopyThreadsOverrideSizesTheCopyEngine)
+{
+    const ScopedEnv env("MEMTIER_COPY_THREADS", "3");
+    Engine eng(tinyConfig(1));
+    EXPECT_EQ(eng.kernel().copyEngine().params().workers, 3u);
 }
 
 TEST(Engine, ParallelForCoversRangeExactlyOnce)
