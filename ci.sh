@@ -131,7 +131,7 @@ echo "=== [5/11] chaos: invariant checker on + fault plan, tier-1 binaries ==="
 # every Engine (observer-only: results stay bit-identical), and
 # MEMTIER_FAULT_PLAN overrides the chaos-aware tests' default plan.
 MEMTIER_CHECK_INVARIANTS=ON \
-MEMTIER_FAULT_PLAN="migrate:p=0.1,burst=6;alloc:p=0.03;seed=97" \
+MEMTIER_FAULT_PLAN="migrate:p=0.1,burst=6;exchange:p=0.05;alloc:p=0.03;seed=97" \
     ctest --test-dir build-ci --output-on-failure -j "$JOBS"
 # Segmented-CSR smoke: one short PageRank on the out-of-core segmented
 # path with the invariant checker armed (bigraph_test covers faults on

@@ -63,46 +63,6 @@ Kernel::recordMigration(bool success, Cycles now)
         ++stats.breakerTrips;
 }
 
-Cycles
-Kernel::chargedCopy(Cycles now, std::uint64_t bytes)
-{
-    const Cycles legacy = roundUpPages(bytes) * cfg.migratePageCycles;
-    const Cycles charged = copyEngine_.copy(now, bytes, legacy);
-    mirrorCopyCounters();
-    return charged;
-}
-
-Cycles
-Kernel::chargedCopyHuge(Cycles now)
-{
-    const Cycles charged =
-        copyEngine_.copy(now, kHugePageSize, cfg.hugeMigrateCycles);
-    mirrorCopyCounters();
-    return charged;
-}
-
-void
-Kernel::backgroundCopy(Cycles now, std::uint64_t bytes)
-{
-    copyEngine_.background(
-        now, bytes, roundUpPages(bytes) * cfg.migratePageCycles);
-    mirrorCopyCounters();
-}
-
-void
-Kernel::mirrorCopyCounters()
-{
-    // Only a parallel pool surfaces pgcopy_* counters; a single-worker
-    // engine keeps vmstat byte-identical to the pre-engine kernel so
-    // every captured golden still matches.
-    if (!copyEngine_.parallel())
-        return;
-    stats.pgcopyChunks = copyEngine_.chunks();
-    stats.pgcopyParallel = copyEngine_.parallelCopies();
-    stats.pgcopyQueuedChunks = copyEngine_.queuedChunks();
-    stats.pgcopyBusyCycles = copyEngine_.busyCycles();
-}
-
 std::optional<FrameNum>
 Kernel::allocFrame(MemNode node, FrameOwner owner, Cycles now)
 {
@@ -656,51 +616,24 @@ Kernel::softOfflinePage(PageNum vpn, PageMeta &meta, Cycles now)
             if (frame)
                 dst = other;
         }
-        if (!frame) {
-            // No healthy frame anywhere: abandon the offline. The page
-            // stays on its failing frame and its CE history resets so
-            // the next threshold crossing retries.
+        if (frame &&
+            !moveFaulted(FaultPoint::Migration, meta, dst, *frame, now)) {
+            return cost + movePage(vpn, meta, dst, *frame,
+                                   MigrateReason::MemoryFailure, now);
+        }
+        // A transient copy failure retries with bounded backoff, like
+        // the promotion path (soft offline is just a migration). With
+        // no healthy frame anywhere, or once the retries are spent, the
+        // offline is abandoned: the page stays on its failing frame and
+        // its CE history resets so the next threshold crossing retries.
+        if (!frame)
+            recordMigration(false, now);
+        if (!frame || attempt >= cfg.migrateRetryLimit) {
             ++stats.hwpoisonSoftOfflineFail;
             phys.tier(src).clearCorrectable(meta.frame);
-            recordMigration(false, now);
             return cost;
         }
-        if (faults && faults->shouldFail(FaultPoint::Migration, now)) {
-            // Transient copy failure: bounded retry with backoff, like
-            // the promotion path (soft offline is just a migration).
-            phys.tier(dst).free(*frame, meta.owner);
-            ++stats.pgmigrateFail;
-            recordMigration(false, now);
-            if (attempt >= cfg.migrateRetryLimit) {
-                ++stats.hwpoisonSoftOfflineFail;
-                phys.tier(src).clearCorrectable(meta.frame);
-                return cost;
-            }
-            cost += cfg.migrateRetryBackoffCycles << attempt;
-            continue;
-        }
-
-        // Copy succeeded: remap onto the healthy frame and retire the
-        // failing one. Deliberately not counted as pgmigrate/pgdemote:
-        // those counters keep their promotion+demotion+exchange
-        // identity, hwpoison_soft_offline counts this path.
-        if (src == MemNode::DRAM)
-            listFor(meta).remove(vpn);
-        phys.tier(src).retire(meta.frame, meta.owner);
-        meta.frame = *frame;
-        meta.node = dst;
-        meta.protNone = false;  // The marker's hint fault is forfeit.
-        if (dst == MemNode::DRAM)
-            listFor(meta).add(vpn);
-        shootdown(vpn);
-
-        ++stats.hwpoisonSoftOffline;
-        ++stats.hwpoisonFramesRetired;
-        recordMigration(true, now);
-        if (tieringPolicy)
-            tieringPolicy->onMemoryFailure(vpn, src, false, now);
-        noteEvent(now);
-        return cost + chargedCopy(now, kPageSize);
+        cost += cfg.migrateRetryBackoffCycles << attempt;
     }
 }
 
@@ -768,6 +701,120 @@ Kernel::freePage(PageNum vpn, PageMeta &meta)
 }
 
 bool
+Kernel::moveFaulted(FaultPoint point, const PageMeta &meta,
+                    MemNode dst_node, std::optional<FrameNum> dst_frame,
+                    Cycles now)
+{
+    if (!faults || !faults->shouldFail(point, now))
+        return false;
+    if (dst_frame && meta.huge)
+        phys.tier(dst_node).freeHuge(*dst_frame, meta.owner);
+    else if (dst_frame)
+        phys.tier(dst_node).free(*dst_frame, meta.owner);
+    ++stats.pgmigrateFail;
+    recordMigration(false, now);
+    return true;
+}
+
+Cycles
+Kernel::movePage(PageNum vpn, PageMeta &meta, MemNode dst_node,
+                 FrameNum dst_frame, MigrateReason reason, Cycles now)
+{
+    using R = MigrateReason;
+    const bool demotion =
+        reason == R::DemotionKswapd || reason == R::DemotionDirect;
+    const MemNode src_node = meta.node;
+    if (src_node == MemNode::DRAM)
+        listFor(meta).remove(vpn);
+    if (reason == R::MemoryFailure)
+        phys.tier(src_node).retire(meta.frame, meta.owner);
+    else if (meta.huge)
+        phys.tier(src_node).freeHuge(meta.frame, meta.owner);
+    else if (reason != R::ExchangeOut && reason != R::ExchangeIn)
+        phys.tier(src_node).free(meta.frame, meta.owner);
+    meta.frame = dst_frame;
+    meta.node = dst_node;
+    if (dst_node == MemNode::DRAM)
+        listFor(meta).add(vpn);
+    if (meta.huge)
+        shootdownHuge(vpn);
+    else
+        shootdown(vpn);
+
+    // Every move but a promotion forfeits a pending scan marker's hint
+    // fault. Soft offline keeps the flags and stays out of pgmigrate_*,
+    // so those keep their promotion + demotion + exchange identity.
+    if (reason != R::NumaMisplaced)
+        meta.protNone = false;
+    const std::uint64_t pages = meta.huge ? kPagesPerHuge : 1;
+    if (reason == R::MemoryFailure) {
+        ++stats.hwpoisonSoftOffline;
+        ++stats.hwpoisonFramesRetired;
+    } else {
+        stats.pgmigrateSuccess += pages;
+    }
+    if (reason == R::NumaMisplaced || reason == R::ExchangeIn) {
+        meta.promoted = true;
+        stats.pgpromoteSuccess += pages;
+    }
+    if (reason == R::ExchangeIn) {
+        meta.exchanged = true;
+        ++stats.pgexchangeSuccess;
+    }
+    if (reason == R::DemotionKswapd)
+        ++stats.pgdemoteKswapd;
+    if (reason == R::DemotionDirect)
+        ++stats.pgdemoteDirect;
+    if (demotion || reason == R::ExchangeOut) {
+        if (meta.promoted) {
+            ++stats.pgpromoteDemoted;
+            meta.promoted = false;
+        }
+        if (meta.exchanged) {
+            ++stats.pgexchangeThrash;
+            meta.exchanged = false;
+        }
+    }
+
+    // Once per operation: an exchange pair is one, completed by its
+    // ExchangeIn half.
+    if (reason == R::ExchangeOut)
+        return 0;
+    recordMigration(true, now);
+    if (reason == R::MemoryFailure && tieringPolicy)
+        tieringPolicy->onMemoryFailure(vpn, src_node, false, now);
+    // Reclaim notes its event once per batch.
+    if (!demotion)
+        noteEvent(now);
+
+    // The copy. A huge page's bulk copy amortizes the remap (legacy
+    // charge hugeMigrateCycles); an exchange copies both pages in one
+    // job, so a parallel pool runs them on separate workers. Reclaim's
+    // copy runs on the workers in the background: it occupies copy
+    // bandwidth but never stalls the reclaiming context.
+    const std::uint64_t bytes =
+        meta.huge ? kHugePageSize
+                  : (reason == R::ExchangeIn ? 2 : 1) * kPageSize;
+    const Cycles legacy = meta.huge ? cfg.hugeMigrateCycles
+                                    : roundUpPages(bytes) *
+                                          cfg.migratePageCycles;
+    Cycles charged = 0;
+    if (demotion)
+        copyEngine_.background(now, bytes, legacy);
+    else
+        charged = copyEngine_.copy(now, bytes, legacy);
+    // Only a parallel pool surfaces pgcopy_* counters; a single-worker
+    // engine keeps vmstat byte-identical to the pre-engine kernel.
+    if (copyEngine_.parallel()) {
+        stats.pgcopyChunks = copyEngine_.chunks();
+        stats.pgcopyParallel = copyEngine_.parallelCopies();
+        stats.pgcopyQueuedChunks = copyEngine_.queuedChunks();
+        stats.pgcopyBusyCycles = copyEngine_.busyCycles();
+    }
+    return charged;
+}
+
+bool
 Kernel::demotePage(PageNum vpn, PageMeta &meta, bool direct, Cycles now)
 {
     MEMTIER_ASSERT(meta.node == MemNode::DRAM, "demoting non-DRAM page");
@@ -778,40 +825,14 @@ Kernel::demotePage(PageNum vpn, PageMeta &meta, bool direct, Cycles now)
         ++stats.pgmigrateFail;
         return false;
     }
-    if (faults && faults->shouldFail(FaultPoint::Migration, now)) {
-        // Transient copy failure: release the target frame; reclaim
-        // moves on and will revisit the page on a later pass.
-        phys.nvm().free(*frame, meta.owner);
-        ++stats.pgmigrateFail;
-        recordMigration(false, now);
+    // A transient copy failure leaves the page where it is; reclaim
+    // moves on and will revisit it on a later pass.
+    if (moveFaulted(FaultPoint::Migration, meta, MemNode::NVM, *frame, now))
         return false;
-    }
-
-    listFor(meta).remove(vpn);
-    phys.dram().free(meta.frame, meta.owner);
-    meta.frame = *frame;
-    meta.node = MemNode::NVM;
-    meta.protNone = false;
-    shootdown(vpn);
-
-    ++stats.pgmigrateSuccess;
-    if (direct)
-        ++stats.pgdemoteDirect;
-    else
-        ++stats.pgdemoteKswapd;
-    if (meta.promoted) {
-        ++stats.pgpromoteDemoted;
-        meta.promoted = false;
-    }
-    if (meta.exchanged) {
-        ++stats.pgexchangeThrash;
-        meta.exchanged = false;
-    }
-    recordMigration(true, now);
-    // Reclaim's copy runs on the engine's workers in the background:
-    // it occupies copy bandwidth but never stalls the reclaiming
-    // context (kswapd overlaps copy with continued execution).
-    backgroundCopy(now, kPageSize);
+    movePage(vpn, meta, MemNode::NVM, *frame,
+             direct ? MigrateReason::DemotionDirect
+                    : MigrateReason::DemotionKswapd,
+             now);
     return true;
 }
 
@@ -960,28 +981,13 @@ Kernel::promoteHugePage(PageNum vpn, Cycles now)
         splitHugePage(base, now);
         return promotePage(vpn, now);
     }
-    if (faults && faults->shouldFail(FaultPoint::Migration, now)) {
-        // Transient bulk-copy failure: release the target block; the
-        // range stays NVM and a later hint fault retries. No synchronous
-        // retry loop -- a 2 MiB copy is too large to spin on.
-        phys.dram().freeHuge(*frame, FrameOwner::App);
-        ++stats.pgmigrateFail;
-        recordMigration(false, now);
+    // A transient bulk-copy failure leaves the range on NVM for a later
+    // hint fault. No synchronous retry loop -- a 2 MiB copy is too
+    // large to spin on.
+    if (moveFaulted(FaultPoint::Migration, *hm, MemNode::DRAM, *frame, now))
         return 0;
-    }
-
-    phys.nvm().freeHuge(hm->frame, FrameOwner::App);
-    hm->frame = *frame;
-    hm->node = MemNode::DRAM;
-    hm->promoted = true;
-    appLru.add(base);
-    shootdownHuge(base);
-
-    stats.pgpromoteSuccess += kPagesPerHuge;
-    stats.pgmigrateSuccess += kPagesPerHuge;
-    recordMigration(true, now);
-    noteEvent(now);
-    return chargedCopyHuge(now);
+    return movePage(base, *hm, MemNode::DRAM, *frame,
+                    MigrateReason::NumaMisplaced, now);
 }
 
 Cycles
@@ -1019,32 +1025,19 @@ Kernel::promotePage(PageNum vpn, Cycles now)
                 return 0;
             }
         }
-        if (faults && faults->shouldFail(FaultPoint::Migration, now)) {
-            // Transient copy failure: release the target frame and
-            // retry with exponential backoff, unless the bounded retry
-            // budget is spent or this failure tripped the breaker.
-            phys.dram().free(*frame, meta->owner);
-            ++stats.pgmigrateFail;
-            recordMigration(false, now);
+        if (moveFaulted(FaultPoint::Migration, *meta, MemNode::DRAM, *frame,
+                        now)) {
+            // Transient copy failure: retry with exponential backoff,
+            // unless the bounded retry budget is spent or this failure
+            // tripped the breaker.
             if (attempt >= cfg.migrateRetryLimit || migrationsPaused(now))
                 return 0;
             cost += cfg.migrateRetryBackoffCycles << attempt;
             ++stats.promoteRetry;
             continue;
         }
-
-        phys.nvm().free(meta->frame, meta->owner);
-        meta->frame = *frame;
-        meta->node = MemNode::DRAM;
-        meta->promoted = true;
-        listFor(*meta).add(vpn);
-        shootdown(vpn);
-
-        ++stats.pgpromoteSuccess;
-        ++stats.pgmigrateSuccess;
-        recordMigration(true, now);
-        noteEvent(now);
-        return cost + chargedCopy(now, kPageSize);
+        return cost + movePage(vpn, *meta, MemNode::DRAM, *frame,
+                               MigrateReason::NumaMisplaced, now);
     }
 }
 
@@ -1080,18 +1073,18 @@ Kernel::exchangePages(PageNum nvm_vpn, PageNum dram_vpn, Cycles now)
         ++stats.promotePaused;
         return 0;
     }
-    if (faults && faults->shouldFail(FaultPoint::Exchange, now)) {
-        // Transient exchange failure: neither page moves, no frame was
-        // touched yet, so the abort is free of side effects.
-        ++stats.pgmigrateFail;
-        recordMigration(false, now);
+    // A transient exchange failure aborts before either frame is
+    // touched, so neither page moves.
+    if (moveFaulted(FaultPoint::Exchange, *up, MemNode::DRAM, std::nullopt,
+                    now)) {
         return 0;
     }
 
     // Swap frames in place: the DRAM page takes the NVM frame and vice
     // versa. Owner accounting moves with the pages so numastat stays
     // correct when the owners differ.
-    listFor(*down).remove(dram_vpn);
+    FrameNum up_frame = down->frame;
+    FrameNum down_frame = up->frame;
     if (up->owner != down->owner) {
         phys.dram().free(down->frame, down->owner);
         phys.nvm().free(up->frame, up->owner);
@@ -1099,39 +1092,15 @@ Kernel::exchangePages(PageNum nvm_vpn, PageNum dram_vpn, Cycles now)
         const auto nvm_frame = phys.nvm().allocate(down->owner);
         MEMTIER_ASSERT(dram_frame && nvm_frame,
                        "exchange re-allocation cannot fail");
-        up->frame = *dram_frame;
-        down->frame = *nvm_frame;
-    } else {
-        std::swap(up->frame, down->frame);
+        up_frame = *dram_frame;
+        down_frame = *nvm_frame;
     }
-    up->node = MemNode::DRAM;
-    down->node = MemNode::NVM;
-    up->protNone = false;
-    down->protNone = false;
-    up->promoted = true;
-    listFor(*up).add(nvm_vpn);
-    shootdown(nvm_vpn);
-    shootdown(dram_vpn);
-
-    ++stats.pgexchangeSuccess;
-    stats.pgmigrateSuccess += 2;  // Two pages moved.
-    ++stats.pgpromoteSuccess;
-    if (down->promoted) {
-        ++stats.pgpromoteDemoted;
-        down->promoted = false;
-    }
-    if (down->exchanged) {
-        ++stats.pgexchangeThrash;
-        down->exchanged = false;
-    }
-    up->exchanged = true;
-    recordMigration(true, now);
-    noteEvent(now);
-
-    // An exchange copies both pages (roughly two migrations' worth of
-    // data movement) but needs no reclaim episode; with a parallel
-    // copy pool the two page copies proceed on separate workers.
-    return chargedCopy(now, 2 * kPageSize);
+    // The DRAM page leaves its LRU before the NVM page joins it. The two
+    // shootdowns invalidate distinct pages, so their order is moot.
+    movePage(dram_vpn, *down, MemNode::NVM, down_frame,
+             MigrateReason::ExchangeOut, now);
+    return movePage(nvm_vpn, *up, MemNode::DRAM, up_frame,
+                    MigrateReason::ExchangeIn, now);
 }
 
 bool

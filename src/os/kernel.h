@@ -30,6 +30,7 @@ namespace memtier {
 
 class FaultInjector;
 class InvariantChecker;
+enum class FaultPoint : std::uint8_t;
 
 /** Kernel tunables (watermarks, fault costs, reclaim batch sizes). */
 struct KernelParams
@@ -367,8 +368,19 @@ class Kernel
   private:
     friend class InvariantChecker;  ///< Reads internal state, only.
 
-    /** Which reclaim LRU a DRAM page sits on. */
-    enum class LruList : std::uint8_t { AppLru, CacheLru };
+    /**
+     * Why a page moves: Linux's enum migrate_reason, cut to the reasons
+     * whose moves differ here. The reason picks the source release, the
+     * flags, the counters and the copy of @ref movePage.
+     */
+    enum class MigrateReason : std::uint8_t {
+        NumaMisplaced,   ///< MR_NUMA_MISPLACED: promotion, 4 KiB or huge.
+        DemotionKswapd,  ///< MR_DEMOTION by kswapd (pgdemote_kswapd).
+        DemotionDirect,  ///< MR_DEMOTION by direct reclaim or move_pages.
+        MemoryFailure,   ///< MR_MEMORY_FAILURE: soft offline; retires.
+        ExchangeOut,     ///< An exchange's DRAM page, moving to NVM.
+        ExchangeIn,      ///< An exchange's NVM page; completes the pair.
+    };
 
     /** One CLOCK list over DRAM-resident pages. */
     struct ClockList
@@ -448,20 +460,32 @@ class Kernel
     void recordMigration(bool success, Cycles now);
 
     /**
-     * Route a synchronous page copy of @p bytes through the copy
-     * engine; the legacy charge is migratePageCycles per 4 KiB page.
-     * @return cycles the caller waits for the copy.
+     * The success half of every page move: release the source frame
+     * (retire it for MemoryFailure, keep it for an exchange, whose
+     * caller already swapped the frames), remap @p meta onto @p
+     * dst_frame on @p dst_node, fix the DRAM LRU, shoot down the TLB,
+     * set the flags and count by @p reason, then feed the breaker, tick
+     * the invariant checker and charge the copy once per operation.
+     * Demotions note no event (reclaim notes once per batch) and copy
+     * in the background; ExchangeOut leaves all of that to ExchangeIn.
+     *
+     * @return synchronous copy cycles (0 for demotion and ExchangeOut).
      */
-    Cycles chargedCopy(Cycles now, std::uint64_t bytes);
+    Cycles movePage(PageNum vpn, PageMeta &meta, MemNode dst_node,
+                    FrameNum dst_frame, MigrateReason reason, Cycles now);
 
-    /** Synchronous 2 MiB copy (legacy charge: hugeMigrateCycles). */
-    Cycles chargedCopyHuge(Cycles now);
-
-    /** Background (demotion) copy: occupies workers, charges nothing. */
-    void backgroundCopy(Cycles now, std::uint64_t bytes);
-
-    /** Mirror copy-engine counters into vmstat (parallel pools only). */
-    void mirrorCopyCounters();
+    /**
+     * The failure half: ask the fault injector whether the copy of a
+     * move of @p meta fails at @p point. When it does, free @p
+     * dst_frame on @p dst_node (a 2 MiB block for a huge @p meta; an
+     * exchange fails before taking any frame and passes none), count
+     * pgmigrate_fail and feed the breaker one failure.
+     *
+     * @return true when the move was aborted.
+     */
+    bool moveFaulted(FaultPoint point, const PageMeta &meta,
+                     MemNode dst_node, std::optional<FrameNum> dst_frame,
+                     Cycles now);
 
     /** Tick the invariant checker after a kernel event. */
     void noteEvent(Cycles now);

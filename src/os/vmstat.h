@@ -43,7 +43,8 @@ struct VmStat
     /** Exchanged-in pages later pushed back out (exchange thrashing). */
     std::uint64_t pgexchangeThrash = 0;
 
-    /** Total successful page migrations (promotions + demotions). */
+    /** Pages moved by successful migrations: promotions + demotions
+     *  + two per exchange. Soft offlines are not counted. */
     std::uint64_t pgmigrateSuccess = 0;
 
     /** Promotion candidates seen (below threshold, may not migrate). */
@@ -55,7 +56,9 @@ struct VmStat
     /** Clean page-cache pages dropped by reclaim (no tiering path). */
     std::uint64_t pageCacheDrops = 0;
 
-    /** Page migrations that failed (transient fault or ENOMEM). */
+    /** Migrations that failed on a transient copy fault or on ENOMEM
+     *  (promotion, demotion, exchange, soft-offline copy). A soft
+     *  offline with no healthy frame is not counted. */
     std::uint64_t pgmigrateFail = 0;
 
     /** Promotion attempts retried after a transient failure. */

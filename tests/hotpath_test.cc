@@ -6,7 +6,8 @@
  * against the forced scalar path), the golden scalar-vs-batched
  * bit-identity of whole workload runs, absolute cache/TLB counter and
  * sample-stream goldens, the cross-form differential of the bulk
- * access forms, and the observers' load-skip contract on whole runs.
+ * access forms, directed streams at the tail settler's two bounds, and
+ * the observers' load-skip contract on whole runs.
  */
 
 #include <gtest/gtest.h>
@@ -1150,6 +1151,123 @@ TEST(BulkForms, EveryFormSettlesTheSameStream)
             }
         }
     }
+}
+
+// ------------------------------------------- Tail settler boundaries
+//
+// Directed streams for the two bounds of Engine::settleTails that the
+// cross-form stream never reaches: an in-flight fill still more than
+// l2Latency from ready when a tail meets it, and a service deadline
+// that lands in the last tail's issue cycles.
+
+/** One thread, no policy, kswapd and timeline a second away. */
+SystemConfig
+quietConfig()
+{
+    SystemConfig cfg;
+    cfg.numThreads = 1;
+    cfg.autonumaEnabled = false;
+    cfg.kswapdPeriod = secondsToCycles(1.0);
+    cfg.timelinePeriod = secondsToCycles(1.0);
+    cfg.dram = makeDramParams(64 * kPageSize);
+    cfg.nvm = makeNvmParams(64 * kPageSize);
+    return cfg;
+}
+
+/** Clock and records of the prefetch-race stream on a fresh engine. */
+std::pair<Cycles, std::vector<AccessRecord>>
+prefetchRace(bool per_element)
+{
+    // One saturated NVM channel: the prefetch queues behind the demand
+    // read that issued it.
+    SystemConfig cfg = quietConfig();
+    cfg.nvm.channels = 1;
+    cfg.nvm.readServiceCycles = 200;
+    Engine eng(cfg);
+    RecordAll record_all;
+    eng.addObserver(&record_all);
+    ThreadContext &t = eng.thread(0);
+    const Addr base = eng.sysMmap(t, kPageSize, 0, "race");
+    eng.sysMbind(t, base, MemPolicy::bind(MemNode::NVM));
+    // Two sequential NVM misses; the second prefetches line 2, whose
+    // fill is still far from ready when its run starts.
+    eng.access(t, base, MemOp::Load);
+    eng.access(t, base + kLineSize, MemOp::Load);
+    const Addr run = base + 2 * kLineSize;
+    if (per_element) {
+        for (Addr a = run; a < run + kLineSize; a += 8)
+            eng.access(t, a, MemOp::Load);
+    } else {
+        eng.accessRange(t, run, kLineSize / 8, 8, MemOp::Load);
+    }
+    return {t.clock(), record_all.records};
+}
+
+TEST(TailSettler, InFlightTailCostIsCappedAtL3Latency)
+{
+    const auto [clock, recs] = prefetchRace(/*per_element=*/false);
+    const CacheParams cp;
+    const Cycles issue = quietConfig().issueCycles;
+    ASSERT_EQ(recs.size(), 2 + kLineSize / 8);
+    // The head and the first tail meet the prefetch in flight, each
+    // more than l3Latency from ready: both are charged the cap.
+    EXPECT_EQ(recs[2].level, MemLevel::LFB);
+    EXPECT_EQ(recs[3].level, MemLevel::LFB);
+    EXPECT_EQ(recs[2].latency, cp.l3Latency + issue);
+    EXPECT_EQ(recs[3].latency, cp.l3Latency + issue);
+
+    const auto [ref_clock, ref_recs] = prefetchRace(/*per_element=*/true);
+    EXPECT_EQ(clock, ref_clock);
+    ASSERT_EQ(recs.size(), ref_recs.size());
+    for (std::size_t i = 0; i < recs.size(); ++i) {
+        EXPECT_EQ(recs[i].level, ref_recs[i].level) << i;
+        EXPECT_EQ(recs[i].latency, ref_recs[i].latency) << i;
+        EXPECT_EQ(recs[i].time, ref_recs[i].time) << i;
+    }
+}
+
+/** Service firing times of a one-line run whose last tail's
+ *  post-issue clock is exactly the service deadline. */
+std::vector<Cycles>
+deadlineInLastTail(bool per_element, Cycles *end_clock)
+{
+    const SystemConfig cfg = quietConfig();
+    Engine eng(cfg);
+    ThreadContext &t = eng.thread(0);
+    const Addr base = eng.sysMmap(t, kPageSize, 0, "deadline");
+    eng.access(t, base, MemOp::Load);
+    // Let the fill's residency window close: every tail is then a
+    // plain L1 hit and the one-shot collapse is on the table.
+    t.advance(10 * cfg.cache.lfbResidencyCycles);
+
+    const std::uint64_t n = kLineSize / 8;
+    const Cycles delta = cfg.issueCycles + cfg.cache.l1Latency;
+    // Head issue and L1 hit, n - 2 whole tails, the last tail's issue.
+    const Cycles due = t.clock() + delta + (n - 2) * delta +
+                       cfg.issueCycles;
+    std::vector<Cycles> fired;
+    eng.addPeriodicService(due, [&fired](Cycles now) {
+        fired.push_back(now);
+    });
+    if (per_element) {
+        for (std::uint64_t k = 0; k < n; ++k)
+            eng.access(t, base + 8 * k, MemOp::Load);
+    } else {
+        eng.accessRange(t, base, n, 8, MemOp::Load);
+    }
+    *end_clock = t.clock();
+    EXPECT_EQ(fired, std::vector<Cycles>{due});
+    return fired;
+}
+
+TEST(TailSettler, OneShotCollapseStopsAtADeadlineInTheLastTail)
+{
+    Cycles clock = 0;
+    Cycles ref_clock = 0;
+    const std::vector<Cycles> fired = deadlineInLastTail(false, &clock);
+    const std::vector<Cycles> ref = deadlineInLastTail(true, &ref_clock);
+    EXPECT_EQ(fired, ref);
+    EXPECT_EQ(clock, ref_clock);
 }
 
 // --------------------------------------- Absolute sample-stream golden

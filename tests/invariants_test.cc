@@ -12,6 +12,7 @@
  * exchange and soft offline -- is held to its exact accounting.
  */
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -480,30 +481,70 @@ struct TortureGolden
 // A mismatch prints the run's digest in this layout.
 const TortureGolden kTortureGoldens[] = {
     {1,
-     {{{0x9e9d4932a3ffc0cdULL, 0u, {{94u, 213u}, {0u, 0u}, {25u, 292u}, {9u, 7u}}, 2913632u, 0x7b51782d6bb5d0c2ULL},
-       {0x38f46d8a2dcff448ULL, 0u, {{92u, 215u}, {0u, 0u}, {27u, 290u}, {9u, 7u}}, 3050586u, 0x42cedef14492459cULL}},
-      {{0x5fc2adcdd43b8f7fULL, 0u, {{327u, 1011u}, {0u, 0u}, {2729u, 7179u}, {16u, 2u}}, 3727608u, 0x025fcaf37319a84dULL},
-       {0x5be81908a7584edbULL, 0u, {{326u, 1012u}, {0u, 0u}, {2733u, 7176u}, {13u, 4u}}, 6260713u, 0x581c6a3e022f042dULL}}}},
+     {{{0x9e9d4932a3ffc0cdULL, 0u,
+        {{94u, 213u}, {0u, 0u}, {25u, 292u}, {9u, 7u}},
+        2913632u, 0x7b51782d6bb5d0c2ULL},
+       {0x38f46d8a2dcff448ULL, 0u,
+        {{92u, 215u}, {0u, 0u}, {27u, 290u}, {9u, 7u}},
+        3050586u, 0x42cedef14492459cULL}},
+      {{0x5fc2adcdd43b8f7fULL, 0u,
+        {{327u, 1011u}, {0u, 0u}, {2729u, 7179u}, {16u, 2u}},
+        3727608u, 0x025fcaf37319a84dULL},
+       {0x5be81908a7584edbULL, 0u,
+        {{326u, 1012u}, {0u, 0u}, {2733u, 7176u}, {13u, 4u}},
+        6260713u, 0x581c6a3e022f042dULL}}}},
     {7,
-     {{{0x26c4f2f1009cb56eULL, 2u, {{86u, 262u}, {0u, 0u}, {29u, 245u}, {13u, 5u}}, 2759832u, 0x131eda053bda04e1ULL},
-       {0x8c5f64e88010e59fULL, 2u, {{100u, 248u}, {0u, 0u}, {17u, 259u}, {11u, 5u}}, 2952169u, 0x8010298137399679ULL}},
-      {{0x6ab4fb0c4a67b79fULL, 1u, {{1841u, 582u}, {0u, 0u}, {1216u, 7605u}, {15u, 5u}}, 3667302u, 0x7cf6ce1496c94638ULL},
-       {0xfca8be93932be38fULL, 1u, {{1841u, 582u}, {0u, 0u}, {1215u, 7606u}, {16u, 4u}}, 5354853u, 0x4d332c27cfd2a4d8ULL}}}},
+     {{{0x26c4f2f1009cb56eULL, 2u,
+        {{86u, 262u}, {0u, 0u}, {29u, 245u}, {13u, 5u}},
+        2759832u, 0x131eda053bda04e1ULL},
+       {0x8c5f64e88010e59fULL, 2u,
+        {{100u, 248u}, {0u, 0u}, {17u, 259u}, {11u, 5u}},
+        2952169u, 0x8010298137399679ULL}},
+      {{0x6ab4fb0c4a67b79fULL, 1u,
+        {{1841u, 582u}, {0u, 0u}, {1216u, 7605u}, {15u, 5u}},
+        3667302u, 0x7cf6ce1496c94638ULL},
+       {0xfca8be93932be38fULL, 1u,
+        {{1841u, 582u}, {0u, 0u}, {1215u, 7606u}, {16u, 4u}},
+        5354853u, 0x4d332c27cfd2a4d8ULL}}}},
     {42,
-     {{{0x1e5ee73ff39e6ab2ULL, 0u, {{108u, 232u}, {0u, 0u}, {14u, 274u}, {6u, 6u}}, 2384868u, 0x4bd82d426f894ecbULL},
-       {0xc6cbefdd09fa9359ULL, 0u, {{106u, 234u}, {0u, 0u}, {15u, 273u}, {7u, 5u}}, 2451941u, 0xe31a1e0238a36992ULL}},
-      {{0x081e916883d4cfafULL, 0u, {{375u, 1856u}, {0u, 0u}, {2672u, 6330u}, {25u, 6u}}, 3773624u, 0x89732a5cfd713ab2ULL},
-       {0xb0229595e430acdcULL, 0u, {{373u, 1854u}, {0u, 0u}, {2666u, 6332u}, {33u, 6u}}, 10100472u, 0xf0330120cc4349fbULL}}}},
+     {{{0x1e5ee73ff39e6ab2ULL, 0u,
+        {{108u, 232u}, {0u, 0u}, {14u, 274u}, {6u, 6u}},
+        2384868u, 0x4bd82d426f894ecbULL},
+       {0xc6cbefdd09fa9359ULL, 0u,
+        {{106u, 234u}, {0u, 0u}, {15u, 273u}, {7u, 5u}},
+        2451941u, 0xe31a1e0238a36992ULL}},
+      {{0x081e916883d4cfafULL, 0u,
+        {{375u, 1856u}, {0u, 0u}, {2672u, 6330u}, {25u, 6u}},
+        3773624u, 0x89732a5cfd713ab2ULL},
+       {0xb0229595e430acdcULL, 0u,
+        {{373u, 1854u}, {0u, 0u}, {2666u, 6332u}, {33u, 6u}},
+        10100472u, 0xf0330120cc4349fbULL}}}},
     {1337,
-     {{{0x20e87581957771e8ULL, 0u, {{89u, 246u}, {0u, 0u}, {35u, 260u}, {4u, 6u}}, 2484617u, 0xfe1a390ada445ba4ULL},
-       {0x7f214edfff3ae1daULL, 0u, {{95u, 240u}, {0u, 0u}, {29u, 266u}, {4u, 6u}}, 2544227u, 0x72faa62864a0f480ULL}},
-      {{0x078c1f5b8a07977fULL, 0u, {{964u, 1256u}, {0u, 0u}, {2092u, 6934u}, {16u, 2u}}, 3727032u, 0xe53e4a6e789f8448ULL},
-       {0x649922159917c193ULL, 0u, {{1477u, 743u}, {0u, 0u}, {1576u, 7442u}, {19u, 7u}}, 5948206u, 0x39277ec35d861537ULL}}}},
+     {{{0x20e87581957771e8ULL, 0u,
+        {{89u, 246u}, {0u, 0u}, {35u, 260u}, {4u, 6u}},
+        2484617u, 0xfe1a390ada445ba4ULL},
+       {0x7f214edfff3ae1daULL, 0u,
+        {{95u, 240u}, {0u, 0u}, {29u, 266u}, {4u, 6u}},
+        2544227u, 0x72faa62864a0f480ULL}},
+      {{0x078c1f5b8a07977fULL, 0u,
+        {{964u, 1256u}, {0u, 0u}, {2092u, 6934u}, {16u, 2u}},
+        3727032u, 0xe53e4a6e789f8448ULL},
+       {0x649922159917c193ULL, 0u,
+        {{1477u, 743u}, {0u, 0u}, {1576u, 7442u}, {19u, 7u}},
+        5948206u, 0x39277ec35d861537ULL}}}},
     {90210,
-     {{{0x13b3d4e6e3d0bf6cULL, 0u, {{87u, 160u}, {0u, 0u}, {39u, 345u}, {2u, 7u}}, 2600577u, 0xee6f9a8a8ead34a0ULL},
-       {0xf0251451905cbf6dULL, 0u, {{99u, 148u}, {0u, 0u}, {27u, 355u}, {2u, 9u}}, 2934408u, 0x9f528db608a28561ULL}},
-      {{0xa5a2fcea1aacb1cbULL, 0u, {{771u, 75u}, {0u, 0u}, {2287u, 8113u}, {14u, 4u}}, 3262601u, 0xede8c6506bc138a4ULL},
-       {0xfd8225e9ad04dd0eULL, 0u, {{770u, 77u}, {0u, 0u}, {2289u, 8110u}, {13u, 5u}}, 6291821u, 0x9aeccf963297897eULL}}}},
+     {{{0x13b3d4e6e3d0bf6cULL, 0u,
+        {{87u, 160u}, {0u, 0u}, {39u, 345u}, {2u, 7u}},
+        2600577u, 0xee6f9a8a8ead34a0ULL},
+       {0xf0251451905cbf6dULL, 0u,
+        {{99u, 148u}, {0u, 0u}, {27u, 355u}, {2u, 9u}},
+        2934408u, 0x9f528db608a28561ULL}},
+      {{0xa5a2fcea1aacb1cbULL, 0u,
+        {{771u, 75u}, {0u, 0u}, {2287u, 8113u}, {14u, 4u}},
+        3262601u, 0xede8c6506bc138a4ULL},
+       {0xfd8225e9ad04dd0eULL, 0u,
+        {{770u, 77u}, {0u, 0u}, {2289u, 8110u}, {13u, 5u}},
+        6291821u, 0x9aeccf963297897eULL}}}},
 };
 
 void
@@ -543,48 +584,41 @@ TEST(KernelTortureGolden, PlansReachEveryMigrationPath)
 {
     // The golden digests pin every migration path only if the fixed
     // plans really drive each one somewhere across the seeds.
-    VmStat sum;
-    std::uint64_t huge_promotions = 0;
+    std::vector<TortureOutcome> runs;
     for (const std::uint64_t seed : {1, 7, 42, 1337, 90210}) {
         for (const bool thp : {false, true}) {
-            for (const std::uint32_t copy_threads : {1u, 4u}) {
-                const TortureOutcome r = goldenRun(seed, thp, copy_threads);
-                const VmStat &v = r.vm;
-                sum.pgpromoteDemoted += v.pgpromoteDemoted;
-                sum.pgdemoteKswapd += v.pgdemoteKswapd;
-                sum.pgdemoteDirect += v.pgdemoteDirect;
-                sum.pgexchangeSuccess += v.pgexchangeSuccess;
-                sum.pgexchangeThrash += v.pgexchangeThrash;
-                sum.pgmigrateFail += v.pgmigrateFail;
-                sum.promoteRetry += v.promoteRetry;
-                sum.promotePaused += v.promotePaused;
-                sum.breakerTrips += v.breakerTrips;
-                sum.thpCollapseAlloc += v.thpCollapseAlloc;
-                sum.thpSplitPage += v.thpSplitPage;
-                sum.hwpoisonSoftOffline += v.hwpoisonSoftOffline;
-                sum.hwpoisonSoftOfflineFail += v.hwpoisonSoftOfflineFail;
-                sum.hwpoisonSigbus += v.hwpoisonSigbus;
-                sum.pgcopyParallel += v.pgcopyParallel;
-                huge_promotions += r.hugePromotions;
-            }
+            for (const std::uint32_t copy_threads : {1u, 4u})
+                runs.push_back(goldenRun(seed, thp, copy_threads));
         }
     }
-    EXPECT_GT(sum.pgpromoteDemoted, 0u);
-    EXPECT_GT(sum.pgdemoteKswapd, 0u);
-    EXPECT_GT(sum.pgdemoteDirect, 0u);
-    EXPECT_GT(sum.pgexchangeSuccess, 0u);
-    EXPECT_GT(sum.pgexchangeThrash, 0u);
-    EXPECT_GT(sum.pgmigrateFail, 0u);
-    EXPECT_GT(sum.promoteRetry, 0u);
-    EXPECT_GT(sum.promotePaused, 0u);
-    EXPECT_GT(sum.breakerTrips, 0u);
-    EXPECT_GT(sum.thpCollapseAlloc, 0u);
-    EXPECT_GT(sum.thpSplitPage, 0u);
-    EXPECT_GT(sum.hwpoisonSoftOffline, 0u);
-    EXPECT_GT(sum.hwpoisonSoftOfflineFail, 0u);
-    EXPECT_GT(sum.hwpoisonSigbus, 0u);
-    EXPECT_GT(sum.pgcopyParallel, 0u);
-    EXPECT_GT(huge_promotions, 0u);
+    const std::pair<const char *, std::uint64_t VmStat::*> paths[] = {
+        {"pgpromote_demoted", &VmStat::pgpromoteDemoted},
+        {"pgdemote_kswapd", &VmStat::pgdemoteKswapd},
+        {"pgdemote_direct", &VmStat::pgdemoteDirect},
+        {"pgexchange_success", &VmStat::pgexchangeSuccess},
+        {"pgexchange_thrash", &VmStat::pgexchangeThrash},
+        {"pgmigrate_fail", &VmStat::pgmigrateFail},
+        {"promote_retry", &VmStat::promoteRetry},
+        {"promote_paused", &VmStat::promotePaused},
+        {"breaker_trips", &VmStat::breakerTrips},
+        {"thp_collapse_alloc", &VmStat::thpCollapseAlloc},
+        {"thp_split_page", &VmStat::thpSplitPage},
+        {"hwpoison_soft_offline", &VmStat::hwpoisonSoftOffline},
+        {"hwpoison_soft_offline_fail", &VmStat::hwpoisonSoftOfflineFail},
+        {"hwpoison_sigbus", &VmStat::hwpoisonSigbus},
+        {"pgcopy_parallel", &VmStat::pgcopyParallel},
+    };
+    for (const auto &[name, field] : paths) {
+        EXPECT_TRUE(std::any_of(runs.begin(), runs.end(),
+                                [field = field](const TortureOutcome &r) {
+                                    return r.vm.*field > 0;
+                                }))
+            << name;
+    }
+    EXPECT_TRUE(std::any_of(runs.begin(), runs.end(),
+                            [](const TortureOutcome &r) {
+                                return r.hugePromotions > 0;
+                            }));
 }
 
 }  // namespace
