@@ -5,7 +5,8 @@
 #      then examples/policy_explorer once per mode under the invariant
 #      checker, so every example-reachable selection runs end to end,
 #      and examples/quickstart from a scratch directory without
-#      MEMTIER_SPILL_DIR, which must leave no .bigraph_spill* behind;
+#      MEMTIER_SPILL_DIR, which must leave no .bigraph_spill* behind
+#      and print a /proc/vmstat dump of unique "name value" lines;
 #   2. an ASan/UBSan build of the test suite, to catch memory and UB
 #      bugs the functional tests would miss;
 #   3. a ThreadSanitizer pass: the test binaries holding the sweep
@@ -83,7 +84,18 @@ done
 # on exit.
 quickstart="$PWD/build-ci/examples/quickstart"
 spill_cwd=$(mktemp -d)
-(cd "$spill_cwd" && env -u MEMTIER_SPILL_DIR "$quickstart" > /dev/null)
+# Its /proc/vmstat dump must parse as unique "name value" lines.
+(cd "$spill_cwd" && env -u MEMTIER_SPILL_DIR "$quickstart") | python3 -c '
+import re, sys
+dump = sys.stdin.read().split("/proc/vmstat after the run:\n")[1]
+stats = {}
+for line in dump.split("\n\n")[0].splitlines():
+    name, value = re.fullmatch(r"([a-z0-9_]+) ([0-9]+)", line).groups()
+    assert name not in stats, f"duplicate vmstat counter {name}"
+    stats[name] = int(value)
+assert stats["pgfault"] > 0, "quickstart took no page faults"
+print(f"quickstart vmstat dump: {len(stats)} counters")
+'
 if compgen -G "$spill_cwd/.bigraph_spill*" > /dev/null; then
     echo "spill check FAILED: quickstart left a .bigraph_spill* in its" \
          "working directory"

@@ -10,6 +10,7 @@
  */
 
 #include <cstdio>
+#include <iostream>
 
 #include "apps/bfs.h"
 #include "bigraph/ooc_builder.h"
@@ -64,25 +65,17 @@ main()
                 bfs.bottomUpSteps);
 
     // 4. Ask the kernel what happened underneath.
-    const VmStat &vm = engine.kernel().vmstat();
     const NumaStatSnapshot numa = engine.kernel().numastat();
-    std::printf("\nkernel counters after the run:\n");
-    std::printf("  minor faults:        %llu\n",
-                static_cast<unsigned long long>(vm.pgfault));
-    std::printf("  NUMA hint faults:    %llu\n",
-                static_cast<unsigned long long>(vm.numaHintFaults));
-    std::printf("  pages promoted:      %llu\n",
-                static_cast<unsigned long long>(vm.pgpromoteSuccess));
-    std::printf("  pages demoted:       %llu (kswapd) + %llu (direct)\n",
-                static_cast<unsigned long long>(vm.pgdemoteKswapd),
-                static_cast<unsigned long long>(vm.pgdemoteDirect));
+    std::printf("\n/proc/vmstat after the run:\n");
+    writeVmstat(std::cout, engine.kernel().vmstat());
+    std::printf("\nnumastat after the run:\n");
     std::printf("  DRAM in use:         %llu pages app, %llu page cache\n",
                 static_cast<unsigned long long>(numa.appPages[0]),
                 static_cast<unsigned long long>(numa.cachePages[0]));
     std::printf("  NVM in use:          %llu pages app, %llu page cache\n",
                 static_cast<unsigned long long>(numa.appPages[1]),
                 static_cast<unsigned long long>(numa.cachePages[1]));
-    std::printf("  simulated wall time: %.3f s\n",
+    std::printf("\nsimulated wall time: %.3f s\n",
                 cyclesToSeconds(engine.globalTime()));
 
     graph.free(heap, main_thread);

@@ -469,15 +469,17 @@ in proportion (DESIGN.md §12):
 
 """ + block(sections, "scale_sweep") + """
 
-A one-segment build is bit-identical to the monolithic loader (the
-`segment-1 golden check` line; CI re-asserts it on every change), so
-every number the smaller benches report is unchanged by the subsystem.
+A one-segment build was bit-identical to the monolithic loader (the
+`segment-1 golden check` line of the run above). That loader is gone:
+`Runner.OneSegmentGraphRunsMatchAbsoluteGolden` pins every app at one
+segment with values captured from it, so every number the smaller
+benches report is unchanged by the subsystem.
 Across the sweep the tiering shapes persist at every scale: AutoNUMA
 holds the DRAM-hit fraction at 5-7x the no-tiering baseline's
 (0.61-0.74 vs 0.10-0.13), paying migration volume that grows with the
 footprint, while host peak RSS tracks the materialized segments (~1.3x
 footprint) instead of the monolithic path's whole-edge-list blowup —
-the monolithic loader cannot build these graphs at all past scale 22.
+the monolithic loader could not build these graphs at all past scale 22.
 Wall-clock accesses/sec declines only ~3x across a 140x footprint
 growth. The machine-readable record (`BENCH_scale.json`) is what the
 CI scale gate regresses against.
@@ -542,7 +544,7 @@ write-amplification plus controller back-pressure.
 | Failure-rate sensitivity (beyond the paper) | correct at every rate; breaker engages |
 | THP sensitivity (beyond the paper) | dTLB miss rate falls; NVM/DRAM miss-cost ratio narrows |
 | Serving tail latency (beyond the paper) | dram-only bounds the tail; exchange worst at p999/storm; checksums policy-invariant |
-| Footprint scaling (beyond the paper) | segmented CSR to 2^24–2^25 (~140x default footprint); segment-1 bit-identical; tiering shapes persist |
+| Footprint scaling (beyond the paper) | segmented CSR to 2^24–2^25 (~140x default footprint); one-segment runs pinned by an absolute golden; tiering shapes persist |
 | Online autotuning (beyond the paper) | tuned ≥ stock on every cell, up to +22% under capacity pressure; checksums tuning-invariant |
 """)
 

@@ -120,9 +120,6 @@ class Histogram
     /** Total observations including under/overflow. */
     std::uint64_t total() const { return n; }
 
-    /** Number of regular buckets. */
-    std::size_t numBuckets() const { return counts.size(); }
-
   private:
     double lo;
     double hi;

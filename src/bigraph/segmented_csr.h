@@ -359,14 +359,6 @@ class SegmentedCsrView
             t, static_cast<std::uint64_t>(e - s.edgeBase));
     }
 
-    /** Untimed CSR offset at index position @p p (validation/sampling). */
-    std::int64_t
-    rawOffset(std::uint64_t p) const
-    {
-        const CsrSegment &s = segs_[segmentOfIndexPos(p)];
-        return s.index.raw(p - static_cast<std::uint64_t>(s.firstRow));
-    }
-
     /** Untimed degree of @p u (source sampling; no engine accesses). */
     std::int64_t
     rawDegree(NodeId u) const

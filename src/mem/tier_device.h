@@ -50,21 +50,6 @@ class TierDevice
     /** Reset channel availability (e.g. between experiment phases). */
     void reset();
 
-    /**
-     * Move this device's access/queue counters into @p into and zero
-     * them here. Used by per-host-thread timing replicas to commit
-     * their shards into the master device at a barrier; channel
-     * availability is deliberately left untouched on both sides.
-     */
-    void
-    drainCountersInto(TierDevice &into)
-    {
-        into.accesses += accesses;
-        into.queue_cycles += queue_cycles;
-        accesses = 0;
-        queue_cycles = 0;
-    }
-
     /** Cycle at which each channel next becomes free. */
     const std::vector<Cycles> &
     channelFreeTimes() const

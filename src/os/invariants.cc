@@ -3,6 +3,7 @@
 #include <array>
 #include <cinttypes>
 #include <cstdio>
+#include <iostream>
 #include <unordered_set>
 
 #include "base/logging.h"
@@ -27,7 +28,6 @@ InvariantChecker::onEvent(Cycles now)
 void
 InvariantChecker::fail(Cycles now, const std::string &what) const
 {
-    const VmStat &s = kernel_.stats;
     const NumaStatSnapshot numa = kernel_.numastat();
     std::fprintf(stderr, "=== invariant violation at cycle %" PRIu64
                          " (event %" PRIu64 ") ===\n",
@@ -43,14 +43,8 @@ InvariantChecker::fail(Cycles now, const std::string &what) const
                      n, numa.appPages[n], numa.cachePages[n],
                      numa.freePages[n], numa.retiredPages[n]);
     }
-    std::fprintf(stderr, "  vmstat: pgfault=%" PRIu64
-                         " promote=%" PRIu64 " demoteK=%" PRIu64
-                         " demoteD=%" PRIu64 " exchange=%" PRIu64
-                         " migrate=%" PRIu64 " migrateFail=%" PRIu64
-                         " breakerTrips=%" PRIu64 "\n",
-                 s.pgfault, s.pgpromoteSuccess, s.pgdemoteKswapd,
-                 s.pgdemoteDirect, s.pgexchangeSuccess,
-                 s.pgmigrateSuccess, s.pgmigrateFail, s.breakerTrips);
+    std::fprintf(stderr, "  vmstat:\n");
+    writeVmstat(std::cerr, kernel_.stats);
     panic("kernel invariant violated: %s", what.c_str());
 }
 

@@ -54,16 +54,6 @@ struct MetricsView
         d.vm = vm.delta(earlier.vm);
         return d;
     }
-
-    /** Mean access latency in cycles (0 when no accesses happened). */
-    double
-    meanAccessCycles() const
-    {
-        return accesses == 0
-                   ? 0.0
-                   : static_cast<double>(accessCycles) /
-                         static_cast<double>(accesses);
-    }
 };
 
 }  // namespace memtier

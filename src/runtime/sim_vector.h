@@ -217,28 +217,6 @@ class SimVector
     }
 
     /**
-     * Timed gather: load index elements [@p begin, @p end) of @p idx,
-     * then load this vector at each of those positions, writing the
-     * values to @p dst in index order.
-     */
-    template <typename I>
-    void
-    gatherFrom(ThreadContext &t, const SimVector<I> &idx,
-               std::uint64_t begin, std::uint64_t end, T *dst) const
-    {
-        for (std::uint64_t c = begin; c < end;) {
-            const std::uint64_t stop = std::min(end, c + kBulkChunk);
-            idx.issueRange(t, c, stop, MemOp::Load);
-            issueIndexed(t, c, stop, MemOp::Load,
-                         [&](std::uint64_t k) { return idx.raw(k); });
-            for (std::uint64_t k = c; k < stop; ++k)
-                dst[k - begin] =
-                    hostPtr[static_cast<std::uint64_t>(idx.raw(k))];
-            c = stop;
-        }
-    }
-
-    /**
      * Timed gather with host-resident indices: load this vector at each
      * position in @p indices, writing values to @p dst in order.
      */

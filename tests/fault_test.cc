@@ -720,6 +720,21 @@ TEST_F(FaultKernelTest, OfflineStormTripsTheBreaker)
     checker.checkNow(t + 9);
 }
 
+TEST_F(FaultKernelTest, CheckerReportDumpsEveryCounter)
+{
+    // A broken counter identity dies with the violation, followed by
+    // the full vmstat dump in /proc/vmstat's "name value" lines.
+    InvariantChecker checker(kern, 1);
+    kern.setInvariantChecker(&checker);
+    populate(4);
+    ASSERT_GT(checker.checksRun(), 0u);
+    ++kern.vmstatMutable().pgmigrateSuccess;
+    EXPECT_DEATH(checker.checkNow(2000),
+                 "pgmigrate_success=1 != promote\\+demote\\+exchange=0"
+                 "(.|\n)*\npgfault 4\n(.|\n)*\npgmigrate_success 1\n"
+                 "(.|\n)*panic: kernel invariant violated");
+}
+
 TEST(FaultThp, UncorrectableSplitsHugeMappingBeforeRetiring)
 {
     // A UE on one 4 KiB subframe of a PMD mapping must poison only

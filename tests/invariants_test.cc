@@ -18,6 +18,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
@@ -591,27 +592,20 @@ TEST(KernelTortureGolden, PlansReachEveryMigrationPath)
                 runs.push_back(goldenRun(seed, thp, copy_threads));
         }
     }
-    const std::pair<const char *, std::uint64_t VmStat::*> paths[] = {
-        {"pgpromote_demoted", &VmStat::pgpromoteDemoted},
-        {"pgdemote_kswapd", &VmStat::pgdemoteKswapd},
-        {"pgdemote_direct", &VmStat::pgdemoteDirect},
-        {"pgexchange_success", &VmStat::pgexchangeSuccess},
-        {"pgexchange_thrash", &VmStat::pgexchangeThrash},
-        {"pgmigrate_fail", &VmStat::pgmigrateFail},
-        {"promote_retry", &VmStat::promoteRetry},
-        {"promote_paused", &VmStat::promotePaused},
-        {"breaker_trips", &VmStat::breakerTrips},
-        {"thp_collapse_alloc", &VmStat::thpCollapseAlloc},
-        {"thp_split_page", &VmStat::thpSplitPage},
-        {"hwpoison_soft_offline", &VmStat::hwpoisonSoftOffline},
-        {"hwpoison_soft_offline_fail", &VmStat::hwpoisonSoftOfflineFail},
-        {"hwpoison_sigbus", &VmStat::hwpoisonSigbus},
-        {"pgcopy_parallel", &VmStat::pgcopyParallel},
-    };
-    for (const auto &[name, field] : paths) {
+    for (const std::string_view name :
+         {"pgpromote_demoted", "pgdemote_kswapd", "pgdemote_direct",
+          "pgexchange_success", "pgexchange_thrash", "pgmigrate_fail",
+          "promote_retry", "promote_paused", "breaker_trips",
+          "thp_collapse_alloc", "thp_split_page", "hwpoison_soft_offline",
+          "hwpoison_soft_offline_fail", "hwpoison_sigbus",
+          "pgcopy_parallel"}) {
+        const auto c = std::find_if(
+            std::begin(kVmStatCounters), std::end(kVmStatCounters),
+            [&](const VmStatCounter &e) { return e.name == name; });
+        ASSERT_NE(c, std::end(kVmStatCounters)) << name;
         EXPECT_TRUE(std::any_of(runs.begin(), runs.end(),
-                                [field = field](const TortureOutcome &r) {
-                                    return r.vm.*field > 0;
+                                [&](const TortureOutcome &r) {
+                                    return r.vm.*c->field > 0;
                                 }))
             << name;
     }

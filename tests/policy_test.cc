@@ -13,6 +13,8 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -562,6 +564,53 @@ TEST(AutoNumaRegression, AutotuneObserveOnlyMatchesSeed)
     EXPECT_EQ(r.policyName, "autotune");
     EXPECT_FALSE(r.metricsEpochs.empty());
     expectGolden(r);
+}
+
+// --------------------------------------------------- vmstat counter table
+
+TEST(VmStatTable, DumpPinsEveryNameAndWord)
+{
+    // The counter names are an external format (/proc/vmstat): the
+    // full ordered list is pinned so that a rename is deliberate. The
+    // dump must parse with a /proc/vmstat reader, and its i-th value
+    // must be the i-th VmStat word.
+    const std::vector<std::string> pinned = {
+        "pgfault", "numa_hint_faults", "pgpromote_success",
+        "pgpromote_demoted", "pgdemote_kswapd", "pgdemote_direct",
+        "pgdemote_vetoed", "pgexchange_success", "pgexchange_thrash",
+        "pgmigrate_success", "promote_candidates", "promote_rate_limited",
+        "page_cache_drops", "pgmigrate_fail", "promote_retry",
+        "promote_paused", "pgalloc_fail", "disk_read_retry",
+        "breaker_trips", "thp_fault_alloc", "thp_fault_fallback",
+        "thp_collapse_alloc", "thp_collapse_fail", "thp_split_page",
+        "thp_unmap_huge", "hwpoison_ce", "hwpoison_ue",
+        "hwpoison_soft_offline", "hwpoison_soft_offline_fail",
+        "hwpoison_sigbus", "hwpoison_cache_dropped",
+        "hwpoison_frames_retired", "pgcopy_chunks", "pgcopy_parallel",
+        "pgcopy_queued_chunks", "pgcopy_busy_cycles"};
+    const RunResult r = runWorkload(goldenConfig());
+    ASSERT_GT(r.vmstat.pgmigrateSuccess, 0u);
+    std::uint64_t words[sizeof(VmStat) / sizeof(std::uint64_t)];
+    std::memcpy(words, &r.vmstat, sizeof(VmStat));
+
+    std::ostringstream dump;
+    writeVmstat(dump, r.vmstat);
+    std::istringstream in(dump.str());
+    std::vector<std::string> names;
+    std::string line;
+    while (std::getline(in, line)) {
+        char key[64];
+        unsigned long val = 0;
+        ASSERT_EQ(std::sscanf(line.c_str(), "%63s %lu", key, &val), 2)
+            << line;
+        ASSERT_EQ(line, std::string(key) + " " + std::to_string(val));
+        ASSERT_LT(names.size(), std::size(words)) << line;
+        EXPECT_EQ(val, words[names.size()]) << key;
+        names.emplace_back(key);
+    }
+    EXPECT_EQ(names, pinned);
+    EXPECT_EQ(std::set<std::string>(names.begin(), names.end()).size(),
+              names.size());
 }
 
 // --------------------------------------------------- Policy end-to-end
