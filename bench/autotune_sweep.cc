@@ -14,7 +14,6 @@
  *                  [--epoch-ms=MS] [--out=PATH.json] [--csv=PATH.csv]
  */
 
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -22,18 +21,21 @@
 
 #include "base/logging.h"
 #include "bench_common.h"
-#include "policy/policy_registry.h"
 
 using namespace memtier;
 
 namespace {
 
-/** One workload measured under both arms. */
-struct Cell
+/** What one arm leaves of a run: its time, output and tuner moves. */
+struct Arm
 {
-    std::string workload;
-    RunResult def;    ///< Plain autonuma, stock tunables.
-    RunResult tuned;  ///< autotune wrapping autonuma, same start.
+    double seconds = 0.0;
+    std::uint64_t checksum = 0;
+    std::uint64_t epochs = 0;
+    std::uint64_t applied = 0;
+    std::uint64_t accepted = 0;
+    std::uint64_t reverted = 0;
+    std::string effective;  ///< joinedTunables of the run.
 };
 
 std::uint64_t
@@ -44,54 +46,6 @@ counter(const RunResult &r, const std::string &key)
             return value;
     }
     return 0;
-}
-
-std::string
-joinedEffective(const RunResult &r)
-{
-    std::string out;
-    for (const auto &[key, value] : r.effectiveTunables) {
-        if (!out.empty())
-            out += ";";
-        out += key + "=" + value;
-    }
-    return out;
-}
-
-App
-parseApp(const std::string &s)
-{
-    if (s == "bc") return App::BC;
-    if (s == "bfs") return App::BFS;
-    if (s == "cc") return App::CC;
-    if (s == "pr") return App::PR;
-    if (s == "sssp") return App::SSSP;
-    if (s == "kv") return App::KV;
-    if (s == "lsm") return App::LSM;
-    fatal("unknown app '%s' (expected bc, bfs, cc, pr, sssp, kv or lsm)",
-          s.c_str());
-}
-
-GraphKind
-parseKind(const std::string &s)
-{
-    if (s == "kron") return GraphKind::Kron;
-    if (s == "urand") return GraphKind::Urand;
-    fatal("unknown graph kind '%s' (expected kron or urand)", s.c_str());
-}
-
-WorkloadSpec
-parseWorkload(const std::string &s, int scale, int trials)
-{
-    const std::size_t colon = s.find(':');
-    if (colon == std::string::npos || colon == 0 || colon + 1 >= s.size())
-        fatal("malformed workload '%s' (expected APP:KIND)", s.c_str());
-    WorkloadSpec w;
-    w.app = parseApp(s.substr(0, colon));
-    w.kind = parseKind(s.substr(colon + 1));
-    w.scale = scale;
-    w.trials = trials;
-    return w;
 }
 
 }  // namespace
@@ -160,30 +114,26 @@ main(int argc, char **argv)
     std::cout << "tuner:                base=autonuma, " << epoch_assignment
               << ", seed=" << seed << "\n";
 
-    std::vector<Cell> cells;
+    // Two cells per workload: the default arm, then the tuned arm.
+    std::vector<GridCell> cells;
     for (const std::string &name : workload_names) {
-        const WorkloadSpec w = parseWorkload(name, scale, trials);
-
         RunConfig rc;
-        rc.workload = w;
+        rc.workload = parseWorkload(name);
+        rc.workload.scale = scale;
+        rc.workload.trials = trials;
         rc.sampling = false;
         // One third of the standard testbed's DRAM: placement quality
         // has to matter for parameter tuning to have any headroom, so
         // this sweep runs under real capacity pressure.
         rc.sys.dram = makeDramParams(scaledCapacity(8 * kMiB, scale));
         rc.sys.nvm = makeNvmParams(scaledCapacity(96 * kMiB, scale));
+        const std::string label = "running " + rc.workload.name();
 
-        Cell c;
-        c.workload = w.name();
-
-        std::cerr << "running " << c.workload << " [autonuma]...\n";
         rc.policy = "autonuma";
         rc.tunables = base_tunables;
-        c.def = runWorkload(rc);
+        cells.push_back({rc, label + " [autonuma]..."});
 
-        std::cerr << "running " << c.workload << " [autotune]...\n";
         rc.policy = "autotune";
-        rc.tunables = base_tunables;
         rc.tunables.push_back("base=autonuma");
         rc.tunables.push_back(epoch_assignment);
         rc.tunables.push_back("seed=" + std::to_string(seed));
@@ -192,72 +142,52 @@ main(int argc, char **argv)
         // so take coarse steps and accept any measurable gain.
         rc.tunables.push_back("step=0.5");
         rc.tunables.push_back("min_gain=0.01");
-        c.tuned = runWorkload(rc);
-
-        MEMTIER_ASSERT(c.def.outputChecksum == c.tuned.outputChecksum,
-                       "tuning changed application output");
-        cells.push_back(std::move(c));
+        cells.push_back({rc, label + " [autotune]..."});
     }
+
+    std::vector<Arm> arms(cells.size());
+    runCells(cells, 0, &std::cerr, [&](std::size_t i, const RunResult &r) {
+        arms[i] = {r.totalSeconds,
+                   r.outputChecksum,
+                   counter(r, "tuner_epochs"),
+                   counter(r, "tuner_applied"),
+                   counter(r, "tuner_accepted"),
+                   counter(r, "tuner_reverted"),
+                   joinedTunables(r)};
+    });
 
     TextTable table({"workload", "default (s)", "tuned (s)", "speedup",
                      "applied", "accepted", "reverted"});
-    for (const Cell &c : cells) {
-        const double speedup = c.def.totalSeconds / c.tuned.totalSeconds;
-        table.addRow({c.workload, num(c.def.totalSeconds, 4),
-                      num(c.tuned.totalSeconds, 4), num(speedup, 3),
-                      fmtCount(counter(c.tuned, "tuner_applied")),
-                      fmtCount(counter(c.tuned, "tuner_accepted")),
-                      fmtCount(counter(c.tuned, "tuner_reverted"))});
+    Record rec{"autotune_sweep",
+               {{"scale", scale}, {"seed", seed}, {"epoch_ms", epoch_ms}},
+               recordHost(),
+               "cells",
+               {}};
+    for (std::size_t i = 0; i < cells.size(); i += 2) {
+        const Arm &def = arms[i];
+        const Arm &tuned = arms[i + 1];
+        MEMTIER_ASSERT(def.checksum == tuned.checksum,
+                       "tuning changed application output");
+        const std::string workload = cells[i].config.workload.name();
+        const double speedup = def.seconds / tuned.seconds;
+        table.addRow({workload, num(def.seconds, 4),
+                      num(tuned.seconds, 4), num(speedup, 3),
+                      fmtCount(tuned.applied), fmtCount(tuned.accepted),
+                      fmtCount(tuned.reverted)});
+        rec.rows.push_back({{"workload", workload},
+                            {"default_seconds", def.seconds},
+                            {"tuned_seconds", tuned.seconds},
+                            {"speedup", speedup},
+                            {"tuner_epochs", tuned.epochs},
+                            {"tuner_applied", tuned.applied},
+                            {"tuner_accepted", tuned.accepted},
+                            {"tuner_reverted", tuned.reverted},
+                            {"effective_tunables", tuned.effective}});
     }
     table.print(std::cout);
-
-    std::ofstream csv(csv_path);
-    if (!csv)
-        fatal("cannot open %s", csv_path.c_str());
-    csv << "workload,default_seconds,tuned_seconds,speedup,"
-           "tuner_epochs,tuner_applied,tuner_accepted,tuner_reverted,"
-           "effective_tunables\n";
-    for (const Cell &c : cells) {
-        csv << c.workload << "," << c.def.totalSeconds << ","
-            << c.tuned.totalSeconds << ","
-            << c.def.totalSeconds / c.tuned.totalSeconds << ","
-            << counter(c.tuned, "tuner_epochs") << ","
-            << counter(c.tuned, "tuner_applied") << ","
-            << counter(c.tuned, "tuner_accepted") << ","
-            << counter(c.tuned, "tuner_reverted") << ","
-            << joinedEffective(c.tuned) << "\n";
-    }
-    csv.close();
-
-    std::ofstream json(out_path);
-    if (!json)
-        fatal("cannot open %s", out_path.c_str());
-    json << "{\n"
-         << "  \"bench\": \"autotune_sweep\",\n"
-         << "  \"scale\": " << scale << ",\n"
-         << "  \"seed\": " << seed << ",\n"
-         << "  \"epoch_ms\": " << epoch_ms << ",\n"
-         << "  \"cells\": [\n";
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        const Cell &c = cells[i];
-        json << "    {\"workload\": \"" << c.workload
-             << "\", \"default_seconds\": " << c.def.totalSeconds
-             << ", \"tuned_seconds\": " << c.tuned.totalSeconds
-             << ",\n     \"speedup\": "
-             << c.def.totalSeconds / c.tuned.totalSeconds
-             << ", \"tuner_epochs\": " << counter(c.tuned, "tuner_epochs")
-             << ", \"tuner_applied\": "
-             << counter(c.tuned, "tuner_applied")
-             << ", \"tuner_accepted\": "
-             << counter(c.tuned, "tuner_accepted")
-             << ", \"tuner_reverted\": "
-             << counter(c.tuned, "tuner_reverted")
-             << ",\n     \"effective\": \"" << joinedEffective(c.tuned)
-             << "\"}" << (i + 1 < cells.size() ? "," : "") << "\n";
-    }
-    json << "  ]\n}\n";
+    writeRecord(rec, out_path, csv_path);
 
     std::cout << "\nwrote " << out_path << " and " << csv_path << " ("
-              << cells.size() << " cells)\n";
+              << rec.rows.size() << " cells)\n";
     return 0;
 }

@@ -11,13 +11,12 @@
 #define MEMTIER_BENCH_BENCH_COMMON_H_
 
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 
 #include "base/env.h"
 #include "base/logging.h"
+#include "exp/record.h"
 #include "exp/report.h"
 #include "exp/runner.h"
 #include "exp/sweep.h"
@@ -89,41 +88,11 @@ consumeThpFlag(int &argc, char **argv)
     return false;
 }
 
-/** The host CPU's model name from /proc/cpuinfo, or "unknown". */
-inline std::string
-cpuModel()
+/** Simulated cycles -> microseconds. */
+inline double
+usec(double cycles)
 {
-    std::ifstream in("/proc/cpuinfo");
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.rfind("model name", 0) != 0)
-            continue;
-        const std::size_t colon = line.find(':');
-        if (colon != std::string::npos)
-            return line.substr(line.find_first_not_of(' ', colon + 1));
-    }
-    return "unknown";
-}
-
-/**
- * JSON object naming the machine and build that produced a record;
- * "nproc" is the CPUs this process may run on (its affinity mask),
- * the width a sweep's cell pool defaults to.
- */
-inline std::string
-hostJson()
-{
-#if defined(__clang__)
-    const char *compiler = "clang " __clang_version__;
-#else
-    const char *compiler = "gcc " __VERSION__;
-#endif
-    std::ostringstream os;
-    os << "{\"cpu\": \"" << cpuModel() << "\", \"nproc\": "
-       << affinityCpuCount() << ", \"compiler\": \""
-       << compiler << "\", \"build_type\": \""
-       << MEMTIER_BUILD_TYPE << "\"}";
-    return os.str();
+    return cycles * 1e6 / static_cast<double>(kCyclesPerSecond);
 }
 
 /** Header block naming the experiment. */

@@ -20,7 +20,6 @@
  */
 
 #include <algorithm>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -29,27 +28,10 @@
 #include "base/logging.h"
 #include "bench_common.h"
 #include "fault/fault_plan.h"
-#include "policy/policy_registry.h"
 
 using namespace memtier;
 
 namespace {
-
-/** Simulated cycles -> microseconds. */
-double
-usec(double cycles)
-{
-    return cycles * 1e6 / static_cast<double>(kCyclesPerSecond);
-}
-
-/** One (policy, erosion level) measurement. */
-struct Cell
-{
-    std::string policy;
-    double ceProb = 0.0;
-    double ueProb = 0.0;
-    RunResult r;
-};
 
 /** Fraction of the DRAM tier retired by the end of the run. */
 double
@@ -63,18 +45,6 @@ dramRetiredFraction(const RunResult &r)
         return 0.0;
     return static_cast<double>(numa.retiredPages[d]) /
            static_cast<double>(total);
-}
-
-std::vector<std::string>
-splitCommas(const std::string &s)
-{
-    std::vector<std::string> out;
-    std::stringstream ss(s);
-    std::string item;
-    while (std::getline(ss, item, ','))
-        if (!item.empty())
-            out.push_back(item);
-    return out;
 }
 
 }  // namespace
@@ -119,10 +89,6 @@ main(int argc, char **argv)
         std::cerr << "degradation_sweep: bad sweep parameters\n";
         return 2;
     }
-    for (const std::string &p : policies) {
-        if (!PolicyRegistry::instance().contains(p))
-            fatal("unknown policy '%s'", p.c_str());
-    }
     // The healthy baseline anchors every degradation curve.
     if (std::find(levels.begin(), levels.end(), 0.0) == levels.end())
         levels.insert(levels.begin(), 0.0);
@@ -142,17 +108,14 @@ main(int argc, char **argv)
     ServingSpec ref_spec;  // For the SLO threshold only.
     const Cycles slo = ref_spec.sloCycles();
 
-    std::vector<Cell> cells;
+    std::vector<GridCell> cells;
     for (const std::string &policy : policies) {
         for (const double ce : levels) {
-            WorkloadSpec w;
-            w.app = App::KV;
-            w.kind = GraphKind::Kron;  // Zipfian keys.
-            w.scale = scale;
-            w.trials = trials;
-
             RunConfig rc;
-            rc.workload = w;
+            rc.workload.app = App::KV;
+            rc.workload.kind = GraphKind::Kron;  // Zipfian keys.
+            rc.workload.scale = scale;
+            rc.workload.trials = trials;
             rc.policy = policy;
             rc.sampling = false;
             rc.sys.dram =
@@ -166,89 +129,60 @@ main(int argc, char **argv)
                     .probability = ce / 8.0;
                 rc.sys.faults.seed = 7;
             }
-            std::cerr << "running kv [" << policy << ", ce=" << ce
-                      << "]...\n";
-
-            Cell c;
-            c.policy = policy;
-            c.ceProb = ce;
-            c.ueProb = ce > 0.0 ? ce / 8.0 : 0.0;
-            c.r = runWorkload(rc);
-            MEMTIER_ASSERT(c.r.hasServing,
-                           "serving run produced no report");
-            cells.push_back(std::move(c));
+            std::ostringstream line;
+            line << "running kv [" << policy << ", ce=" << ce << "]...";
+            cells.push_back({rc, line.str()});
         }
     }
 
+    std::vector<RecordRow> rows(cells.size());
+    std::vector<std::vector<std::string>> text(cells.size());
+    runCells(cells, 0, &std::cerr, [&](std::size_t i, const RunResult &r) {
+        MEMTIER_ASSERT(r.hasServing, "serving run produced no report");
+        const ServingReport &s = r.serving;
+        const VmStat &v = r.vmstat;
+        const std::string &policy = cells[i].config.policy;
+        const double ce = levels[i % levels.size()];
+        rows[i] = {{"policy", policy},
+                   {"ce_prob", ce},
+                   {"ue_prob", ce / 8.0},
+                   {"requests", s.requests},
+                   {"errors", s.errors},
+                   {"availability", s.availability()},
+                   {"dram_retired_fraction", dramRetiredFraction(r)},
+                   {"frames_retired", v.hwpoisonFramesRetired},
+                   {"soft_offline", v.hwpoisonSoftOffline},
+                   {"soft_offline_fail", v.hwpoisonSoftOfflineFail},
+                   {"sigbus", v.hwpoisonSigbus},
+                   {"cache_dropped", v.hwpoisonCacheDropped},
+                   {"p50_usec", usec(s.latency.percentile(0.50))},
+                   {"p99_usec", usec(s.latency.percentile(0.99))},
+                   {"p999_usec", usec(s.latency.percentile(0.999))},
+                   {"slo_violation", s.sloViolationFraction(slo)},
+                   {"total_sec", r.totalSeconds}};
+        text[i] = {policy,
+                   num(ce, 6),
+                   num(dramRetiredFraction(r), 4),
+                   num(usec(s.latency.percentile(0.50)), 2),
+                   num(usec(s.latency.percentile(0.99)), 2),
+                   num(s.sloViolationFraction(slo), 4),
+                   num(s.availability(), 6),
+                   num(static_cast<double>(s.errors), 0)};
+    });
+
     TextTable table({"policy", "ce prob", "dram retired", "p50 (us)",
                      "p99 (us)", "slo viol", "availability", "errors"});
-    for (const Cell &c : cells) {
-        const ServingReport &s = c.r.serving;
-        table.addRow({c.policy, num(c.ceProb, 6),
-                      num(dramRetiredFraction(c.r), 4),
-                      num(usec(s.latency.percentile(0.50)), 2),
-                      num(usec(s.latency.percentile(0.99)), 2),
-                      num(s.sloViolationFraction(slo), 4),
-                      num(s.availability(), 6),
-                      num(static_cast<double>(s.errors), 0)});
-    }
+    for (std::vector<std::string> &line : text)
+        table.addRow(std::move(line));
     table.print(std::cout);
-
-    std::ofstream csv(csv_path);
-    if (!csv)
-        fatal("cannot open %s", csv_path.c_str());
-    csv << "policy,ce_prob,ue_prob,requests,errors,availability,"
-           "dram_retired_fraction,frames_retired,soft_offline,"
-           "soft_offline_fail,sigbus,cache_dropped,p50_usec,p99_usec,"
-           "p999_usec,slo_violation,total_sec\n";
-    for (const Cell &c : cells) {
-        const ServingReport &s = c.r.serving;
-        const VmStat &v = c.r.vmstat;
-        csv << c.policy << "," << c.ceProb << "," << c.ueProb << ","
-            << s.requests << "," << s.errors << "," << s.availability()
-            << "," << dramRetiredFraction(c.r) << ","
-            << v.hwpoisonFramesRetired << "," << v.hwpoisonSoftOffline
-            << "," << v.hwpoisonSoftOfflineFail << ","
-            << v.hwpoisonSigbus << "," << v.hwpoisonCacheDropped << ","
-            << usec(s.latency.percentile(0.50)) << ","
-            << usec(s.latency.percentile(0.99)) << ","
-            << usec(s.latency.percentile(0.999)) << ","
-            << s.sloViolationFraction(slo) << "," << c.r.totalSeconds
-            << "\n";
-    }
-    csv.close();
-
-    std::ofstream json(out_path);
-    if (!json)
-        fatal("cannot open %s", out_path.c_str());
-    json << "{\n"
-         << "  \"bench\": \"degradation_sweep\",\n"
-         << "  \"scale\": " << scale << ",\n"
-         << "  \"requests\": " << trials * 5000 << ",\n"
-         << "  \"slo_usec\": " << ref_spec.sloMicros << ",\n"
-         << "  \"cells\": [\n";
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        const Cell &c = cells[i];
-        const ServingReport &s = c.r.serving;
-        const VmStat &v = c.r.vmstat;
-        json << "    {\"policy\": \"" << c.policy
-             << "\", \"ce_prob\": " << c.ceProb
-             << ", \"ue_prob\": " << c.ueProb << ",\n"
-             << "     \"dram_retired_fraction\": "
-             << dramRetiredFraction(c.r)
-             << ", \"frames_retired\": " << v.hwpoisonFramesRetired
-             << ", \"sigbus\": " << v.hwpoisonSigbus << ",\n"
-             << "     \"requests\": " << s.requests
-             << ", \"errors\": " << s.errors
-             << ", \"availability\": " << s.availability() << ",\n"
-             << "     \"p50_usec\": " << usec(s.latency.percentile(0.50))
-             << ", \"p99_usec\": " << usec(s.latency.percentile(0.99))
-             << ", \"p999_usec\": "
-             << usec(s.latency.percentile(0.999))
-             << ", \"slo_violation\": " << s.sloViolationFraction(slo)
-             << "}" << (i + 1 < cells.size() ? "," : "") << "\n";
-    }
-    json << "  ]\n}\n";
+    writeRecord({"degradation_sweep",
+                 {{"scale", scale},
+                  {"requests", trials * 5000},
+                  {"slo_usec", ref_spec.sloMicros}},
+                 recordHost(),
+                 "cells",
+                 std::move(rows)},
+                out_path, csv_path);
 
     std::cout << "\nwrote " << out_path << " and " << csv_path << " ("
               << cells.size() << " cells)\n";

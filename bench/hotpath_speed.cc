@@ -31,7 +31,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <utility>
@@ -151,9 +150,7 @@ main(int argc, char **argv)
             scales = {std::atoi(arg.c_str() + 8)};
         } else if (arg.rfind("--scales=", 0) == 0) {
             scales.clear();
-            std::stringstream ss(arg.substr(9));
-            std::string item;
-            while (std::getline(ss, item, ','))
+            for (const std::string &item : splitCommas(arg.substr(9)))
                 scales.push_back(std::atoi(item.c_str()));
         } else if (arg.rfind("--trials=", 0) == 0) {
             trials = std::atoi(arg.c_str() + 9);
@@ -243,43 +240,31 @@ main(int argc, char **argv)
               << (identical ? "true" : "false") << "\n";
 
     if (!out_path.empty()) {
-        std::ofstream out(out_path);
-        if (!out) {
-            std::cerr << "hotpath_speed: cannot write " << out_path
-                      << "\n";
-            return 1;
+        Record rec{"hotpath_speed",
+                   {{"workload", std::string("pr_kron_sweep")},
+                    {"trials", trials},
+                    {"reps", reps},
+                    {"accesses", accesses},
+                    {"scalar_wall_sec", scalar_wall},
+                    {"batched_wall_sec", batched_wall},
+                    {"sampled_wall_sec", sampled_wall},
+                    {"scalar_accesses_per_sec", scalar_aps},
+                    {"batched_accesses_per_sec", batched_aps},
+                    {"speedup", speedup},
+                    {"sampled_over_batched", sampled_over_batched},
+                    {"bit_identical", identical}},
+                   recordHost(),
+                   "per_scale",
+                   {}};
+        for (const ScaleResult &r : sweep) {
+            rec.rows.push_back({{"scale", r.scale},
+                                {"accesses", r.accesses},
+                                {"scalar_wall_sec", r.scalarWall},
+                                {"batched_wall_sec", r.batchedWall},
+                                {"sampled_wall_sec", r.sampledWall},
+                                {"speedup", r.scalarWall / r.batchedWall}});
         }
-        out << "{\n"
-            << "  \"bench\": \"hotpath_speed\",\n"
-            << "  \"workload\": \"pr_kron_sweep\",\n"
-            << "  \"trials\": " << trials << ",\n"
-            << "  \"reps\": " << reps << ",\n"
-            << "  \"host\": " << hostJson() << ",\n"
-            << "  \"per_scale\": [\n";
-        for (std::size_t i = 0; i < sweep.size(); ++i) {
-            const ScaleResult &r = sweep[i];
-            out << "    {\"scale\": " << r.scale << ", \"accesses\": "
-                << r.accesses << ", \"scalar_wall_sec\": "
-                << r.scalarWall << ", \"batched_wall_sec\": "
-                << r.batchedWall << ", \"sampled_wall_sec\": "
-                << r.sampledWall << ", \"speedup\": "
-                << (r.scalarWall / r.batchedWall) << "}"
-                << (i + 1 < sweep.size() ? "," : "") << "\n";
-        }
-        out << "  ],\n"
-            << "  \"accesses\": " << accesses << ",\n"
-            << "  \"scalar_wall_sec\": " << scalar_wall << ",\n"
-            << "  \"batched_wall_sec\": " << batched_wall << ",\n"
-            << "  \"sampled_wall_sec\": " << sampled_wall << ",\n"
-            << "  \"scalar_accesses_per_sec\": " << scalar_aps << ",\n"
-            << "  \"batched_accesses_per_sec\": " << batched_aps
-            << ",\n"
-            << "  \"speedup\": " << speedup << ",\n"
-            << "  \"sampled_over_batched\": " << sampled_over_batched
-            << ",\n"
-            << "  \"bit_identical\": "
-            << (identical ? "true" : "false") << "\n"
-            << "}\n";
+        writeRecord(rec, out_path);
         std::cout << "  wrote " << out_path << "\n";
     }
     return 0;

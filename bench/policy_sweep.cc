@@ -69,65 +69,6 @@ usage()
     }
 }
 
-/** Split "a,b,c" into {"a","b","c"}; empty segments are dropped. */
-std::vector<std::string>
-splitCommas(const std::string &s)
-{
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    while (start <= s.size()) {
-        const std::size_t comma = s.find(',', start);
-        const std::size_t end = comma == std::string::npos ? s.size()
-                                                           : comma;
-        if (end > start)
-            out.push_back(s.substr(start, end - start));
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
-    }
-    return out;
-}
-
-App
-parseApp(const std::string &s)
-{
-    if (s == "bc") return App::BC;
-    if (s == "bfs") return App::BFS;
-    if (s == "cc") return App::CC;
-    if (s == "pr") return App::PR;
-    if (s == "sssp") return App::SSSP;
-    if (s == "kv") return App::KV;
-    if (s == "lsm") return App::LSM;
-    fatal("unknown app '%s' (expected bc, bfs, cc, pr, sssp, kv or lsm)",
-          s.c_str());
-}
-
-GraphKind
-parseKind(const std::string &s)
-{
-    if (s == "kron") return GraphKind::Kron;
-    if (s == "urand") return GraphKind::Urand;
-    fatal("unknown graph kind '%s' (expected kron or urand)", s.c_str());
-}
-
-WorkloadSpec
-parseWorkload(const std::string &s, int scale)
-{
-    const std::size_t colon = s.find(':');
-    if (colon == std::string::npos || colon == 0 ||
-        colon + 1 >= s.size()) {
-        fatal("malformed workload '%s' (expected APP:KIND, e.g. "
-              "pr:kron)",
-              s.c_str());
-    }
-    WorkloadSpec w;
-    w.app = parseApp(s.substr(0, colon));
-    w.kind = parseKind(s.substr(colon + 1));
-    w.scale = scale;
-    w.trials = 2;
-    return w;
-}
-
 }  // namespace
 
 int
@@ -168,7 +109,7 @@ main(int argc, char **argv)
             spec.axes.push_back(std::move(axis));
         } else if (arg.rfind("--workload", 0) == 0) {
             spec.workloads.push_back(
-                parseWorkload(value_of("--workload"), scale));
+                parseWorkload(value_of("--workload")));
         } else if (arg.rfind("--segments", 0) == 0) {
             segments = std::stoi(value_of("--segments"));
             if (segments < 1)
@@ -193,9 +134,12 @@ main(int argc, char **argv)
         fatal("unknown policy '%s'", spec.policy.c_str());
     }
     if (spec.workloads.empty())
-        spec.workloads.push_back(parseWorkload("pr:kron", scale));
-    for (WorkloadSpec &w : spec.workloads)
+        spec.workloads.push_back(parseWorkload("pr:kron"));
+    for (WorkloadSpec &w : spec.workloads) {
+        w.scale = scale;
+        w.trials = 2;
         w.segments = segments;
+    }
     if (spec.axes.empty() && spec.policy == "autonuma") {
         // Sub-millisecond values: simulated runs at sweep scale last a
         // few milliseconds, so paper-scale periods would never fire.

@@ -25,7 +25,6 @@
 
 #include <chrono>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -66,25 +65,6 @@ peakRssBytes()
     return static_cast<std::uint64_t>(ru.ru_maxrss) * 1024;
 }
 
-struct RowResult
-{
-    SweepRow row;
-    std::uint64_t footprintBytes = 0;
-    std::int64_t nodes = 0;
-    std::int64_t edges = 0;
-    double loadSimSec = 0.0;
-    double computeSimSec = 0.0;
-    std::uint64_t totalAccesses = 0;
-    double buildSec = 0.0;  ///< Spill + sort; ~0 when already cached.
-    double wallSec = 0.0;
-    double accessesPerSec = 0.0;
-    std::uint64_t copyBytes = 0;
-    double dramHitFraction = 0.0;
-    std::uint64_t promoted = 0;
-    std::uint64_t demoted = 0;
-    std::uint64_t peakRss = 0;
-};
-
 std::string
 parseMode(const std::string &s)
 {
@@ -94,16 +74,6 @@ parseMode(const std::string &s)
     fatal("scale_sweep: unknown mode '%s' (expected autonuma, "
           "notiering, all_nvm or all_dram)",
           s.c_str());
-}
-
-GraphKind
-parseKind(const std::string &s)
-{
-    if (s == "kron")
-        return GraphKind::Kron;
-    if (s == "urand")
-        return GraphKind::Urand;
-    fatal("scale_sweep: unknown kind '%s'", s.c_str());
 }
 
 SweepRow
@@ -122,7 +92,7 @@ parseRow(const std::string &s)
     row.scale = std::atoi(parts[0].c_str());
     if (row.scale < 10 || row.scale > 28)
         fatal("scale_sweep: scale %d out of range", row.scale);
-    row.kind = parseKind(parts[1]);
+    row.kind = parseGraphKind(parts[1]);
     row.mode = parseMode(parts[2]);
     row.segments = parts.size() == 4 ? std::atoi(parts[3].c_str())
                                      : autoSegments(row.scale);
@@ -131,7 +101,8 @@ parseRow(const std::string &s)
     return row;
 }
 
-RowResult
+/** Run one row, print its line and return its record row. */
+RecordRow
 runRow(const SweepRow &row, int trials)
 {
     RunConfig rc;
@@ -186,43 +157,52 @@ runRow(const SweepRow &row, int trials)
     const RunResult r = runWorkload(rc, &plan);
     const auto t1 = std::chrono::steady_clock::now();
 
-    RowResult out;
-    out.row = row;
-    out.nodes = 1LL << row.scale;
-    out.buildSec = build_sec;
-    out.loadSimSec = r.loadSeconds;
-    out.computeSimSec = r.computeSeconds;
-    out.totalAccesses = r.totalAccesses;
-    out.wallSec = std::chrono::duration<double>(t1 - t0).count();
-    out.accessesPerSec =
-        static_cast<double>(r.totalAccesses) / out.wallSec;
-    out.copyBytes = r.copyBytes;
+    const double wall_sec = std::chrono::duration<double>(t1 - t0).count();
+    const double accesses_per_sec =
+        static_cast<double>(r.totalAccesses) / wall_sec;
     const std::uint64_t dram =
         r.levelCounts[static_cast<int>(MemLevel::DRAM)];
     const std::uint64_t nvm =
         r.levelCounts[static_cast<int>(MemLevel::NVM)];
-    out.dramHitFraction =
+    const double dram_hit_fraction =
         dram + nvm > 0
             ? static_cast<double>(dram) /
                   static_cast<double>(dram + nvm)
             : 0.0;
-    out.promoted = r.vmstat.pgpromoteSuccess;
-    out.demoted = r.vmstat.pgdemoteKswapd + r.vmstat.pgdemoteDirect;
-    out.peakRss = peakRssBytes();
-
+    const std::uint64_t peak_rss = peakRssBytes();
     // Footprint of the segmented CSR = what the builder materialized.
-    out.edges = art.totalEdges;
-    out.footprintBytes =
+    const std::uint64_t footprint =
         static_cast<std::uint64_t>(art.nodes + art.segments) * 8 +
         static_cast<std::uint64_t>(art.totalEdges) * 4;
-    return out;
-}
 
-std::string
-rowLabel(const SweepRow &r)
-{
-    return std::to_string(r.scale) + ":" + graphKindName(r.kind) + ":" +
-           r.mode + ":" + std::to_string(r.segments);
+    std::cout << "  " << row.scale << ":" << graphKindName(row.kind)
+              << ":" << row.mode << ":" << row.segments << ": footprint "
+              << (footprint >> 20) << " MiB, " << r.totalAccesses
+              << " accesses, "
+              << static_cast<std::uint64_t>(accesses_per_sec)
+              << " accesses/s, dram_hit " << dram_hit_fraction
+              << ", build " << build_sec << " s, migrated "
+              << (r.copyBytes >> 20) << " MiB, peak rss "
+              << (peak_rss >> 20) << " MiB\n";
+    return {{"scale", row.scale},
+            {"kind", std::string(graphKindName(row.kind))},
+            {"mode", row.mode},
+            {"segments", row.segments},
+            {"nodes", std::int64_t{1} << row.scale},
+            {"edges", art.totalEdges},
+            {"footprint_bytes", footprint},
+            {"load_sim_sec", r.loadSeconds},
+            {"compute_sim_sec", r.computeSeconds},
+            {"total_accesses", r.totalAccesses},
+            {"build_sec", build_sec},
+            {"wall_sec", wall_sec},
+            {"accesses_per_sec", accesses_per_sec},
+            {"copy_bytes", r.copyBytes},
+            {"dram_hit_fraction", dram_hit_fraction},
+            {"pgpromote", r.vmstat.pgpromoteSuccess},
+            {"pgdemote",
+             r.vmstat.pgdemoteKswapd + r.vmstat.pgdemoteDirect},
+            {"peak_rss_bytes", peak_rss}};
 }
 
 }  // namespace
@@ -237,9 +217,7 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg.rfind("--rows=", 0) == 0) {
-            std::stringstream ss(arg.substr(7));
-            std::string item;
-            while (std::getline(ss, item, ','))
+            for (const std::string &item : splitCommas(arg.substr(7)))
                 rows.push_back(parseRow(item));
         } else if (arg.rfind("--trials=", 0) == 0) {
             trials = std::atoi(arg.c_str() + 9);
@@ -276,7 +254,11 @@ main(int argc, char **argv)
                 "paper-scale graph footprints (Section 4.1) via "
                 "out-of-core segmented builds");
 
-    std::vector<RowResult> results;
+    Record rec{"scale_sweep",
+               {{"app", std::string("pr")}, {"trials", trials}},
+               recordHost(),
+               "rows",
+               {}};
     int last_scale = -1;
     for (const SweepRow &row : rows) {
         if (last_scale != -1 && row.scale != last_scale) {
@@ -284,53 +266,12 @@ main(int argc, char **argv)
             clearBigraphArtifacts();
         }
         last_scale = row.scale;
-        results.push_back(runRow(row, trials));
-        const RowResult &r = results.back();
-        std::cout << "  " << rowLabel(row) << ": footprint "
-                  << (r.footprintBytes >> 20) << " MiB, "
-                  << r.totalAccesses << " accesses, "
-                  << static_cast<std::uint64_t>(r.accessesPerSec)
-                  << " accesses/s, dram_hit "
-                  << r.dramHitFraction << ", build "
-                  << r.buildSec << " s, migrated "
-                  << (r.copyBytes >> 20) << " MiB, peak rss "
-                  << (r.peakRss >> 20) << " MiB\n";
+        rec.rows.push_back(runRow(row, trials));
     }
     clearBigraphArtifacts();
 
-    std::ofstream out(out_path);
-    if (!out) {
-        std::cerr << "scale_sweep: cannot write " << out_path << "\n";
-        return 1;
-    }
-    out << "{\n"
-        << "  \"bench\": \"scale_sweep\",\n"
-        << "  \"app\": \"pr\",\n"
-        << "  \"trials\": " << trials << ",\n"
-        << "  \"host\": " << hostJson() << ",\n"
-        << "  \"rows\": [\n";
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const RowResult &r = results[i];
-        out << "    {\"scale\": " << r.row.scale << ", \"kind\": \""
-            << graphKindName(r.row.kind) << "\", \"mode\": \""
-            << r.row.mode << "\", \"segments\": "
-            << r.row.segments << ", \"nodes\": " << r.nodes
-            << ", \"edges\": " << r.edges << ", \"footprint_bytes\": "
-            << r.footprintBytes << ", \"load_sim_sec\": "
-            << r.loadSimSec << ", \"compute_sim_sec\": "
-            << r.computeSimSec << ", \"total_accesses\": "
-            << r.totalAccesses << ", \"build_sec\": " << r.buildSec
-            << ", \"wall_sec\": " << r.wallSec
-            << ", \"accesses_per_sec\": " << r.accessesPerSec
-            << ", \"copy_bytes\": " << r.copyBytes
-            << ", \"dram_hit_fraction\": " << r.dramHitFraction
-            << ", \"pgpromote\": " << r.promoted << ", \"pgdemote\": "
-            << r.demoted << ", \"peak_rss_bytes\": " << r.peakRss
-            << "}" << (i + 1 < results.size() ? "," : "") << "\n";
-    }
-    out << "  ]\n"
-        << "}\n";
-    std::cout << "wrote " << out_path << " (" << results.size()
+    writeRecord(rec, out_path);
+    std::cout << "wrote " << out_path << " (" << rec.rows.size()
               << " rows)\n";
     return 0;
 }

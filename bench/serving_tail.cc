@@ -9,7 +9,9 @@
  * This is the serving-scenario counterpart of the paper's graph
  * sweeps: graph analytics measures throughput (execution time), a
  * data-serving tier lives and dies by its tail, which is exactly where
- * NVM-resident hot pages and migration stalls surface first.
+ * NVM-resident hot pages and migration stalls surface first. Policies
+ * and THP move time, never answers: the bench asserts that every cell
+ * of one app returns the same output checksum.
  *
  * Usage:
  *   serving_tail [--apps=kv,lsm] [--policies=P1,P2,...] [--no-thp]
@@ -17,48 +19,26 @@
  *                [--out=PATH.json] [--csv=PATH.csv]
  */
 
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "base/logging.h"
 #include "bench_common.h"
 #include "fault/fault_plan.h"
-#include "policy/policy_registry.h"
 
 using namespace memtier;
 
 namespace {
 
-/** Simulated cycles -> microseconds. */
-double
-usec(double cycles)
+/** One (app, policy, thp) cell's output. */
+struct Row
 {
-    return cycles * 1e6 / static_cast<double>(kCyclesPerSecond);
-}
-
-/** One (app, policy, thp) measurement. */
-struct Cell
-{
-    std::string workload;
-    std::string policy;
-    bool thp = false;
-    RunResult r;
+    RecordRow record;
+    std::vector<std::string> text;  ///< Its line of the printed table.
+    std::uint64_t checksum = 0;
+    std::uint64_t errors = 0;       ///< Requests killed by a SIGBUS.
 };
-
-std::vector<std::string>
-splitCommas(const std::string &s)
-{
-    std::vector<std::string> out;
-    std::stringstream ss(s);
-    std::string item;
-    while (std::getline(ss, item, ','))
-        if (!item.empty())
-            out.push_back(item);
-    return out;
-}
 
 }  // namespace
 
@@ -108,10 +88,6 @@ main(int argc, char **argv)
         std::cerr << "serving_tail: bad sweep parameters\n";
         return 2;
     }
-    for (const std::string &p : policies) {
-        if (!PolicyRegistry::instance().contains(p))
-            fatal("unknown policy '%s'", p.c_str());
-    }
 
     benchHeader("data-serving tail latency under tiering policies",
                 "serving-scenario extension of the paper's workload "
@@ -126,22 +102,15 @@ main(int argc, char **argv)
     ServingSpec ref_spec;  // For the SLO threshold only.
     const Cycles slo = ref_spec.sloCycles();
 
-    std::vector<Cell> cells;
+    std::vector<GridCell> cells;
     for (const std::string &app : apps) {
+        WorkloadSpec w = parseWorkload(app + ":kron");  // Zipfian keys.
+        if (!isServingApp(w.app))
+            fatal("unknown serving app '%s'", app.c_str());
+        w.scale = scale;
+        w.trials = trials;
         for (const bool thp : thp_values) {
             for (const std::string &policy : policies) {
-                WorkloadSpec w;
-                if (app == "kv") {
-                    w.app = App::KV;
-                } else if (app == "lsm") {
-                    w.app = App::LSM;
-                } else {
-                    fatal("unknown serving app '%s'", app.c_str());
-                }
-                w.kind = GraphKind::Kron;  // Zipfian keys.
-                w.scale = scale;
-                w.trials = trials;
-
                 RunConfig rc;
                 rc.workload = w;
                 rc.policy = policy;
@@ -152,102 +121,86 @@ main(int argc, char **argv)
                     makeDramParams(scaledCapacity(24 * kMiB, scale));
                 rc.sys.nvm =
                     makeNvmParams(scaledCapacity(96 * kMiB, scale));
-                std::cerr << "running " << w.name() << " [" << policy
-                          << (thp ? ", thp" : "") << "]...\n";
-
-                Cell c;
-                c.workload = w.name();
-                c.policy = policy;
-                c.thp = thp;
-                c.r = runWorkload(rc);
-                MEMTIER_ASSERT(c.r.hasServing,
-                               "serving run produced no report");
-                cells.push_back(std::move(c));
+                cells.push_back({rc, "running " + w.name() + " [" +
+                                         policy + (thp ? ", thp" : "") +
+                                         "]..."});
             }
         }
     }
 
+    std::vector<Row> rows(cells.size());
+    runCells(cells, 0, &std::cerr, [&](std::size_t i, const RunResult &r) {
+        MEMTIER_ASSERT(r.hasServing, "serving run produced no report");
+        const ServingReport &s = r.serving;
+        const std::string &policy = cells[i].config.policy;
+        const bool thp = cells[i].config.sys.thp.enabled;
+        RecordRow record = {
+            {"workload", r.workloadName},
+            {"policy", policy},
+            {"thp", thp},
+            {"requests", s.requests},
+            {"p50_usec", usec(s.latency.percentile(0.50))},
+            {"p99_usec", usec(s.latency.percentile(0.99))},
+            {"p999_usec", usec(s.latency.percentile(0.999))},
+            {"mean_usec", usec(s.latency.mean())},
+            {"max_usec", usec(static_cast<double>(s.latency.max()))},
+            {"slo_violation", s.sloViolationFraction(slo)}};
+        for (int ph = 0; ph < kNumServePhases; ++ph) {
+            const LatencyHistogram &h = s.phaseLatency[ph];
+            const std::string name =
+                servePhaseName(static_cast<ServePhase>(ph));
+            record.push_back({name + "_requests", h.count()});
+            record.push_back(
+                {name + "_p99_usec", usec(h.percentile(0.99))});
+            record.push_back(
+                {name + "_violation", h.violationFraction(slo)});
+        }
+        record.push_back({"prefill_sec", s.prefillSeconds});
+        record.push_back({"total_sec", r.totalSeconds});
+        record.push_back({"checksum", r.outputChecksum});
+
+        const LatencyHistogram &storm =
+            s.phaseLatency[static_cast<int>(ServePhase::Storm)];
+        rows[i] = {std::move(record),
+                   {r.workloadName, policy, thp ? "on" : "off",
+                    num(usec(s.latency.percentile(0.50)), 2),
+                    num(usec(s.latency.percentile(0.99)), 2),
+                    num(usec(s.latency.percentile(0.999)), 2),
+                    num(s.sloViolationFraction(slo), 4),
+                    num(usec(storm.percentile(0.99)), 2),
+                    num(storm.violationFraction(slo), 4)},
+                   r.outputChecksum,
+                   s.errors};
+    });
+
+    // Policies and THP move time, never answers: every cell of one app
+    // returns the app's first cell's checksum, unless a memory failure
+    // killed a request in either of them.
+    const std::size_t per_app = rows.size() / apps.size();
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        const Row &first = rows[i - i % per_app];
+        MEMTIER_ASSERT(rows[i].errors != 0 || first.errors != 0 ||
+                           rows[i].checksum == first.checksum,
+                       "a policy or THP changed application output");
+    }
+
     TextTable table({"workload", "policy", "thp", "p50 (us)", "p99 (us)",
                      "p999 (us)", "slo viol", "storm p99", "storm viol"});
-    for (const Cell &c : cells) {
-        const ServingReport &s = c.r.serving;
-        const auto &storm =
-            s.phaseLatency[static_cast<int>(ServePhase::Storm)];
-        table.addRow(
-            {c.workload, c.policy, c.thp ? "on" : "off",
-             num(usec(s.latency.percentile(0.50)), 2),
-             num(usec(s.latency.percentile(0.99)), 2),
-             num(usec(s.latency.percentile(0.999)), 2),
-             num(s.sloViolationFraction(slo), 4),
-             num(usec(storm.percentile(0.99)), 2),
-             num(storm.violationFraction(slo), 4)});
+    Record rec{"serving_tail",
+               {{"scale", scale},
+                {"requests", trials * 5000},
+                {"slo_usec", ref_spec.sloMicros}},
+               recordHost(),
+               "cells",
+               {}};
+    for (Row &row : rows) {
+        table.addRow(std::move(row.text));
+        rec.rows.push_back(std::move(row.record));
     }
     table.print(std::cout);
-
-    std::ofstream csv(csv_path);
-    if (!csv)
-        fatal("cannot open %s", csv_path.c_str());
-    csv << "workload,policy,thp,requests,p50_usec,p99_usec,p999_usec,"
-           "mean_usec,max_usec,slo_violation,offpeak_p99_usec,"
-           "peak_p99_usec,storm_p99_usec,offpeak_violation,"
-           "peak_violation,storm_violation,prefill_sec,total_sec,"
-           "checksum\n";
-    for (const Cell &c : cells) {
-        const ServingReport &s = c.r.serving;
-        csv << c.workload << "," << c.policy << ","
-            << (c.thp ? 1 : 0) << "," << s.requests << ","
-            << usec(s.latency.percentile(0.50)) << ","
-            << usec(s.latency.percentile(0.99)) << ","
-            << usec(s.latency.percentile(0.999)) << ","
-            << usec(s.latency.mean()) << ","
-            << usec(static_cast<double>(s.latency.max())) << ","
-            << s.sloViolationFraction(slo);
-        for (int ph = 0; ph < kNumServePhases; ++ph)
-            csv << "," << usec(s.phaseLatency[ph].percentile(0.99));
-        for (int ph = 0; ph < kNumServePhases; ++ph)
-            csv << "," << s.phaseLatency[ph].violationFraction(slo);
-        csv << "," << s.prefillSeconds << "," << c.r.totalSeconds << ","
-            << c.r.outputChecksum << "\n";
-    }
-    csv.close();
-
-    std::ofstream json(out_path);
-    if (!json)
-        fatal("cannot open %s", out_path.c_str());
-    json << "{\n"
-         << "  \"bench\": \"serving_tail\",\n"
-         << "  \"scale\": " << scale << ",\n"
-         << "  \"requests\": " << trials * 5000 << ",\n"
-         << "  \"slo_usec\": " << ref_spec.sloMicros << ",\n"
-         << "  \"cells\": [\n";
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        const Cell &c = cells[i];
-        const ServingReport &s = c.r.serving;
-        json << "    {\"workload\": \"" << c.workload
-             << "\", \"policy\": \"" << c.policy << "\", \"thp\": "
-             << (c.thp ? "true" : "false") << ",\n"
-             << "     \"p50_usec\": " << usec(s.latency.percentile(0.50))
-             << ", \"p99_usec\": " << usec(s.latency.percentile(0.99))
-             << ", \"p999_usec\": "
-             << usec(s.latency.percentile(0.999)) << ",\n"
-             << "     \"mean_usec\": " << usec(s.latency.mean())
-             << ", \"slo_violation\": " << s.sloViolationFraction(slo)
-             << ", \"checksum\": " << c.r.outputChecksum << ",\n"
-             << "     \"phases\": {";
-        for (int ph = 0; ph < kNumServePhases; ++ph) {
-            const auto &h = s.phaseLatency[ph];
-            json << (ph ? ", " : "") << "\""
-                 << servePhaseName(static_cast<ServePhase>(ph))
-                 << "\": {\"requests\": " << h.count()
-                 << ", \"p99_usec\": " << usec(h.percentile(0.99))
-                 << ", \"violation\": " << h.violationFraction(slo)
-                 << "}";
-        }
-        json << "}}" << (i + 1 < cells.size() ? "," : "") << "\n";
-    }
-    json << "  ]\n}\n";
+    writeRecord(rec, out_path, csv_path);
 
     std::cout << "\nwrote " << out_path << " and " << csv_path << " ("
-              << cells.size() << " cells)\n";
+              << rows.size() << " cells)\n";
     return 0;
 }

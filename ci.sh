@@ -9,14 +9,15 @@
 #      and print a /proc/vmstat dump of unique "name value" lines;
 #   2. an ASan/UBSan build of the test suite, to catch memory and UB
 #      bugs the functional tests would miss;
-#   3. a ThreadSanitizer pass: the test binaries holding the sweep
-#      cell pool and bigraph artifact cache tests, built with
-#      -fsanitize=thread, run those tests; any data race fails;
+#   3. a ThreadSanitizer pass: the test binaries holding the cell pool
+#      and bigraph artifact cache tests, built with -fsanitize=thread,
+#      run those tests; any data race fails;
 #   4. a serving smoke pass: a short data-serving tail sweep (KV + LSM,
 #      three policies) run under the ASan/UBSan build, so the open-loop
 #      driver, the stores, the latency histograms and the PROT_NONE
 #      scanner both scanning policies share get a sanitizer pass on
-#      every change;
+#      every change; its JSON record and CSV must hold the same rows
+#      and values and the record must name its host;
 #   5. a chaos pass: the tier-1 binaries re-run with the kernel
 #      invariant checker forced on and a moderate fault-injection plan
 #      pushed into the chaos-aware tests, plus a segmented-CSR smoke
@@ -110,9 +111,10 @@ cmake -B build-asan -S . -DMEMTIER_WERROR=ON \
 cmake --build build-asan -j "$JOBS"
 ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 
-echo "=== [3/11] tsan: sweep cell pool and shared caches under ThreadSanitizer ==="
-# runSweep runs cells on host threads that share the bigraph artifact
-# cache. The two binaries holding the concurrent tests are built with
+echo "=== [3/11] tsan: cell pool and shared caches under ThreadSanitizer ==="
+# The cell pool (runCells, under runSweep and the grid benches) runs
+# cells on host threads that share the bigraph artifact cache. The two
+# binaries holding the concurrent tests are built with
 # -fsanitize=thread in their own directory; the pool and single-flight
 # tests run under it and halt_on_error turns any reported race into a
 # failure.
@@ -120,7 +122,7 @@ cmake -B build-tsan -S . -DMEMTIER_WERROR=ON \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer"
 cmake --build build-tsan -j "$JOBS" --target exp_test bigraph_test
 TSAN_OPTIONS=halt_on_error=1 MEMTIER_SPILL_DIR=build-tsan/spill \
-    ./build-tsan/tests/exp_test --gtest_filter='Sweep.*'
+    ./build-tsan/tests/exp_test --gtest_filter='Sweep.*:CellPool.*'
 TSAN_OPTIONS=halt_on_error=1 MEMTIER_SPILL_DIR=build-tsan/spill \
     ./build-tsan/tests/bigraph_test \
     --gtest_filter='SegmentedCsr.Concurrent*'
@@ -137,6 +139,39 @@ echo "=== [4/11] serving smoke: short tail sweep under ASan/UBSan ==="
     --policies=autonuma,exchange,dram-only \
     --out=build-asan/BENCH_serving_smoke.json \
     --csv=build-asan/serving_smoke.csv
+# Both files come from one record: the same rows in the same order, and
+# every column the CSV shares with a JSON row holds the same value (the
+# CSV prints a bool as 1/0 and a double to 6 significant digits).
+python3 - build-asan/BENCH_serving_smoke.json \
+    build-asan/serving_smoke.csv <<'EOF'
+import csv, json, sys
+rec = json.load(open(sys.argv[1]))
+rows = list(csv.DictReader(open(sys.argv[2])))
+if not isinstance(rec.get("host"), dict):
+    sys.exit("serving smoke FAILED: the record names no host")
+cells = rec["cells"]
+if len(cells) != len(rows) or not cells:
+    sys.exit(f"serving smoke FAILED: {len(cells)} JSON cells vs "
+             f"{len(rows)} CSV rows")
+
+def same(j, c):
+    if isinstance(j, bool):
+        return c == str(int(j))
+    if isinstance(j, int):
+        return int(c) == j
+    if isinstance(j, float):
+        return f"{j:.6g}" == f"{float(c):.6g}"
+    return j == c
+
+for i, (cell, row) in enumerate(zip(cells, rows)):
+    if list(cell) != list(row):
+        sys.exit(f"serving smoke FAILED: row {i} columns differ")
+    for key, value in cell.items():
+        if not same(value, row[key]):
+            sys.exit(f"serving smoke FAILED: row {i} {key}: JSON "
+                     f"{value} vs CSV {row[key]}")
+print(f"serving smoke: JSON and CSV agree on {len(rows)} rows")
+EOF
 
 echo "=== [5/11] chaos: invariant checker on + fault plan, tier-1 binaries ==="
 # MEMTIER_CHECK_INVARIANTS=ON arms the kernel invariant checker in

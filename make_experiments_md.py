@@ -435,8 +435,9 @@ tiering policies, THP off and on (DESIGN.md §9):
 
 """ + block(sections, "serving_tail") + """
 
-The checksum column proves the policies only move time, never answers.
-dram-only bounds the achievable tail; AutoNUMA lands close behind it
+The bench asserts that every cell of one app returns the same output
+checksum across policies and THP: the policies only move time, never
+answers. dram-only bounds the achievable tail; AutoNUMA lands close behind it
 once its migrations settle, while exchange pays for its extra
 swap traffic precisely where a serving system can least afford it —
 p999 and the storm window. The LSM's tail is an order of magnitude
@@ -450,8 +451,9 @@ second cache block lands on NVM. Full per-phase percentiles land in
 
 """ + block(sections, "serving_chaos") + """
 
-Checksums match the fault-free run cell for cell — migration failures
-fatten the tail but never corrupt a response.
+`run_benches.sh` fails unless every checksum matches the fault-free
+run's cell for cell — migration failures fatten the tail but never
+corrupt a response.
 """)
 
     out.append("""\

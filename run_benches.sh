@@ -112,12 +112,24 @@ echo "--- policy_sweep --thp ---"
 echo
 
 # Serving chaos: the tail sweep re-run under lossy migration with the
-# invariant checker armed. The checksum column of the CSV must match
-# the fault-free run above — the tail moves, the answers must not.
+# invariant checker armed. Every cell's checksum must match the
+# fault-free run's above -- the tail moves, the answers must not.
 echo "=== serving_chaos ==="
 MEMTIER_CHECK_INVARIANTS=1 ./build/bench/serving_tail \
     --policies=autonuma,exchange --no-thp \
     --faults "migrate:p=0.2,burst=4;seed=7" \
     --out=results/serving_chaos.json \
     --csv=results/serving_chaos.csv 2>/dev/null
+python3 - results/serving_tail.csv results/serving_chaos.csv <<'EOF' || exit 1
+import csv, sys
+def checksums(path):
+    return {(r["workload"], r["policy"], r["thp"]): r["checksum"]
+            for r in csv.DictReader(open(path))}
+clean, chaos = checksums(sys.argv[1]), checksums(sys.argv[2])
+for cell, checksum in chaos.items():
+    if clean.get(cell) != checksum:
+        sys.exit(f"serving_chaos FAILED: {cell} checksum {checksum} vs "
+                 f"{clean.get(cell)} without faults")
+print(f"serving_chaos: {len(chaos)} cells match the fault-free checksums")
+EOF
 echo

@@ -30,7 +30,6 @@ CsvWriter::header(const std::vector<std::string> &columns)
         out << escape(columns[i]);
     }
     out << '\n';
-    wrote_header = true;
 }
 
 CsvWriter &

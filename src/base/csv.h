@@ -52,7 +52,6 @@ class CsvWriter
     std::ostream &out;
     std::vector<std::string> pending;
     std::size_t row_count = 0;
-    bool wrote_header = false;
 };
 
 }  // namespace memtier

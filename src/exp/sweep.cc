@@ -8,7 +8,7 @@
 
 #include <sched.h>
 
-#include "base/csv.h"
+#include "exp/record.h"
 
 namespace memtier {
 
@@ -37,36 +37,16 @@ namespace {
 
 using Combo = std::vector<std::pair<std::string, std::string>>;
 
-/** The run of one cell -- @p w under tunable assignment @p combo. */
-RunConfig
-cellConfig(const SweepSpec &spec, const Combo &combo,
-           const WorkloadSpec &w)
-{
-    RunConfig rc;
-    rc.workload = w;
-    rc.sys = spec.sys;
-    rc.sampling = spec.sampling;
-    rc.policy = spec.policy;
-    for (const auto &[key, value] : combo)
-        rc.tunables.push_back(key + "=" + value);
-    return rc;
-}
-
-/** Run one cell -- @p w under tunable assignment @p combo. */
+/** The point of one cell -- @p w under @p combo, which gave @p r. */
 SweepPoint
-runCell(const SweepSpec &spec, const Combo &combo, const WorkloadSpec &w)
+sweepPoint(const SweepSpec &spec, const Combo &combo,
+           const WorkloadSpec &w, const RunResult &r)
 {
-    const RunResult r = runWorkload(cellConfig(spec, combo, w));
-
     SweepPoint p;
     p.workload = w.name();
     p.policy = spec.policy;
     p.tunables = combo;
-    for (const auto &[key, value] : r.effectiveTunables) {
-        if (!p.effectiveTunables.empty())
-            p.effectiveTunables += ";";
-        p.effectiveTunables += key + "=" + value;
-    }
+    p.effectiveTunables = joinedTunables(r);
     p.totalSeconds = r.totalSeconds;
     p.computeSeconds = r.computeSeconds;
     p.hintFaults = r.vmstat.numaHintFaults;
@@ -85,6 +65,18 @@ runCell(const SweepSpec &spec, const Combo &combo, const WorkloadSpec &w)
 
 }  // namespace
 
+std::string
+joinedTunables(const RunResult &r)
+{
+    std::string out;
+    for (const auto &[key, value] : r.effectiveTunables) {
+        if (!out.empty())
+            out += ";";
+        out += key + "=" + value;
+    }
+    return out;
+}
+
 unsigned
 affinityCpuCount()
 {
@@ -96,22 +88,17 @@ affinityCpuCount()
     return std::max(1u, std::thread::hardware_concurrency());
 }
 
-std::vector<SweepPoint>
-runSweep(const SweepSpec &spec, std::ostream *progress)
+void
+runCells(const std::vector<GridCell> &cells, unsigned jobs,
+         std::ostream *progress,
+         const std::function<void(std::size_t, const RunResult &)> &finish)
 {
-    const std::vector<Combo> combos = sweepCombinations(spec.axes);
-    const std::size_t per_combo = spec.workloads.size();
-    const std::size_t cells = combos.size() * per_combo;
     // A configuration error fatal()s here, on the caller's thread,
     // before any worker exists -- not in a cell while others run.
-    for (const Combo &combo : combos) {
-        for (const WorkloadSpec &w : spec.workloads)
-            checkRunConfig(cellConfig(spec, combo, w));
-    }
+    for (const GridCell &cell : cells)
+        checkRunConfig(cell.config);
 
-    std::vector<SweepPoint> points(cells);
-    std::vector<std::exception_ptr> errors(cells);
-
+    std::vector<std::exception_ptr> errors(cells.size());
     // Guards the claim cursor, the stop flag and the progress stream.
     std::mutex mu;
     std::size_t next = 0;
@@ -121,20 +108,14 @@ runSweep(const SweepSpec &spec, std::ostream *progress)
             std::size_t i;
             {
                 const std::lock_guard<std::mutex> lock(mu);
-                if (failed || next == cells)
+                if (failed || next == cells.size())
                     return;
                 i = next++;
-                if (progress != nullptr) {
-                    *progress << "sweep: " << spec.policy << " "
-                              << spec.workloads[i % per_combo].name();
-                    for (const auto &[key, value] : combos[i / per_combo])
-                        *progress << " " << key << "=" << value;
-                    *progress << "...\n";
-                }
+                if (progress != nullptr)
+                    *progress << cells[i].progress << "\n";
             }
             try {
-                points[i] = runCell(spec, combos[i / per_combo],
-                                    spec.workloads[i % per_combo]);
+                finish(i, runWorkload(cells[i].config));
             } catch (...) {
                 errors[i] = std::current_exception();
                 const std::lock_guard<std::mutex> lock(mu);
@@ -144,7 +125,7 @@ runSweep(const SweepSpec &spec, std::ostream *progress)
     };
 
     const std::size_t workers = std::min<std::size_t>(
-        spec.jobs == 0 ? affinityCpuCount() : spec.jobs, cells);
+        jobs == 0 ? affinityCpuCount() : jobs, cells.size());
     std::vector<std::thread> pool;
     for (std::size_t k = 1; k < workers; ++k) {
         try {
@@ -160,6 +141,36 @@ runSweep(const SweepSpec &spec, std::ostream *progress)
         if (e)
             std::rethrow_exception(e);
     }
+}
+
+std::vector<SweepPoint>
+runSweep(const SweepSpec &spec, std::ostream *progress)
+{
+    const std::vector<Combo> combos = sweepCombinations(spec.axes);
+    const std::size_t per_combo = spec.workloads.size();
+    std::vector<GridCell> cells;
+    for (const Combo &combo : combos) {
+        for (const WorkloadSpec &w : spec.workloads) {
+            GridCell cell;
+            cell.config.workload = w;
+            cell.config.sys = spec.sys;
+            cell.config.sampling = spec.sampling;
+            cell.config.policy = spec.policy;
+            cell.progress = "sweep: " + spec.policy + " " + w.name();
+            for (const auto &[key, value] : combo) {
+                cell.config.tunables.push_back(key + "=" + value);
+                cell.progress += " " + key + "=" + value;
+            }
+            cell.progress += "...";
+            cells.push_back(std::move(cell));
+        }
+    }
+    std::vector<SweepPoint> points(cells.size());
+    runCells(cells, spec.jobs, progress,
+             [&](std::size_t i, const RunResult &r) {
+                 points[i] = sweepPoint(spec, combos[i / per_combo],
+                                        spec.workloads[i % per_combo], r);
+             });
     return points;
 }
 
@@ -167,43 +178,32 @@ void
 writeSweepCsv(const SweepSpec &spec,
               const std::vector<SweepPoint> &points, std::ostream &out)
 {
-    CsvWriter csv(out);
-    std::vector<std::string> columns = {"workload", "policy", "thp"};
-    for (const SweepAxis &axis : spec.axes)
-        columns.push_back(axis.key);
-    for (const char *metric :
-         {"total_seconds", "compute_seconds", "hint_faults",
-          "promotions", "demotions", "exchanges", "migrations",
-          "thrash", "migrate_fail", "promote_retry", "alloc_fail",
-          "disk_read_retry", "breaker_trips"}) {
-        columns.push_back(metric);
-    }
-    columns.push_back("effective_tunables");
-    csv.header(columns);
-
-    const std::string thp = spec.sys.thp.enabled ? "on" : "off";
+    Record rec;
     for (const SweepPoint &p : points) {
-        csv.cell(p.workload).cell(p.policy).cell(thp);
-        for (const auto &[key, value] : p.tunables) {
-            (void)key;
-            csv.cell(value);
-        }
-        csv.cell(p.totalSeconds)
-            .cell(p.computeSeconds)
-            .cell(p.hintFaults)
-            .cell(p.promotions)
-            .cell(p.demotions)
-            .cell(p.exchanges)
-            .cell(p.migrations)
-            .cell(p.thrash)
-            .cell(p.migrateFail)
-            .cell(p.promoteRetry)
-            .cell(p.allocFail)
-            .cell(p.diskReadRetry)
-            .cell(p.breakerTrips)
-            .cell(p.effectiveTunables);
-        csv.endRow();
+        RecordRow row = {
+            {"workload", p.workload},
+            {"policy", p.policy},
+            {"thp", std::string(spec.sys.thp.enabled ? "on" : "off")}};
+        for (const auto &[key, value] : p.tunables)
+            row.push_back({key, value});
+        row.insert(row.end(), {{"total_seconds", p.totalSeconds},
+                               {"compute_seconds", p.computeSeconds},
+                               {"hint_faults", p.hintFaults},
+                               {"promotions", p.promotions},
+                               {"demotions", p.demotions},
+                               {"exchanges", p.exchanges},
+                               {"migrations", p.migrations},
+                               {"thrash", p.thrash},
+                               {"migrate_fail", p.migrateFail},
+                               {"promote_retry", p.promoteRetry},
+                               {"alloc_fail", p.allocFail},
+                               {"disk_read_retry", p.diskReadRetry},
+                               {"breaker_trips", p.breakerTrips},
+                               {"effective_tunables",
+                                p.effectiveTunables}});
+        rec.rows.push_back(std::move(row));
     }
+    writeRecordCsv(rec, out);
 }
 
 }  // namespace memtier

@@ -1,20 +1,22 @@
 /**
  * @file
- * Parameter-sweep harness over the policy registry: cross-products
- * tunable axes (scan period, hot threshold, rate limit, exchange batch
- * size, ...) with a workload list, runs every combination, and emits
- * one CSV per sweep -- the experiment design of "From Good to Great:
- * Improving Memory Tiering Performance Through Parameter Tuning"
- * applied to the scaled testbed. The cells of a sweep share nothing
- * but the process-wide input caches, so they run on a pool of host
- * threads, each cell on its own Engine; results do not depend on the
- * worker count.
+ * The cell pool every bench grid runs on, and the parameter-sweep
+ * harness over the policy registry built on it: cross-products tunable
+ * axes (scan period, hot threshold, rate limit, exchange batch size,
+ * ...) with a workload list, runs every combination, and emits one CSV
+ * per sweep -- the experiment design of "From Good to Great: Improving
+ * Memory Tiering Performance Through Parameter Tuning" applied to the
+ * scaled testbed. The cells of a grid share nothing but the
+ * process-wide input caches, so they run on a pool of host threads,
+ * each cell on its own Engine; results do not depend on the worker
+ * count.
  */
 
 #ifndef MEMTIER_EXP_SWEEP_H_
 #define MEMTIER_EXP_SWEEP_H_
 
 #include <cstdint>
+#include <functional>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -87,18 +89,43 @@ struct SweepPoint
 std::vector<std::vector<std::pair<std::string, std::string>>>
 sweepCombinations(const std::vector<SweepAxis> &axes);
 
+/**
+ * The effective tunables a run ended with, joined as "key=value;..."
+ * in key order (SweepPoint::effectiveTunables).
+ */
+std::string joinedTunables(const RunResult &r);
+
 /** CPUs in this process's affinity mask (at least 1). */
 unsigned affinityCpuCount();
 
+/** One cell of a grid: a run and the line announcing it. */
+struct GridCell
+{
+    RunConfig config;
+    std::string progress;  ///< Printed, with a newline, when claimed.
+};
+
 /**
- * Run the sweep: every tunable combination x every workload, cells in
- * that order (combinations slowest). spec.jobs workers each claim the
- * next cell and run it on an Engine of their own; a cell's progress
- * line is printed when it is claimed, so lines come in cell order. The
- * points, and so writeSweepCsv's output, are identical for every
- * worker count. An exception thrown by a cell is rethrown once every
- * worker has finished (the lowest-numbered cell's, as the serial loop
- * would have thrown); no cell is claimed after one has thrown.
+ * Run @p cells after checkRunConfig has vetted each on the caller's
+ * thread. @p jobs workers (0 = affinityCpuCount(), 1 = the caller's
+ * thread alone; capped at the cell count) claim cells in order, print
+ * each one's progress line (nullptr = quiet), run it on an Engine of
+ * their own and pass the result to @p finish(cell index, result),
+ * which turns it into that cell's row in the worker: one RunResult per
+ * worker is alive at a time. After a cell throws no cell is claimed,
+ * and the lowest-numbered cell's exception is rethrown once every
+ * worker has finished.
+ */
+void runCells(
+    const std::vector<GridCell> &cells, unsigned jobs,
+    std::ostream *progress,
+    const std::function<void(std::size_t, const RunResult &)> &finish);
+
+/**
+ * Run the sweep on runCells: every tunable combination x every
+ * workload, cells in that order (combinations slowest), spec.jobs
+ * workers. The points, and so writeSweepCsv's output, are identical for
+ * every worker count.
  *
  * @param spec what to sweep.
  * @param progress stream for per-run progress lines (nullptr = quiet).
@@ -108,8 +135,8 @@ std::vector<SweepPoint> runSweep(const SweepSpec &spec,
                                  std::ostream *progress = nullptr);
 
 /**
- * Emit the sweep points as CSV: workload, policy, one column per axis,
- * then the metric columns.
+ * Emit the sweep points as CSV (writeRecordCsv): workload, policy,
+ * thp, one column per axis, then the metric columns.
  */
 void writeSweepCsv(const SweepSpec &spec,
                    const std::vector<SweepPoint> &points,

@@ -1,5 +1,9 @@
 #include "exp/workloads.h"
 
+#include <sstream>
+
+#include "base/logging.h"
+
 namespace memtier {
 
 const char *
@@ -27,6 +31,61 @@ const char *
 graphKindName(GraphKind kind)
 {
     return kind == GraphKind::Kron ? "kron" : "urand";
+}
+
+namespace {
+
+App
+parseApp(const std::string &name)
+{
+    for (const App app : {App::BC, App::BFS, App::CC, App::PR, App::SSSP,
+                          App::KV, App::LSM}) {
+        if (name == appName(app))
+            return app;
+    }
+    fatal("unknown app '%s' (expected bc, bfs, cc, pr, sssp, kv or lsm)",
+          name.c_str());
+}
+
+}  // namespace
+
+GraphKind
+parseGraphKind(const std::string &name)
+{
+    for (const GraphKind kind : {GraphKind::Kron, GraphKind::Urand}) {
+        if (name == graphKindName(kind))
+            return kind;
+    }
+    fatal("unknown graph kind '%s' (expected kron or urand)",
+          name.c_str());
+}
+
+std::vector<std::string>
+splitCommas(const std::string &list)
+{
+    std::vector<std::string> out;
+    std::istringstream in(list);
+    for (std::string item; std::getline(in, item, ',');) {
+        if (!item.empty())
+            out.push_back(item);
+    }
+    return out;
+}
+
+WorkloadSpec
+parseWorkload(const std::string &name)
+{
+    const std::size_t colon = name.find(':');
+    if (colon == std::string::npos || colon == 0 ||
+        colon + 1 >= name.size()) {
+        fatal("malformed workload '%s' (expected APP:KIND, e.g. "
+              "pr:kron)",
+              name.c_str());
+    }
+    WorkloadSpec w;
+    w.app = parseApp(name.substr(0, colon));
+    w.kind = parseGraphKind(name.substr(colon + 1));
+    return w;
 }
 
 std::string

@@ -30,6 +30,12 @@ bool isServingApp(App app);
 /** Name of @p kind ("kron"/"urand"). */
 const char *graphKindName(GraphKind kind);
 
+/** The kind graphKindName names @p name; fatal() on any other name. */
+GraphKind parseGraphKind(const std::string &name);
+
+/** The non-empty items of "a,b,c", in order. */
+std::vector<std::string> splitCommas(const std::string &list);
+
 /** One workload = application + dataset + run parameters. */
 struct WorkloadSpec
 {
@@ -63,6 +69,13 @@ struct WorkloadSpec
      *  ("kv_zipf"/"kv_unif" style for the serving apps). */
     std::string name() const;
 };
+
+/**
+ * The workload "APP:KIND" names (appName and graphKindName, e.g.
+ * "pr:kron"), with every other field at its default; fatal() on a
+ * malformed or unknown name.
+ */
+WorkloadSpec parseWorkload(const std::string &name);
 
 /** The paper's six workloads at the default scale. */
 std::vector<WorkloadSpec> paperWorkloads(int scale = 18);

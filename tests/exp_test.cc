@@ -12,6 +12,7 @@
 #include <cstring>
 #include <iostream>
 #include <map>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -19,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include "bigraph/ooc_builder.h"
+#include "exp/record.h"
 #include "exp/report.h"
 #include "exp/runner.h"
 #include "exp/sweep.h"
@@ -102,6 +104,101 @@ TEST(Workloads, PaperMatrixIsSixCombos)
         EXPECT_EQ(w.scale, 12);
         EXPECT_GT(w.trials, 0);
     }
+}
+
+TEST(Workloads, ParseRoundTripsEveryName)
+{
+    for (const App app : {App::BC, App::BFS, App::CC, App::PR, App::SSSP,
+                          App::KV, App::LSM}) {
+        for (const GraphKind kind : {GraphKind::Kron, GraphKind::Urand}) {
+            const std::string name =
+                std::string(appName(app)) + ":" + graphKindName(kind);
+            const WorkloadSpec w = parseWorkload(name);
+            EXPECT_EQ(w.app, app) << name;
+            EXPECT_EQ(w.kind, kind) << name;
+            EXPECT_EQ(parseGraphKind(graphKindName(kind)), kind);
+        }
+    }
+}
+
+TEST(Workloads, ParseDiesOnBadNames)
+{
+    EXPECT_DEATH(parseWorkload("pr"),
+                 "^fatal: malformed workload 'pr' \\(expected APP:KIND, "
+                 "e\\.g\\. pr:kron\\)\n$");
+    EXPECT_DEATH(parseWorkload("pr:"),
+                 "^fatal: malformed workload 'pr:' \\(expected "
+                 "APP:KIND, e\\.g\\. pr:kron\\)\n$");
+    EXPECT_DEATH(parseWorkload("foo:kron"),
+                 "^fatal: unknown app 'foo' \\(expected bc, bfs, cc, pr, "
+                 "sssp, kv or lsm\\)\n$");
+}
+
+TEST(Workloads, SplitCommasDropsEmptyItems)
+{
+    EXPECT_EQ(splitCommas("kv,lsm"),
+              (std::vector<std::string>{"kv", "lsm"}));
+    EXPECT_EQ(splitCommas(",a,,b,"), (std::vector<std::string>{"a", "b"}));
+    EXPECT_TRUE(splitCommas("").empty());
+}
+
+// --------------------------------------------------------------- record
+
+TEST(Record, JsonAndCsvBytesArePinned)
+{
+    const Record rec{
+        "writer_test",
+        {{"scale", 14}, {"label", std::string("a \"b\" \\ c\t")}},
+        {{"cpu", std::string("Test CPU")}, {"nproc", std::uint64_t{4}}},
+        "cells",
+        {{{"workload", std::string("kv_zipf")},
+          {"thp", true},
+          {"p99_usec", 0.1 + 0.2},  // Needs 17 significant digits.
+          {"checksum", (std::uint64_t{1} << 53) + 1},
+          {"delta", std::int64_t{-3}}},
+         {{"workload", std::string("say \"hi\", \\o/")},
+          {"thp", false},
+          {"p99_usec", 2.5},
+          {"checksum", std::uint64_t{18446744073709551615ULL}},
+          {"delta", std::int64_t{0}}}}};
+
+    std::ostringstream json;
+    writeRecordJson(rec, json);
+    EXPECT_EQ(json.str(),
+              "{\n"
+              "  \"bench\": \"writer_test\",\n"
+              "  \"scale\": 14,\n"
+              "  \"label\": \"a \\\"b\\\" \\\\ c\\u0009\",\n"
+              "  \"host\": {\"cpu\": \"Test CPU\", \"nproc\": 4},\n"
+              "  \"cells\": [\n"
+              "    {\"workload\": \"kv_zipf\", \"thp\": true, "
+              "\"p99_usec\": 0.30000000000000004, "
+              "\"checksum\": 9007199254740993, \"delta\": -3},\n"
+              "    {\"workload\": \"say \\\"hi\\\", \\\\o/\", "
+              "\"thp\": false, \"p99_usec\": 2.5, "
+              "\"checksum\": 18446744073709551615, \"delta\": 0}\n"
+              "  ]\n"
+              "}\n");
+
+    std::ostringstream csv;
+    writeRecordCsv(rec, csv);
+    EXPECT_EQ(csv.str(),
+              "workload,thp,p99_usec,checksum,delta\n"
+              "kv_zipf,1,0.3,9007199254740993,-3\n"
+              "\"say \"\"hi\"\", \\o/\",0,2.5,18446744073709551615,0\n");
+
+    // The CSV header is the JSON row's keys, in the same order.
+    const std::string text = json.str();
+    const std::size_t row_at = text.find("    {");
+    const std::string row =
+        text.substr(row_at, text.find('\n', row_at) - row_at);
+    const std::regex key("\"([a-z0-9_]+)\": ");
+    std::string keys;
+    for (auto it = std::sregex_iterator(row.begin(), row.end(), key);
+         it != std::sregex_iterator(); ++it) {
+        keys += (keys.empty() ? "" : ",") + (*it)[1].str();
+    }
+    EXPECT_EQ(keys, csv.str().substr(0, csv.str().find('\n')));
 }
 
 // ---------------------------------------------------------------- sweep
@@ -253,6 +350,104 @@ TEST(Sweep, BadTunableDiesBeforeAnyCell)
     spec.jobs = 4;
     EXPECT_DEATH(runSweep(spec, &std::cerr),
                  "^fatal: tunable scan_period_ms=x is not a number\n$");
+}
+
+// ----------------------------------------------------------- cell pool
+
+/**
+ * One mixed grid: a KV cell, an LSM cell with THP on and two graph
+ * cells, all under pressured DRAM.
+ */
+std::vector<GridCell>
+mixedCells()
+{
+    std::vector<GridCell> cells;
+    const auto add = [&](App app, GraphKind kind, int segments, bool thp) {
+        RunConfig rc;
+        rc.workload.app = app;
+        rc.workload.kind = kind;
+        rc.workload.scale = 10;
+        rc.workload.trials = 1;
+        rc.workload.segments = segments;
+        rc.sampling = false;
+        rc.sys.thp.enabled = thp;
+        rc.sys.dram = makeDramParams(48 * kPageSize);
+        rc.sys.nvm = makeNvmParams(1024 * kPageSize);
+        rc.tunables = {"scan_period_ms=0.125"};
+        cells.push_back({rc, "cell " + rc.workload.name()});
+    };
+    add(App::KV, GraphKind::Kron, 1, false);
+    add(App::LSM, GraphKind::Kron, 1, true);
+    add(App::BFS, GraphKind::Urand, 2, false);
+    add(App::PR, GraphKind::Kron, 1, false);
+    return cells;
+}
+
+/** What a pool cell leaves: enough to tell two runs apart. */
+struct CellDigest
+{
+    double totalSeconds = 0.0;
+    std::uint64_t checksum = 0;
+    std::uint64_t accesses = 0;
+    std::uint64_t vmstatHash = 0;
+    double p99 = 0.0;  ///< Serving cells only.
+
+    bool operator==(const CellDigest &) const = default;
+};
+
+TEST(CellPool, MixedCellsMatchAcrossWorkerCounts)
+{
+    // One worker on the caller's thread and four from cold caches: the
+    // same rows and the same progress lines, in cell order.
+    const std::vector<GridCell> cells = mixedCells();
+    const auto run = [&](unsigned jobs, std::string *progress_text) {
+        clearBigraphArtifacts();
+        std::vector<CellDigest> rows(cells.size());
+        std::ostringstream progress;
+        runCells(cells, jobs, &progress,
+                 [&](std::size_t i, const RunResult &r) {
+                     rows[i] = {r.totalSeconds, r.outputChecksum,
+                                r.totalAccesses,
+                                fnv1a(std::string(
+                                    reinterpret_cast<const char *>(
+                                        &r.vmstat),
+                                    sizeof(VmStat))),
+                                r.hasServing
+                                    ? r.serving.latency.percentile(0.99)
+                                    : 0.0};
+                 });
+        *progress_text = progress.str();
+        return rows;
+    };
+    std::string serial_progress, pool_progress;
+    const std::vector<CellDigest> serial = run(1, &serial_progress);
+    const std::vector<CellDigest> pool = run(4, &pool_progress);
+
+    ASSERT_EQ(serial.size(), 4u);
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+        EXPECT_TRUE(pool[i] == serial[i]) << "cell " << i;
+        EXPECT_GT(serial[i].accesses, 0u) << "cell " << i;
+    }
+    EXPECT_GT(serial[0].p99, 0.0);
+    EXPECT_GT(serial[1].p99, 0.0);
+    EXPECT_EQ(pool_progress, serial_progress);
+    EXPECT_EQ(serial_progress,
+              "cell kv_zipf\ncell lsm_zipf\ncell bfs_urand\n"
+              "cell pr_kron\n");
+    clearBigraphArtifacts();
+}
+
+TEST(CellPool, BadPolicyDiesBeforeAnyCell)
+{
+    // An unknown policy in the last cell of the mixed grid: with four
+    // workers the pool still dies on the caller's thread before any
+    // cell starts, with no progress line ahead of the fatal message.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    std::vector<GridCell> cells = mixedCells();
+    cells.back().config.policy = "nope";
+    EXPECT_DEATH(runCells(cells, 4, &std::cerr,
+                          [](std::size_t, const RunResult &) {}),
+                 "^fatal: unknown policy 'nope' \\(available: [^\n]*\\)\n$");
 }
 
 /** FNV-1a over the bytes of each value added. */
