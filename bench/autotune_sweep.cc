@@ -74,11 +74,11 @@ main(int argc, char **argv)
         if (arg.rfind("--workload", 0) == 0) {
             workload_names.push_back(value_of("--workload"));
         } else if (arg.rfind("--trials", 0) == 0) {
-            trials = std::stoi(value_of("--trials"));
+            trials = parseInt(value_of("--trials"), "--trials");
         } else if (arg.rfind("--seed", 0) == 0) {
-            seed = std::stoull(value_of("--seed"));
+            seed = parseU64(value_of("--seed"), "--seed");
         } else if (arg.rfind("--epoch-ms", 0) == 0) {
-            epoch_ms = std::stod(value_of("--epoch-ms"));
+            epoch_ms = parseDouble(value_of("--epoch-ms"), "--epoch-ms");
         } else if (arg.rfind("--out", 0) == 0) {
             out_path = value_of("--out");
         } else if (arg.rfind("--csv", 0) == 0) {

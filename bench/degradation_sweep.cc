@@ -71,9 +71,9 @@ main(int argc, char **argv)
         } else if (arg.rfind("--levels=", 0) == 0) {
             levels.clear();
             for (const std::string &l : splitCommas(arg.substr(9)))
-                levels.push_back(std::atof(l.c_str()));
+                levels.push_back(parseDouble(l, "--levels"));
         } else if (arg.rfind("--trials=", 0) == 0) {
-            trials = std::atoi(arg.c_str() + 9);
+            trials = parseInt(arg.substr(9), "--trials");
         } else if (arg.rfind("--out=", 0) == 0) {
             out_path = arg.substr(6);
         } else if (arg.rfind("--csv=", 0) == 0) {

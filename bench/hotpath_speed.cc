@@ -29,7 +29,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -147,15 +146,15 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg.rfind("--scale=", 0) == 0) {
-            scales = {std::atoi(arg.c_str() + 8)};
+            scales = {parseInt(arg.substr(8), "--scale")};
         } else if (arg.rfind("--scales=", 0) == 0) {
             scales.clear();
             for (const std::string &item : splitCommas(arg.substr(9)))
-                scales.push_back(std::atoi(item.c_str()));
+                scales.push_back(parseInt(item, "--scales"));
         } else if (arg.rfind("--trials=", 0) == 0) {
-            trials = std::atoi(arg.c_str() + 9);
+            trials = parseInt(arg.substr(9), "--trials");
         } else if (arg.rfind("--reps=", 0) == 0) {
-            reps = std::atoi(arg.c_str() + 7);
+            reps = parseInt(arg.substr(7), "--reps");
         } else if (arg.rfind("--out=", 0) == 0) {
             out_path = arg.substr(6);
         } else {

@@ -111,7 +111,7 @@ main(int argc, char **argv)
             spec.workloads.push_back(
                 parseWorkload(value_of("--workload")));
         } else if (arg.rfind("--segments", 0) == 0) {
-            segments = std::stoi(value_of("--segments"));
+            segments = parseInt(value_of("--segments"), "--segments");
             if (segments < 1)
                 fatal("--segments needs a positive count");
         } else if (arg.rfind("--out", 0) == 0) {
@@ -119,7 +119,7 @@ main(int argc, char **argv)
         } else if (arg.rfind("--faults", 0) == 0) {
             spec.sys.faults = FaultPlan::parseOrDie(value_of("--faults"));
         } else if (arg.rfind("--jobs", 0) == 0) {
-            const int jobs = std::stoi(value_of("--jobs"));
+            const int jobs = parseInt(value_of("--jobs"), "--jobs");
             if (jobs < 0)
                 fatal("--jobs needs a count >= 0");
             spec.jobs = static_cast<unsigned>(jobs);

@@ -24,7 +24,6 @@
 #include <sys/resource.h>
 
 #include <chrono>
-#include <cstdlib>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -89,13 +88,14 @@ parseRow(const std::string &s)
               "SCALE:KIND:MODE[:SEGMENTS])",
               s.c_str());
     SweepRow row;
-    row.scale = std::atoi(parts[0].c_str());
+    row.scale = parseInt(parts[0], "--rows scale");
     if (row.scale < 10 || row.scale > 28)
         fatal("scale_sweep: scale %d out of range", row.scale);
     row.kind = parseGraphKind(parts[1]);
     row.mode = parseMode(parts[2]);
-    row.segments = parts.size() == 4 ? std::atoi(parts[3].c_str())
-                                     : autoSegments(row.scale);
+    row.segments = parts.size() == 4
+                       ? parseInt(parts[3], "--rows segments")
+                       : autoSegments(row.scale);
     if (row.segments < 1)
         fatal("scale_sweep: bad segment count in '%s'", s.c_str());
     return row;
@@ -220,7 +220,7 @@ main(int argc, char **argv)
             for (const std::string &item : splitCommas(arg.substr(7)))
                 rows.push_back(parseRow(item));
         } else if (arg.rfind("--trials=", 0) == 0) {
-            trials = std::atoi(arg.c_str() + 9);
+            trials = parseInt(arg.substr(9), "--trials");
         } else if (arg.rfind("--out=", 0) == 0) {
             out_path = arg.substr(6);
         } else {

@@ -67,7 +67,7 @@ main(int argc, char **argv)
         } else if (arg == "--no-thp") {
             thp_values = {false};
         } else if (arg.rfind("--trials=", 0) == 0) {
-            trials = std::atoi(arg.c_str() + 9);
+            trials = parseInt(arg.substr(9), "--trials");
         } else if (arg == "--faults" && i + 1 < argc) {
             faults = FaultPlan::parseOrDie(argv[++i]);
         } else if (arg.rfind("--faults=", 0) == 0) {

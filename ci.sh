@@ -1,7 +1,9 @@
 #!/bin/bash
 # Continuous-integration gate, meant to be run from the repository root:
 #
-#   1. tier-1 verify: warnings-as-errors build + the full test suite,
+#   1. tier-1 verify: warnings-as-errors build, a check that no
+#      LruSets per-access walk (touch, touchOrInsert, fillSlot) was
+#      compiled out of line, the full test suite,
 #      then examples/policy_explorer once per mode under the invariant
 #      checker, so every example-reachable selection runs end to end,
 #      and examples/quickstart from a scratch directory without
@@ -74,6 +76,14 @@ export MEMTIER_SPILL_DIR="$PWD/build-ci/spill"
 echo "=== [1/11] tier-1: RelWithDebInfo -Werror build + ctest ==="
 cmake -B build-ci -S . -DMEMTIER_WERROR=ON
 cmake --build build-ci -j "$JOBS"
+# The LRU walks are forced inline (DESIGN.md §8); an out-of-line copy
+# puts a call on every cache and TLB probe and loses much of their speed.
+if nm -C build-ci/src/sim/libmemtier_sim.a \
+        build-ci/src/cache/libmemtier_cache.a |
+        grep -E 'memtier::LruSets<[0-9]+u>::(touch|touchOrInsert|fillSlot)\('; then
+    echo "inline check FAILED: an LruSets walk was compiled out of line"
+    exit 1
+fi
 ctest --test-dir build-ci --output-on-failure -j "$JOBS"
 for mode in autonuma notiering object_static object_spill \
             object_dynamic all_dram all_nvm; do

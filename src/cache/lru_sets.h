@@ -3,25 +3,47 @@
  * Set-associative true-LRU bookkeeping, shared by the cache levels
  * (SetAssocCache) and the TLB levels (Tlb).
  *
- * Each set stores its resident keys in MRU-first order plus a fill
- * count: slots [0, fill) are valid, slot 0 is the most recently used
- * and slot fill-1 the least. A hit shifts the keys in front of it back
- * by one slot and puts the hit key at slot 0; an insert does the same
- * from the end, so the victim of a full set is always the last slot and
- * needs no scan. Invalidate closes the gap, and clear zeroes the fill
- * counts. Every shift is a plain word loop of at most ways-1 words:
- * a variable-length memmove would be a libc call per hit and per fill.
+ * Sets of up to 16 ways -- every cache and TLB level the simulator
+ * builds -- keep each key in a fixed slot: a key is written once, when
+ * it fills a slot, and never moves. A set's recency order is one
+ * 64-bit word of 4-bit slot numbers, MRU first (nibble p names the
+ * slot at position p), plus a fill count: the slots at positions
+ * [0, fill) are valid.
+ *  - A hit finds its slot's nibble with a SWAR zero-nibble test and
+ *    rotates it to position 0.
+ *  - A fill takes the slot at position min(fill, ways-1) and rotates
+ *    it to position 0. In a full set that is the LRU victim; otherwise
+ *    it is a free slot and nothing is evicted.
+ *  - Invalidate moves the slot to position fill-1 and shrinks the fill.
+ * A lookup matches a 16-bit partial tag per slot (SSE2, eight slots per
+ * compare, with a scalar fallback) and confirms every candidate against
+ * the full key and its position: a slot at position >= fill may still
+ * hold a stale key.
  *
- * This is exactly true LRU, identical to stamping each way with a
- * per-level tick on every use and evicting the smallest stamp after the
- * first invalid way: stamps of valid ways are distinct and strictly
+ * Each LruSets also remembers the slot of the last key it touched or
+ * filled. That key is the MRU of its set until the next touch or fill
+ * (which takes over the memo), its invalidate or a clear (which drop
+ * the memo): nothing else reorders a set or evicts from it. A repeat
+ * probe of the memo key is therefore a hit with nothing to reorder --
+ * its flag bits are ORed in and no set is walked.
+ *
+ * Wider sets (17..255 ways) keep their keys in MRU-first order
+ * instead: a hit shifts the keys in front of it back by one slot and
+ * puts the hit key at slot 0; an insert does the same from the end, so
+ * the victim of a full set is always the last slot; invalidate closes
+ * the gap. Every shift is a plain word loop of at most ways-1 words.
+ *
+ * Both forms are exactly true LRU, identical to stamping each way with
+ * a per-level tick on every use and evicting the smallest stamp after
+ * the first invalid way: stamps of valid ways are distinct and strictly
  * increasing in use order, so sorting a set by stamp gives the MRU
- * order kept here; and an insert into a set with an invalid way evicts
- * nothing under either scheme, whichever free way it lands in.
+ * order kept here; the victim of a full set is the key at the last
+ * position under both; and an insert into a set with an invalid way
+ * evicts nothing under either scheme, whichever free way it lands in.
  *
  * A key may carry @p FlagBits low payload bits (the cache's dirty bit)
- * that take no part in matching or set selection; a hit ORs the probe's
- * flag bits into the resident key.
+ * that take no part in matching, tagging or set selection; a hit ORs
+ * the probe's flag bits into the resident key.
  */
 
 #ifndef MEMTIER_CACHE_LRU_SETS_H_
@@ -29,13 +51,74 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
+#ifdef __SSE2__
+#include <emmintrin.h>
+#endif
+
 #include "base/logging.h"
 
 namespace memtier {
+
+namespace lru_tags {
+
+/**
+ * Bit i set where tags[i] == @p tag, for each slot i of a set of
+ * 1..16 ways, @p way_mask being (1 << ways) - 1: the portable matcher.
+ */
+inline std::uint32_t
+matchScalar(const std::uint16_t *tags, std::uint32_t way_mask,
+            std::uint16_t tag)
+{
+    std::uint32_t hits = 0;
+    for (unsigned i = 0; (way_mask >> i) != 0; ++i)
+        hits |= std::uint32_t{tags[i] == tag} << i;
+    return hits;
+}
+
+#ifdef __SSE2__
+/**
+ * matchScalar() with one 8-lane compare per eight ways. Reads
+ * tags[0, 8), or tags[0, 16) past eight ways, whatever the way count:
+ * the caller pads the array so those reads stay in bounds.
+ */
+inline std::uint32_t
+matchSse2(const std::uint16_t *tags, std::uint32_t way_mask,
+          std::uint16_t tag)
+{
+    const __m128i probe = _mm_set1_epi16(static_cast<short>(tag));
+    const __m128i lo = _mm_cmpeq_epi16(
+        _mm_loadu_si128(reinterpret_cast<const __m128i *>(tags)), probe);
+    const __m128i hi =
+        way_mask > 0xff ? _mm_cmpeq_epi16(_mm_loadu_si128(
+                                       reinterpret_cast<const __m128i *>(
+                                           tags + 8)),
+                                   probe)
+                 : lo;
+    // Saturating pack turns each all-ones 16-bit lane into one all-ones
+    // byte, so the byte mask has one bit per way.
+    const std::uint32_t hits = static_cast<std::uint32_t>(
+        _mm_movemask_epi8(_mm_packs_epi16(lo, hi)));
+    return hits & way_mask;
+}
+#endif
+
+/** The matcher this build uses (same contract as matchSse2). */
+[[gnu::always_inline]] inline std::uint32_t
+match(const std::uint16_t *tags, std::uint32_t way_mask, std::uint16_t tag)
+{
+#ifdef __SSE2__
+    return matchSse2(tags, way_mask, tag);
+#else
+    return matchScalar(tags, way_mask, tag);
+#endif
+}
+
+}  // namespace lru_tags
 
 template <unsigned FlagBits>
 class LruSets
@@ -45,6 +128,9 @@ class LruSets
 
     /** Low key bits that are payload, not identity. */
     static constexpr Key kFlagMask = (Key{1} << FlagBits) - 1;
+
+    /** Widest set kept in fixed slots under a recency word. */
+    static constexpr unsigned kMaxSlotWays = 16;
 
     /** A key displaced by an insert. */
     struct Victim
@@ -58,7 +144,9 @@ class LruSets
      * @param ways associativity (1..255).
      */
     LruSets(std::uint64_t sets, unsigned ways)
-        : num_sets(sets), assoc(ways)
+        : num_sets(sets), assoc(ways),
+          tag_shift(FlagBits + std::countr_zero(sets)),
+          way_mask((std::uint32_t{1} << std::min(ways, kMaxSlotWays)) - 1)
     {
         MEMTIER_ASSERT(ways > 0 && ways <= 255,
                        "LRU set needs 1..255 ways");
@@ -66,6 +154,12 @@ class LruSets
                        "number of sets must be a power of two");
         keys.assign(sets * ways, 0);
         fill.assign(sets, 0);
+        if (!wide()) {
+            // Padded so the matcher's 8- or 16-lane reads at the last
+            // set stay in bounds.
+            tags.assign(sets * ways + kMaxSlotWays, 0);
+            order.assign(sets, kIdentityOrder);
+        }
     }
 
     std::uint64_t sets() const { return num_sets; }
@@ -76,15 +170,19 @@ class LruSets
      * flag bits into it.
      * @return true on hit.
      */
-    bool
+    [[gnu::always_inline]] bool
     touch(Key key)
     {
+        if (memoHit(key))
+            return true;
+        if (wide()) [[unlikely]]
+            return touchWide(key);
         const std::uint64_t s = setOf(key);
-        Key *slots = &keys[s * assoc];
-        const unsigned i = find(slots, fill[s], key);
-        if (i == fill[s])
+        unsigned slot;
+        unsigned pos;
+        if (!find(s, key, slot, pos))
             return false;
-        moveToFront(slots, i, slots[i] | (key & kFlagMask));
+        promote(s, slot, pos, key);
         return true;
     }
 
@@ -96,23 +194,240 @@ class LruSets
     Victim
     insert(Key key)
     {
-        const std::uint64_t s = setOf(key);
-        Key *slots = &keys[s * assoc];
-        MEMTIER_DEBUG_ASSERT(find(slots, fill[s], key) == fill[s],
-                             "LRU insert of a resident key");
-        return pushFront(slots, fill[s], key);
+        MEMTIER_DEBUG_ASSERT(!contains(key), "LRU insert of a resident key");
+        if (wide()) [[unlikely]]
+            return insertWide(key);
+        return fillSlot(setOf(key), key);
     }
 
     /**
      * touch() on a hit, insert() on a miss, in one walk of the set.
      * @return true on hit (@p victim untouched).
      */
-    bool
+    [[gnu::always_inline]] bool
     touchOrInsert(Key key, Victim &victim)
+    {
+        if (memoHit(key))
+            return true;
+        if (wide()) [[unlikely]]
+            return touchOrInsertWide(key, victim);
+        const std::uint64_t s = setOf(key);
+        unsigned slot;
+        unsigned pos;
+        if (find(s, key, slot, pos)) {
+            promote(s, slot, pos, key);
+            return true;
+        }
+        victim = fillSlot(s, key);
+        return false;
+    }
+
+    /** Drop the resident key matching @p key. @return true if found. */
+    bool
+    invalidate(Key key)
+    {
+        if (wide()) [[unlikely]]
+            return invalidateWide(key);
+        const std::uint64_t s = setOf(key);
+        unsigned slot;
+        unsigned pos;
+        if (!find(s, key, slot, pos))
+            return false;
+        if (memo == s * assoc + slot)
+            memo = kNoMemo;
+        const unsigned last = fill[s] - 1u;
+        order[s] = toPosition(order[s], pos, last, slot);
+        fill[s] = static_cast<std::uint8_t>(last);
+        return true;
+    }
+
+    /** True when a resident key matches @p key (no recency update). */
+    bool
+    contains(Key key) const
+    {
+        if (wide()) [[unlikely]] {
+            const std::uint64_t s = setOf(key);
+            return findWide(&keys[s * assoc], fill[s], key) < fill[s];
+        }
+        unsigned slot;
+        unsigned pos;
+        return find(setOf(key), key, slot, pos);
+    }
+
+    /** Empty every set. */
+    void
+    clear()
+    {
+        // Stale keys, tags and orders stay: positions >= fill (now all)
+        // are never matched, and any order of the free slots will do.
+        std::fill(fill.begin(), fill.end(), 0);
+        memo = kNoMemo;
+    }
+
+  private:
+    /** Slot p at position p; nibbles at positions >= ways never move. */
+    static constexpr std::uint64_t kIdentityOrder = 0xfedcba9876543210;
+
+    static constexpr std::size_t kNoMemo = ~std::size_t{0};
+
+    static constexpr Key kNibbleOnes = 0x1111111111111111;
+
+    bool wide() const { return assoc > kMaxSlotWays; }
+
+    std::uint64_t setOf(Key key) const
+    {
+        return (key >> FlagBits) & (num_sets - 1);
+    }
+
+    std::uint16_t tagOf(Key key) const
+    {
+        return static_cast<std::uint16_t>(key >> tag_shift);
+    }
+
+    static bool same(Key a, Key b) { return ((a ^ b) & ~kFlagMask) == 0; }
+
+    /**
+     * A hit on the memo key: merge the flag bits. The key is already its
+     * set's MRU, so there is nothing to reorder.
+     */
+    [[gnu::always_inline]] bool
+    memoHit(Key key)
+    {
+        if (memo == kNoMemo || !same(keys[memo], key))
+            return false;
+        keys[memo] |= key & kFlagMask;
+        return true;
+    }
+
+    /** Position (0 = MRU) of @p slot in @p order: its zero nibble. */
+    static unsigned
+    positionOf(std::uint64_t order, unsigned slot)
+    {
+        const std::uint64_t x = order ^ (kNibbleOnes * slot);
+        // The lowest flagged nibble is exactly the lowest zero nibble
+        // (borrows only run upward from it); the slot occurs once.
+        const std::uint64_t zero = (x - kNibbleOnes) & ~x & (kNibbleOnes << 3);
+        // Never zero, so the builtin's undefined zero case is moot.
+        return static_cast<unsigned>(__builtin_ctzll(zero)) >> 2;
+    }
+
+    /** @p order with @p slot, now at position @p pos, moved to 0. */
+    static std::uint64_t
+    toFront(std::uint64_t order, unsigned pos, unsigned slot)
+    {
+        // Positions [0, pos]; wraps to all ones at pos 15.
+        const std::uint64_t through = (std::uint64_t{16} << (4 * pos)) - 1;
+        return (order & ~through) | ((order << 4) & through) | slot;
+    }
+
+    /**
+     * @p order with @p slot, now at position @p pos, moved to position
+     * @p last >= pos; positions (pos, last] move forward one.
+     */
+    static std::uint64_t
+    toPosition(std::uint64_t order, unsigned pos, unsigned last,
+               unsigned slot)
+    {
+        const std::uint64_t below = (std::uint64_t{1} << (4 * pos)) - 1;
+        const std::uint64_t before_last =
+            (std::uint64_t{1} << (4 * last)) - 1;
+        const std::uint64_t shifted = before_last & ~below;
+        const std::uint64_t moved =
+            shifted | (std::uint64_t{15} << (4 * last));
+        return (order & ~moved) | ((order >> 4) & shifted) |
+               (std::uint64_t{slot} << (4 * last));
+    }
+
+    /**
+     * The slot of set @p s holding @p key and its position, among the
+     * valid positions [0, fill).
+     * @return false when no valid slot holds @p key.
+     */
+    [[gnu::always_inline]] bool
+    find(std::uint64_t s, Key key, unsigned &slot, unsigned &pos) const
+    {
+        const std::size_t base = s * assoc;
+        std::uint32_t candidates =
+            lru_tags::match(&tags[base], way_mask, tagOf(key));
+        while (candidates != 0) {
+            const unsigned i = std::countr_zero(candidates);
+            candidates &= candidates - 1;
+            if (!same(keys[base + i], key))
+                continue;
+            const unsigned p = positionOf(order[s], i);
+            if (p < fill[s]) {
+                slot = i;
+                pos = p;
+                return true;
+            }
+        }
+        return false;
+    }
+
+    /** A hit on @p slot at position @p pos of set @p s. */
+    [[gnu::always_inline]] void
+    promote(std::uint64_t s, unsigned slot, unsigned pos, Key key)
+    {
+        const std::size_t at = s * assoc + slot;
+        keys[at] |= key & kFlagMask;
+        order[s] = toFront(order[s], pos, slot);
+        memo = at;
+    }
+
+    /**
+     * Fill @p key into set @p s as its MRU, evicting the LRU key when
+     * the set is full.
+     */
+    [[gnu::always_inline]] Victim
+    fillSlot(std::uint64_t s, Key key)
+    {
+        const unsigned n = fill[s];
+        const unsigned pos = n < assoc ? n : assoc - 1;
+        const std::uint64_t o = order[s];
+        const unsigned slot = static_cast<unsigned>(o >> (4 * pos)) & 15;
+        const std::size_t at = s * assoc + slot;
+        Victim victim;
+        if (n == assoc) {
+            victim.valid = true;
+            victim.key = keys[at];
+        } else {
+            fill[s] = static_cast<std::uint8_t>(n + 1);
+        }
+        keys[at] = key;
+        tags[at] = tagOf(key);
+        order[s] = toFront(o, pos, slot);
+        memo = at;
+        return victim;
+    }
+
+    // ------------------------------------------------------------------
+    // Sets wider than kMaxSlotWays: keys shift, MRU first.
+
+    [[gnu::noinline]] bool
+    touchWide(Key key)
     {
         const std::uint64_t s = setOf(key);
         Key *slots = &keys[s * assoc];
-        const unsigned i = find(slots, fill[s], key);
+        const unsigned i = findWide(slots, fill[s], key);
+        if (i == fill[s])
+            return false;
+        moveToFront(slots, i, slots[i] | (key & kFlagMask));
+        return true;
+    }
+
+    [[gnu::noinline]] Victim
+    insertWide(Key key)
+    {
+        const std::uint64_t s = setOf(key);
+        return pushFront(&keys[s * assoc], fill[s], key);
+    }
+
+    [[gnu::noinline]] bool
+    touchOrInsertWide(Key key, Victim &victim)
+    {
+        const std::uint64_t s = setOf(key);
+        Key *slots = &keys[s * assoc];
+        const unsigned i = findWide(slots, fill[s], key);
         if (i < fill[s]) {
             moveToFront(slots, i, slots[i] | (key & kFlagMask));
             return true;
@@ -121,14 +436,13 @@ class LruSets
         return false;
     }
 
-    /** Drop the resident key matching @p key. @return true if found. */
     bool
-    invalidate(Key key)
+    invalidateWide(Key key)
     {
         const std::uint64_t s = setOf(key);
         Key *slots = &keys[s * assoc];
         const unsigned n = fill[s];
-        const unsigned i = find(slots, n, key);
+        const unsigned i = findWide(slots, n, key);
         if (i == n)
             return false;
         // Close the gap from the back: each key behind slot i moves one
@@ -140,29 +454,12 @@ class LruSets
         return true;
     }
 
-    /** True when a resident key matches @p key (no recency update). */
-    bool
-    contains(Key key) const
-    {
-        const std::uint64_t s = setOf(key);
-        return find(&keys[s * assoc], fill[s], key) < fill[s];
-    }
-
-    /** Empty every set. */
-    void clear() { std::fill(fill.begin(), fill.end(), 0); }
-
-  private:
-    std::uint64_t setOf(Key key) const
-    {
-        return (key >> FlagBits) & (num_sets - 1);
-    }
-
     /** Slot of the key matching @p key among @p n, or @p n. */
     static unsigned
-    find(const Key *slots, unsigned n, Key key)
+    findWide(const Key *slots, unsigned n, Key key)
     {
         unsigned i = 0;
-        while (i < n && ((slots[i] ^ key) & ~kFlagMask) != 0)
+        while (i < n && !same(slots[i], key))
             ++i;
         return i;
     }
@@ -194,8 +491,15 @@ class LruSets
 
     std::uint64_t num_sets;
     unsigned assoc;
-    std::vector<Key> keys;          ///< num_sets * assoc, MRU first.
+    unsigned tag_shift;            ///< Key bits below the partial tag.
+    std::uint32_t way_mask;        ///< One bit per slot (<= 16 ways).
+    std::size_t memo = kNoMemo;    ///< Index in keys of the memo key.
+    std::vector<Key> keys;         ///< num_sets * assoc.
     std::vector<std::uint8_t> fill;  ///< Valid keys per set.
+    /** Partial tag per slot, plus padding (sets of <= 16 ways only). */
+    std::vector<std::uint16_t> tags;
+    /** Recency word per set, MRU first (sets of <= 16 ways only). */
+    std::vector<std::uint64_t> order;
 };
 
 }  // namespace memtier

@@ -24,16 +24,6 @@ SetAssocCache::SetAssocCache(std::string name, std::uint64_t size_bytes,
 }
 
 void
-SetAssocCache::accessRepeats(Addr line, std::uint64_t count,
-                             bool any_write)
-{
-    MEMTIER_DEBUG_ASSERT(count > 0, "repeat accounting for zero accesses");
-    const bool found = lines.touch(key(line, any_write));
-    MEMTIER_ASSERT(found, "repeat accounting for a non-resident line");
-    hit_count += count;
-}
-
-void
 SetAssocCache::invalidate(Addr line)
 {
     lines.invalidate(key(line, false));

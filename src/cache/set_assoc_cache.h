@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <string>
 
+#include "base/logging.h"
 #include "base/types.h"
 #include "cache/lru_sets.h"
 
@@ -118,8 +119,10 @@ class SetAssocCache
 
 // The per-access methods are inline so the engine's hot path folds
 // them into its own code. accessOrInsert, the probe of every access,
-// is forced inline: GCC otherwise keeps one out-of-line copy that the
-// engine's three level probes and its victim push all call.
+// is forced inline, and so are the LruSets walks under it (touch,
+// touchOrInsert, fillSlot): GCC otherwise keeps one out-of-line copy
+// that the engine's three level probes and its victim push all call.
+// ci.sh fails the build when one of those walks appears out of line.
 
 inline CacheEviction
 SetAssocCache::evictionOf(const Lines::Victim &victim)
@@ -163,6 +166,16 @@ SetAssocCache::accessOrInsert(Addr line, bool dirty, CacheEviction &evicted)
     ++miss_count;
     evicted = evictionOf(victim);
     return false;
+}
+
+inline void
+SetAssocCache::accessRepeats(Addr line, std::uint64_t count,
+                             bool any_write)
+{
+    MEMTIER_DEBUG_ASSERT(count > 0, "repeat accounting for zero accesses");
+    const bool found = lines.touch(key(line, any_write));
+    MEMTIER_ASSERT(found, "repeat accounting for a non-resident line");
+    hit_count += count;
 }
 
 inline bool

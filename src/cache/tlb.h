@@ -12,6 +12,7 @@
 
 #include <cstdint>
 
+#include "base/logging.h"
 #include "base/types.h"
 #include "cache/lru_sets.h"
 
@@ -128,6 +129,69 @@ class Tlb
     std::uint64_t huge_stlb_hits = 0;
     std::uint64_t huge_miss_count = 0;
 };
+
+// The per-access methods are inline so the engine's hot path folds
+// them into its own code; lookup, the translation of every access, is
+// forced inline like SetAssocCache::accessOrInsert.
+
+[[gnu::always_inline]] inline TlbOutcome
+Tlb::lookup(PageNum vpn)
+{
+    // One walk per level: a first-level miss installs the entry in the
+    // same walk, and the second level either hits or installs it too.
+    // The levels are separate arrays, so filling the first before
+    // probing the second changes nothing.
+    Level::Victim unused;
+    if (l1.touchOrInsert(vpn, unused)) {
+        ++l1_hits;
+        return TlbOutcome::L1Hit;
+    }
+    if (stlb.touchOrInsert(vpn, unused)) {
+        ++stlb_hits;
+        return TlbOutcome::StlbHit;
+    }
+    ++miss_count;
+    return TlbOutcome::Miss;
+}
+
+inline TlbOutcome
+Tlb::lookupHuge(PageNum base_vpn)
+{
+    // Key by huge-page number, not base vpn: a 2 MiB base has nine zero
+    // low bits, which would otherwise alias every range onto set 0.
+    const PageNum key = base_vpn >> kPagesPerHugeShift;
+    Level::Victim unused;
+    if (l1Huge.touchOrInsert(key, unused)) {
+        ++huge_l1_hits;
+        return TlbOutcome::L1Hit;
+    }
+    if (stlbHuge.touchOrInsert(key, unused)) {
+        ++huge_stlb_hits;
+        return TlbOutcome::StlbHit;
+    }
+    ++huge_miss_count;
+    return TlbOutcome::Miss;
+}
+
+inline void
+Tlb::repeatHits(PageNum vpn, std::uint64_t count)
+{
+    MEMTIER_DEBUG_ASSERT(count > 0, "TLB repeat accounting for zero hits");
+    const bool found = l1.touch(vpn);
+    MEMTIER_ASSERT(found, "TLB repeat accounting for a non-resident vpn");
+    l1_hits += count;
+}
+
+inline void
+Tlb::repeatHitsHuge(PageNum base_vpn, std::uint64_t count)
+{
+    MEMTIER_DEBUG_ASSERT(count > 0, "TLB repeat accounting for zero hits");
+    const PageNum key = base_vpn >> kPagesPerHugeShift;
+    const bool found = l1Huge.touch(key);
+    MEMTIER_ASSERT(found,
+                   "TLB repeat accounting for a non-resident huge range");
+    huge_l1_hits += count;
+}
 
 }  // namespace memtier
 

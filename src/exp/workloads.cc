@@ -1,6 +1,8 @@
 #include "exp/workloads.h"
 
+#include <charconv>
 #include <sstream>
+#include <system_error>
 
 #include "base/logging.h"
 
@@ -70,6 +72,44 @@ splitCommas(const std::string &list)
             out.push_back(item);
     }
     return out;
+}
+
+namespace {
+
+template <typename T>
+T
+parseNumber(const std::string &text, const char *what)
+{
+    T value{};
+    const char *end = text.data() + text.size();
+    const auto [stop, err] = std::from_chars(text.data(), end, value);
+    if (err == std::errc::result_out_of_range)
+        fatal("%s: '%s' is out of range", what, text.c_str());
+    if (err != std::errc{})
+        fatal("%s: '%s' is not a number", what, text.c_str());
+    if (stop != end)
+        fatal("%s: '%s' has trailing characters", what, text.c_str());
+    return value;
+}
+
+}  // namespace
+
+int
+parseInt(const std::string &text, const char *what)
+{
+    return parseNumber<int>(text, what);
+}
+
+std::uint64_t
+parseU64(const std::string &text, const char *what)
+{
+    return parseNumber<std::uint64_t>(text, what);
+}
+
+double
+parseDouble(const std::string &text, const char *what)
+{
+    return parseNumber<double>(text, what);
 }
 
 WorkloadSpec

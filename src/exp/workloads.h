@@ -36,6 +36,15 @@ GraphKind parseGraphKind(const std::string &name);
 /** The non-empty items of "a,b,c", in order. */
 std::vector<std::string> splitCommas(const std::string &list);
 
+/**
+ * @p text as a number, for the command-line option @p what (named in
+ * the message): fatal() when @p text is empty or not a number, has
+ * trailing characters, or is out of the type's range.
+ */
+int parseInt(const std::string &text, const char *what);
+std::uint64_t parseU64(const std::string &text, const char *what);
+double parseDouble(const std::string &text, const char *what);
+
 /** One workload = application + dataset + run parameters. */
 struct WorkloadSpec
 {

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <string>
 #include <vector>
 
@@ -137,6 +139,269 @@ TEST(LruSets, ClearEmptiesEverySet)
     for (std::uint64_t k = 0; k < 8; ++k)
         EXPECT_FALSE(sets.contains(k));
     EXPECT_FALSE(sets.insert(0).valid);
+}
+
+TEST(LruSets, InvalidatedMemoKeyMissesAfterwards)
+{
+    LruSets<0> sets(2, 4);
+    sets.insert(6);
+    EXPECT_TRUE(sets.touch(6));       // 6 is the memo key.
+    EXPECT_TRUE(sets.invalidate(6));  // Drops the memo with it.
+    EXPECT_FALSE(sets.touch(6));
+    EXPECT_FALSE(sets.contains(6));
+    LruSets<0>::Victim v;
+    EXPECT_FALSE(sets.touchOrInsert(6, v));
+    EXPECT_FALSE(v.valid);
+    EXPECT_TRUE(sets.touch(6));
+}
+
+TEST(LruSets, ClearDropsTheMemoKey)
+{
+    LruSets<0> sets(1, 2);
+    sets.insert(3);
+    EXPECT_TRUE(sets.touch(3));  // 3 is the memo key.
+    sets.clear();
+    EXPECT_FALSE(sets.touch(3));
+    EXPECT_FALSE(sets.contains(3));
+    EXPECT_FALSE(sets.insert(3).valid);
+}
+
+TEST(LruSets, FlagProbeOnTheMemoKeySticks)
+{
+    LruSets<1> sets(1, 2);
+    sets.insert(7 << 1);
+    sets.insert(8 << 1);
+    EXPECT_TRUE(sets.touch(7 << 1));        // 7 is MRU and the memo key.
+    EXPECT_TRUE(sets.touch((7 << 1) | 1));  // Memo hit sets the flag.
+    sets.insert(9 << 1);                   // Evicts 8.
+    const LruSets<1>::Victim v = sets.insert(10 << 1);
+    EXPECT_TRUE(v.valid);
+    EXPECT_EQ(v.key, (7u << 1) | 1u);
+}
+
+TEST(LruSets, KeysSharingATagStayApart)
+{
+    // One set, so the 16-bit partial tag is key bits [0, 16): all four
+    // keys share tag 5 and differ only above it.
+    LruSets<0> sets(1, 4);
+    const std::uint64_t t = 5;
+    for (std::uint64_t hi = 0; hi < 4; ++hi)
+        sets.insert((hi << 16) | t);
+    EXPECT_TRUE(sets.touch(t));
+    EXPECT_FALSE(sets.touch((std::uint64_t{4} << 16) | t));
+    EXPECT_TRUE(sets.invalidate((std::uint64_t{2} << 16) | t));
+    EXPECT_FALSE(sets.contains((std::uint64_t{2} << 16) | t));
+    EXPECT_TRUE(sets.contains((std::uint64_t{3} << 16) | t));
+    // Oldest first the set now holds 1, 3, 0 and a free slot: 99 takes
+    // the free slot, and the next fill evicts 1.
+    EXPECT_FALSE(sets.insert(99).valid);
+    const LruSets<0>::Victim v = sets.insert(100);
+    EXPECT_TRUE(v.valid);
+    EXPECT_EQ(v.key, (std::uint64_t{1} << 16) | t);
+}
+
+TEST(LruSets, TagMatchersAgree)
+{
+#ifdef __SSE2__
+    Rng rng(0x7a9);
+    std::uint16_t tags[32];
+    for (int round = 0; round < 20000; ++round) {
+        // Few distinct values, so lanes match often, and tags past the
+        // set (padding the SSE2 form reads) that must never show.
+        for (std::uint16_t &t : tags)
+            t = static_cast<std::uint16_t>(rng.nextBounded(4) * 0x4001);
+        const unsigned ways = 1 + static_cast<unsigned>(rng.nextBounded(16));
+        const std::uint32_t mask = (std::uint32_t{1} << ways) - 1;
+        const std::uint16_t probe = tags[rng.nextBounded(32)];
+        ASSERT_EQ(lru_tags::matchSse2(tags, mask, probe),
+                  lru_tags::matchScalar(tags, mask, probe))
+            << "ways " << ways << " tag " << probe;
+    }
+#else
+    GTEST_SKIP() << "SSE2 matcher not built on this target";
+#endif
+}
+
+/**
+ * The shifting true-LRU sets that fixed slots replaced for sets of up
+ * to 16 ways (LruSets still shifts wider sets): keys in MRU-first
+ * order, a hit moves its key to slot 0, the victim is the last slot.
+ */
+template <unsigned FlagBits>
+class ShiftingLru
+{
+  public:
+    using Key = std::uint64_t;
+    static constexpr Key kFlagMask = (Key{1} << FlagBits) - 1;
+
+    ShiftingLru(std::uint64_t sets, unsigned ways)
+        : num_sets(sets), assoc(ways), keys(sets * ways), fill(sets, 0)
+    {
+    }
+
+    bool
+    touch(Key key)
+    {
+        const std::uint64_t s = setOf(key);
+        Key *slots = &keys[s * assoc];
+        const unsigned i = find(slots, fill[s], key);
+        if (i == fill[s])
+            return false;
+        moveToFront(slots, i, slots[i] | (key & kFlagMask));
+        return true;
+    }
+
+    typename LruSets<FlagBits>::Victim
+    insert(Key key)
+    {
+        const std::uint64_t s = setOf(key);
+        Key *slots = &keys[s * assoc];
+        typename LruSets<FlagBits>::Victim victim;
+        unsigned &n = fill[s];
+        if (n == assoc) {
+            victim.valid = true;
+            victim.key = slots[assoc - 1];
+            moveToFront(slots, assoc - 1, key);
+        } else {
+            moveToFront(slots, n, key);
+            ++n;
+        }
+        return victim;
+    }
+
+    bool
+    invalidate(Key key)
+    {
+        const std::uint64_t s = setOf(key);
+        Key *slots = &keys[s * assoc];
+        const unsigned i = find(slots, fill[s], key);
+        if (i == fill[s])
+            return false;
+        for (unsigned j = i; j + 1 < fill[s]; ++j)
+            slots[j] = slots[j + 1];
+        --fill[s];
+        return true;
+    }
+
+    bool
+    contains(Key key) const
+    {
+        const std::uint64_t s = setOf(key);
+        return find(&keys[s * assoc], fill[s], key) < fill[s];
+    }
+
+    void clear() { std::fill(fill.begin(), fill.end(), 0u); }
+
+  private:
+    std::uint64_t setOf(Key key) const
+    {
+        return (key >> FlagBits) & (num_sets - 1);
+    }
+
+    static unsigned
+    find(const Key *slots, unsigned n, Key key)
+    {
+        unsigned i = 0;
+        while (i < n && ((slots[i] ^ key) & ~kFlagMask) != 0)
+            ++i;
+        return i;
+    }
+
+    static void
+    moveToFront(Key *slots, unsigned i, Key key)
+    {
+        for (; i > 0; --i)
+            slots[i] = slots[i - 1];
+        slots[0] = key;
+    }
+
+    std::uint64_t num_sets;
+    unsigned assoc;
+    std::vector<Key> keys;
+    std::vector<unsigned> fill;
+};
+
+/**
+ * Drive one seeded random stream of every LruSets operation through
+ * LruSets and ShiftingLru and require identical results. Keys come from
+ * a small pool per set in which ways-many identities share each 16-bit
+ * partial tag; a tenth of the probes repeat the last key used (the
+ * memo key), with fresh flag bits.
+ */
+template <unsigned FlagBits>
+void
+diffAgainstShifting(std::uint64_t sets, unsigned ways, std::uint64_t seed)
+{
+    SCOPED_TRACE(testing::Message() << "sets " << sets << " ways " << ways
+                                    << " flag bits " << FlagBits);
+    using Key = std::uint64_t;
+    LruSets<FlagBits> fixed(sets, ways);
+    ShiftingLru<FlagBits> shifting(sets, ways);
+    Rng rng(seed);
+    const unsigned set_bits = std::countr_zero(sets);
+    const unsigned tag_shift = FlagBits + set_bits;
+    auto flags = [&] { return rng.next() & ShiftingLru<FlagBits>::kFlagMask; };
+    auto fresh = [&]() -> Key {
+        const Key set = rng.nextBounded(sets);
+        const Key tag = rng.nextBounded(4) * 0x3001;
+        const Key hi = rng.nextBounded(ways);
+        return ((hi << 16 | tag) << tag_shift) | (set << FlagBits);
+    };
+    Key last = 0;
+    for (int op = 0; op < 6000; ++op) {
+        const Key key = (rng.nextBool(0.1) ? last : fresh()) | flags();
+        const std::uint64_t kind = rng.nextBounded(100);
+        if (kind < 25) {
+            ASSERT_EQ(fixed.touch(key), shifting.touch(key)) << "op " << op;
+        } else if (kind < 55) {
+            typename LruSets<FlagBits>::Victim a;
+            const bool hit = shifting.touch(key);
+            const typename LruSets<FlagBits>::Victim b =
+                hit ? a : shifting.insert(key);
+            ASSERT_EQ(fixed.touchOrInsert(key, a), hit) << "op " << op;
+            ASSERT_EQ(a.valid, b.valid) << "op " << op;
+            ASSERT_EQ(a.key, b.key) << "op " << op;
+        } else if (kind < 70) {
+            if (shifting.contains(key))
+                continue;
+            const auto a = fixed.insert(key);
+            const auto b = shifting.insert(key);
+            ASSERT_EQ(a.valid, b.valid) << "op " << op;
+            ASSERT_EQ(a.key, b.key) << "op " << op;
+        } else if (kind < 85) {
+            ASSERT_EQ(fixed.invalidate(key), shifting.invalidate(key))
+                << "op " << op;
+        } else if (kind < 99) {
+            ASSERT_EQ(fixed.contains(key), shifting.contains(key))
+                << "op " << op;
+        } else if (rng.nextBool(0.3)) {
+            fixed.clear();
+            shifting.clear();
+        }
+        last = key & ~ShiftingLru<FlagBits>::kFlagMask;
+    }
+    // Drain: filling ways fresh keys into every set evicts the
+    // survivors oldest first, with the flag bits they gathered.
+    const Key drain = Key{1} << 62;
+    for (std::uint64_t s = 0; s < sets; ++s) {
+        for (unsigned k = 0; k < ways; ++k) {
+            const Key key = drain | (Key{k} << tag_shift) | (s << FlagBits);
+            const auto a = fixed.insert(key);
+            const auto b = shifting.insert(key);
+            ASSERT_EQ(a.valid, b.valid) << "drain set " << s;
+            ASSERT_EQ(a.key, b.key) << "drain set " << s;
+        }
+    }
+}
+
+TEST(LruSets, FixedSlotsMatchShiftingAtEveryWayCount)
+{
+    for (unsigned ways = 1; ways <= LruSets<0>::kMaxSlotWays; ++ways) {
+        for (const std::uint64_t sets : {1u, 2u, 8u}) {
+            diffAgainstShifting<0>(sets, ways, 0x51 + ways * 7 + sets);
+            diffAgainstShifting<1>(sets, ways, 0x99 + ways * 7 + sets);
+        }
+    }
 }
 
 // -------------------------------------------------------- SetAssocCache

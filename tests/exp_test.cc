@@ -142,6 +142,34 @@ TEST(Workloads, SplitCommasDropsEmptyItems)
     EXPECT_TRUE(splitCommas("").empty());
 }
 
+TEST(Workloads, ParseNumbersAcceptsWholeValues)
+{
+    EXPECT_EQ(parseInt("48", "--trials"), 48);
+    EXPECT_EQ(parseInt("-3", "--jobs"), -3);
+    EXPECT_EQ(parseU64("18446744073709551615", "--seed"),
+              18446744073709551615ULL);
+    EXPECT_EQ(parseDouble("0.25", "--levels"), 0.25);
+    EXPECT_EQ(parseDouble("2", "--epoch-ms"), 2.0);
+}
+
+TEST(Workloads, ParseNumbersDieOnJunk)
+{
+    // A list item that is not a number, as in --levels=x,0.25.
+    const std::vector<std::string> levels = splitCommas("x,0.25");
+    EXPECT_DEATH(parseDouble(levels[0], "--levels"),
+                 "^fatal: --levels: 'x' is not a number\n$");
+    EXPECT_DEATH(parseInt("8x", "--trials"),
+                 "^fatal: --trials: '8x' has trailing characters\n$");
+    EXPECT_DEATH(parseInt("", "--reps"),
+                 "^fatal: --reps: '' is not a number\n$");
+    EXPECT_DEATH(parseInt("4294967296", "--scale"),
+                 "^fatal: --scale: '4294967296' is out of range\n$");
+    EXPECT_DEATH(parseU64("-1", "--seed"),
+                 "^fatal: --seed: '-1' is not a number\n$");
+    EXPECT_DEATH(parseDouble("1e999", "--epoch-ms"),
+                 "^fatal: --epoch-ms: '1e999' is out of range\n$");
+}
+
 // --------------------------------------------------------------- record
 
 TEST(Record, JsonAndCsvBytesArePinned)
