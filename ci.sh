@@ -121,13 +121,14 @@ cmake -B build-asan -S . -DMEMTIER_WERROR=ON \
 cmake --build build-asan -j "$JOBS"
 ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 
-echo "=== [3/11] tsan: cell pool and shared caches under ThreadSanitizer ==="
+echo "=== [3/11] tsan: cell pool, bucket sort and shared caches under ThreadSanitizer ==="
 # The cell pool (runCells, under runSweep and the grid benches) runs
-# cells on host threads that share the bigraph artifact cache. The two
-# binaries holding the concurrent tests are built with
-# -fsanitize=thread in their own directory; the pool and single-flight
-# tests run under it and halt_on_error turns any reported race into a
-# failure.
+# cells on host threads that share the bigraph artifact cache, and the
+# out-of-core build sorts its spill buckets on a pool of its own. The
+# two binaries holding the concurrent tests are built with
+# -fsanitize=thread in their own directory; the pool, bucket-sort and
+# single-flight tests run under it and halt_on_error turns any
+# reported race into a failure.
 cmake -B build-tsan -S . -DMEMTIER_WERROR=ON \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer"
 cmake --build build-tsan -j "$JOBS" --target exp_test bigraph_test
@@ -135,7 +136,7 @@ TSAN_OPTIONS=halt_on_error=1 MEMTIER_SPILL_DIR=build-tsan/spill \
     ./build-tsan/tests/exp_test --gtest_filter='Sweep.*:CellPool.*'
 TSAN_OPTIONS=halt_on_error=1 MEMTIER_SPILL_DIR=build-tsan/spill \
     ./build-tsan/tests/bigraph_test \
-    --gtest_filter='SegmentedCsr.Concurrent*'
+    --gtest_filter='SegmentedCsr.Concurrent*:SegmentedCsr.ParallelBucketSortMatchesSerial'
 
 echo "=== [4/11] serving smoke: short tail sweep under ASan/UBSan ==="
 # One trial, three policies, THP off and on: small enough to stay fast

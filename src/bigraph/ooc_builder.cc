@@ -1,6 +1,7 @@
 #include "bigraph/ooc_builder.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cerrno>
 #include <cstdio>
@@ -11,10 +12,13 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <system_error>
+#include <thread>
 #include <utility>
 
 #include <unistd.h>
 
+#include "base/affinity.h"
 #include "base/logging.h"
 #include "base/rng.h"
 #include "bigraph/segmented_csr.h"
@@ -279,36 +283,39 @@ sortTargets(std::uint32_t *a, std::size_t n, std::uint32_t *scratch,
 }
 
 /**
- * Phase 2: sort and deduplicate every bucket and record the edge
- * counts -- global dedup falls out of per-bucket dedup because a
- * directed edge's bucket is a function of its source.
+ * One phase-2 worker's host buffers, sized from the spill so that one
+ * set serves every bucket: the I/O chunk, one offset per row of a
+ * segment, and the targets and the radix scratch, each as long as the
+ * largest bucket. The targets and the scratch are left uninitialized,
+ * so a bucket touches only the pages it fills.
  */
-void
-sortAndDedup(BigraphArtifacts &art)
+struct BucketBuffers
 {
-    for (std::uint32_t k = 0; k < art.segments; ++k) {
-        const std::int64_t first =
-            static_cast<std::int64_t>(k) * art.rowsPerSegment;
-        const std::int64_t end = std::min<std::int64_t>(
-            first + art.rowsPerSegment, art.nodes);
-        art.edgeCounts[k] = static_cast<std::int64_t>(sortAndDedupBucket(
-            art.segFiles[k], static_cast<NodeId>(first),
-            static_cast<NodeId>(end - first)));
+    BucketBuffers(std::size_t max_pairs, std::size_t max_rows)
+        : chunk(kChunkPairs), start(max_rows + 1),
+          targets(std::make_unique_for_overwrite<std::uint32_t[]>(max_pairs)),
+          scratch(std::make_unique_for_overwrite<std::uint32_t[]>(max_pairs)),
+          capacity(max_pairs)
+    {
     }
-    art.edgeBases.assign(art.segments + 1, 0);
-    for (std::uint32_t k = 0; k < art.segments; ++k)
-        art.edgeBases[k + 1] = art.edgeBases[k] + art.edgeCounts[k];
-    art.totalEdges = art.edgeBases[art.segments];
-}
 
-}  // namespace
+    std::vector<std::uint64_t> chunk;
+    std::vector<std::size_t> start;
+    std::unique_ptr<std::uint32_t[]> targets;
+    std::unique_ptr<std::uint32_t[]> scratch;
+    std::size_t capacity;  ///< Pairs the targets and scratch hold.
+};
 
+/** sortAndDedupBucket() on the caller's @p buf. */
 std::uint64_t
-sortAndDedupBucket(const std::string &path, NodeId first_row,
-                   NodeId row_count)
+sortBucket(const std::string &path, NodeId first_row, NodeId row_count,
+           BucketBuffers &buf)
 {
-    std::vector<std::uint64_t> chunk(kChunkPairs);
     const auto rows = static_cast<std::size_t>(row_count);
+    MEMTIER_ASSERT(rows < buf.start.size(),
+                   "bigraph: bucket has more rows than its buffers");
+    std::vector<std::uint64_t> &chunk = buf.chunk;
+    std::size_t *const start = buf.start.data();
     const auto rowOf = [&](std::uint64_t p) {
         return static_cast<std::size_t>(pairU(p) - first_row);
     };
@@ -316,7 +323,7 @@ sortAndDedupBucket(const std::string &path, NodeId first_row,
     // Count pass: per-row counts and the targets' significant bits,
     // then an inclusive prefix sum, so start[r] is the end of row r
     // and start[rows] the pair count.
-    std::vector<std::size_t> start(rows + 1, 0);
+    std::fill(start, start + rows + 1, 0);
     std::uint32_t target_bits = 0;
     forEachPairChunk(path, chunk, [&](std::size_t got) {
         for (std::size_t i = 0; i < got; ++i) {
@@ -326,14 +333,14 @@ sortAndDedupBucket(const std::string &path, NodeId first_row,
             target_bits |= static_cast<std::uint32_t>(pairV(chunk[i]));
         }
     });
-    const std::size_t longest =
-        *std::max_element(start.begin(), start.end());
     for (std::size_t r = 1; r <= rows; ++r)
         start[r] += start[r - 1];
+    MEMTIER_ASSERT(start[rows] <= buf.capacity,
+                   "bigraph: bucket larger than its buffers");
 
     // Scatter pass: fill each row backwards, which leaves start[r] at
     // the beginning of row r. Only the 4-byte targets stay resident.
-    std::vector<std::uint32_t> targets(start[rows]);
+    std::uint32_t *const targets = buf.targets.get();
     forEachPairChunk(path, chunk, [&](std::size_t got) {
         for (std::size_t i = 0; i < got; ++i)
             targets[--start[rowOf(chunk[i])]] =
@@ -342,16 +349,16 @@ sortAndDedupBucket(const std::string &path, NodeId first_row,
 
     // Sort + unique each row, compacting the survivors to the front:
     // afterwards row r's kept targets are [start[r], start[r + 1]).
-    std::vector<std::uint32_t> scratch(longest);
+    // The scratch is touched only as far as the longest row.
     const int key_bits = std::bit_width(target_bits);
     std::size_t kept = 0;
     for (std::size_t r = 0; r < rows; ++r) {
-        std::uint32_t *const begin = targets.data() + start[r];
+        std::uint32_t *const begin = targets + start[r];
         const std::size_t n = start[r + 1] - start[r];
-        sortTargets(begin, n, scratch.data(), key_bits);
+        sortTargets(begin, n, buf.scratch.get(), key_bits);
         std::uint32_t *const end = std::unique(begin, begin + n);
-        if (begin != targets.data() + kept)
-            std::copy(begin, end, targets.data() + kept);
+        if (begin != targets + kept)
+            std::copy(begin, end, targets + kept);
         start[r] = kept;
         kept += static_cast<std::size_t>(end - begin);
     }
@@ -378,6 +385,73 @@ sortAndDedupBucket(const std::string &path, NodeId first_row,
     return kept;
 }
 
+/**
+ * Phase 2: sort and deduplicate every bucket and record the edge
+ * counts -- global dedup falls out of per-bucket dedup because a
+ * directed edge's bucket is a function of its source. @p workers host
+ * threads (the caller's among them) claim buckets in order; each
+ * rewrites only its own bucket's file and edge count, so the artifacts
+ * are the same for every worker count.
+ */
+void
+sortAndDedup(BigraphArtifacts &art, unsigned workers)
+{
+    // Every worker's buffers come from the calling thread, before any
+    // worker starts. Buffers a worker allocated itself would come from
+    // its own malloc arena, where the run phase cannot reuse them, and
+    // would add to the process's peak RSS.
+    const std::size_t pool = std::min(workers, art.segments);
+    std::vector<BucketBuffers> bufs;
+    bufs.reserve(pool);
+    for (std::size_t w = 0; w < pool; ++w)
+        bufs.emplace_back(art.maxSpillBytes / sizeof(std::uint64_t),
+                          static_cast<std::size_t>(art.rowsPerSegment));
+
+    std::atomic<std::uint32_t> next{0};
+    const auto work = [&art, &next](BucketBuffers &buf) {
+        for (std::uint32_t k = next++; k < art.segments; k = next++) {
+            const std::int64_t first =
+                static_cast<std::int64_t>(k) * art.rowsPerSegment;
+            const std::int64_t end = std::min<std::int64_t>(
+                first + art.rowsPerSegment, art.nodes);
+            art.edgeCounts[k] = static_cast<std::int64_t>(
+                sortBucket(art.segFiles[k], static_cast<NodeId>(first),
+                           static_cast<NodeId>(end - first), buf));
+        }
+    };
+    std::vector<std::thread> threads;
+    for (std::size_t w = 1; w < pool; ++w) {
+        try {
+            threads.emplace_back(work, std::ref(bufs[w]));
+        } catch (const std::system_error &) {
+            break;  // No thread to spare: run on the ones we have.
+        }
+    }
+    work(bufs[0]);  // The caller's thread is a worker too.
+    for (std::thread &th : threads)
+        th.join();
+
+    art.edgeBases.assign(art.segments + 1, 0);
+    for (std::uint32_t k = 0; k < art.segments; ++k)
+        art.edgeBases[k + 1] = art.edgeBases[k] + art.edgeCounts[k];
+    art.totalEdges = art.edgeBases[art.segments];
+}
+
+}  // namespace
+
+std::uint64_t
+sortAndDedupBucket(const std::string &path, NodeId first_row,
+                   NodeId row_count)
+{
+    std::error_code ec;
+    const std::uintmax_t bytes = std::filesystem::file_size(path, ec);
+    if (ec)
+        fatal("bigraph: cannot open %s", path.c_str());
+    BucketBuffers buf(bytes / sizeof(std::uint64_t),
+                      static_cast<std::size_t>(row_count));
+    return sortBucket(path, first_row, row_count, buf);
+}
+
 const char *
 bigraphKindName(BigraphKind kind)
 {
@@ -395,7 +469,7 @@ bigraphSpillDir()
 }
 
 const BigraphArtifacts &
-prepareBigraph(const BigraphSpec &spec)
+prepareBigraph(const BigraphSpec &spec, unsigned workers)
 {
     MEMTIER_ASSERT(spec.scale > 0 && spec.scale < 32,
                    "bigraph scale out of range");
@@ -448,7 +522,7 @@ prepareBigraph(const BigraphSpec &spec)
     inform("bigraph: spilling %s scale %d into %u segment buckets",
            bigraphKindName(spec.kind), spec.scale, art.segments);
     spillEdges(spec, art);
-    sortAndDedup(art);
+    sortAndDedup(art, workers == 0 ? affinityCpuCount() : workers);
     inform("bigraph: %lld directed edges across %u segments "
            "(max bucket %llu MiB)",
            static_cast<long long>(art.totalEdges), art.segments,

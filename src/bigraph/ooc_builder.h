@@ -3,11 +3,12 @@
  * Out-of-core construction of segmented CSR graphs: edges are streamed
  * once from the generator into per-segment disk spill buckets, then
  * each bucket is sorted, deduplicated and materialized independently,
- * so host RSS is bounded by the largest single segment instead of the
- * whole edge list + CSR (which at scale 24+ would dwarf the host
- * machine). Every runner graph is built this way. Materialization
- * streams each bucket straight into the simulated allocations' host
- * storage, so it holds no copy of a segment of its own.
+ * so host RSS is bounded by the largest single segment (times the
+ * buckets sorted at once) instead of the whole edge list + CSR (which
+ * at scale 24+ would dwarf the host machine). Every runner graph is
+ * built this way. Materialization streams each bucket straight into
+ * the simulated allocations' host storage, so it holds no copy of a
+ * segment of its own.
  *
  * The spill pipeline applies exactly CsrGraph::fromEdgeList's rules
  * (symmetrize, drop self loops, sort by (u, v), deduplicate) per
@@ -86,14 +87,18 @@ std::string bigraphSpillDir();
 /**
  * Run (or fetch from the process-wide cache) phases 1-2 for @p spec:
  * stream-generate, bucket to disk, sort + deduplicate per bucket.
- * reverseBuild does not participate in the cache key -- it only
- * affects materialization order. Thread-safe and single-flight: the
- * cache lock is held across lookup and build, so concurrent callers
- * of one spec build it once and get the same artifacts. The one lock
- * covers every spec: a build blocks every other call, including
- * lookups of specs already cached.
+ * Phase 2 sorts the buckets on @p workers host threads, the caller's
+ * among them (0 = affinityCpuCount(); capped at the segment count);
+ * the artifacts are identical for every worker count, and a cached
+ * spec is returned as built. reverseBuild does not participate in the
+ * cache key -- it only affects materialization order. Thread-safe and
+ * single-flight: the cache lock is held across lookup and build, so
+ * concurrent callers of one spec build it once and get the same
+ * artifacts. The one lock covers every spec: a build blocks every
+ * other call, including lookups of specs already cached.
  */
-const BigraphArtifacts &prepareBigraph(const BigraphSpec &spec);
+const BigraphArtifacts &prepareBigraph(const BigraphSpec &spec,
+                                       unsigned workers = 0);
 
 /**
  * Phase 2 for one spill bucket at @p path whose sources all lie in
@@ -101,8 +106,8 @@ const BigraphArtifacts &prepareBigraph(const BigraphSpec &spec);
  * duplicates and rewrite the file in place. A per-row counting sort
  * over two streaming passes (count, then scatter the 4-byte targets),
  * then a sort + unique within each row. Host memory is the targets,
- * one offset per row and a sort scratch as long as the longest row.
- * Returns the deduplicated pair count.
+ * one offset per row and a sort scratch, touched as far as the longest
+ * row. Returns the deduplicated pair count.
  */
 std::uint64_t sortAndDedupBucket(const std::string &path,
                                  NodeId first_row, NodeId row_count);

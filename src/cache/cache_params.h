@@ -19,7 +19,10 @@
 
 namespace memtier {
 
-/** Cache hierarchy configuration (per-thread L1/L2, shared L3). */
+/**
+ * Cache hierarchy configuration (per-thread L1/L2, shared L3). Each
+ * level has 1..16 ways; more is a fatal configuration error.
+ */
 struct CacheParams
 {
     std::uint64_t l1Size = 16 * kKiB;

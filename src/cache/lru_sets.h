@@ -3,10 +3,12 @@
  * Set-associative true-LRU bookkeeping, shared by the cache levels
  * (SetAssocCache) and the TLB levels (Tlb).
  *
- * Sets of up to 16 ways -- every cache and TLB level the simulator
- * builds -- keep each key in a fixed slot: a key is written once, when
- * it fills a slot, and never moves. A set's recency order is one
- * 64-bit word of 4-bit slot numbers, MRU first (nibble p names the
+ * A set has at most 16 ways (kMaxSlotWays): no cache or TLB level the
+ * simulator builds has more, and neither does any level of the paper's
+ * Xeon Gold 6240. SetAssocCache and Tlb reject a wider level as a
+ * configuration error. Each key sits in a fixed slot: it is written
+ * once, when it fills a slot, and never moves. A set's recency order is
+ * one 64-bit word of 4-bit slot numbers, MRU first (nibble p names the
  * slot at position p), plus a fill count: the slots at positions
  * [0, fill) are valid.
  *  - A hit finds its slot's nibble with a SWAR zero-nibble test and
@@ -27,13 +29,7 @@
  * probe of the memo key is therefore a hit with nothing to reorder --
  * its flag bits are ORed in and no set is walked.
  *
- * Wider sets (17..255 ways) keep their keys in MRU-first order
- * instead: a hit shifts the keys in front of it back by one slot and
- * puts the hit key at slot 0; an insert does the same from the end, so
- * the victim of a full set is always the last slot; invalidate closes
- * the gap. Every shift is a plain word loop of at most ways-1 words.
- *
- * Both forms are exactly true LRU, identical to stamping each way with
+ * This is exactly true LRU, identical to stamping each way with
  * a per-level tick on every use and evicting the smallest stamp after
  * the first invalid way: stamps of valid ways are distinct and strictly
  * increasing in use order, so sorting a set by stamp gives the MRU
@@ -53,7 +49,6 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #ifdef __SSE2__
@@ -129,7 +124,7 @@ class LruSets
     /** Low key bits that are payload, not identity. */
     static constexpr Key kFlagMask = (Key{1} << FlagBits) - 1;
 
-    /** Widest set kept in fixed slots under a recency word. */
+    /** Widest set: one 4-bit recency nibble per way in a 64-bit word. */
     static constexpr unsigned kMaxSlotWays = 16;
 
     /** A key displaced by an insert. */
@@ -141,25 +136,23 @@ class LruSets
 
     /**
      * @param sets number of sets (a power of two).
-     * @param ways associativity (1..255).
+     * @param ways associativity (1..kMaxSlotWays).
      */
     LruSets(std::uint64_t sets, unsigned ways)
         : num_sets(sets), assoc(ways),
           tag_shift(FlagBits + std::countr_zero(sets)),
-          way_mask((std::uint32_t{1} << std::min(ways, kMaxSlotWays)) - 1)
+          way_mask((std::uint32_t{1} << ways) - 1)
     {
-        MEMTIER_ASSERT(ways > 0 && ways <= 255,
-                       "LRU set needs 1..255 ways");
+        MEMTIER_ASSERT(ways > 0 && ways <= kMaxSlotWays,
+                       "LRU set needs 1..16 ways");
         MEMTIER_ASSERT(std::has_single_bit(sets),
                        "number of sets must be a power of two");
         keys.assign(sets * ways, 0);
         fill.assign(sets, 0);
-        if (!wide()) {
-            // Padded so the matcher's 8- or 16-lane reads at the last
-            // set stay in bounds.
-            tags.assign(sets * ways + kMaxSlotWays, 0);
-            order.assign(sets, kIdentityOrder);
-        }
+        // Padded so the matcher's 8- or 16-lane reads at the last set
+        // stay in bounds.
+        tags.assign(sets * ways + kMaxSlotWays, 0);
+        order.assign(sets, kIdentityOrder);
     }
 
     std::uint64_t sets() const { return num_sets; }
@@ -175,8 +168,6 @@ class LruSets
     {
         if (memoHit(key))
             return true;
-        if (wide()) [[unlikely]]
-            return touchWide(key);
         const std::uint64_t s = setOf(key);
         unsigned slot;
         unsigned pos;
@@ -195,8 +186,6 @@ class LruSets
     insert(Key key)
     {
         MEMTIER_DEBUG_ASSERT(!contains(key), "LRU insert of a resident key");
-        if (wide()) [[unlikely]]
-            return insertWide(key);
         return fillSlot(setOf(key), key);
     }
 
@@ -209,8 +198,6 @@ class LruSets
     {
         if (memoHit(key))
             return true;
-        if (wide()) [[unlikely]]
-            return touchOrInsertWide(key, victim);
         const std::uint64_t s = setOf(key);
         unsigned slot;
         unsigned pos;
@@ -226,8 +213,6 @@ class LruSets
     bool
     invalidate(Key key)
     {
-        if (wide()) [[unlikely]]
-            return invalidateWide(key);
         const std::uint64_t s = setOf(key);
         unsigned slot;
         unsigned pos;
@@ -245,10 +230,6 @@ class LruSets
     bool
     contains(Key key) const
     {
-        if (wide()) [[unlikely]] {
-            const std::uint64_t s = setOf(key);
-            return findWide(&keys[s * assoc], fill[s], key) < fill[s];
-        }
         unsigned slot;
         unsigned pos;
         return find(setOf(key), key, slot, pos);
@@ -271,8 +252,6 @@ class LruSets
     static constexpr std::size_t kNoMemo = ~std::size_t{0};
 
     static constexpr Key kNibbleOnes = 0x1111111111111111;
-
-    bool wide() const { return assoc > kMaxSlotWays; }
 
     std::uint64_t setOf(Key key) const
     {
@@ -400,105 +379,16 @@ class LruSets
         return victim;
     }
 
-    // ------------------------------------------------------------------
-    // Sets wider than kMaxSlotWays: keys shift, MRU first.
-
-    [[gnu::noinline]] bool
-    touchWide(Key key)
-    {
-        const std::uint64_t s = setOf(key);
-        Key *slots = &keys[s * assoc];
-        const unsigned i = findWide(slots, fill[s], key);
-        if (i == fill[s])
-            return false;
-        moveToFront(slots, i, slots[i] | (key & kFlagMask));
-        return true;
-    }
-
-    [[gnu::noinline]] Victim
-    insertWide(Key key)
-    {
-        const std::uint64_t s = setOf(key);
-        return pushFront(&keys[s * assoc], fill[s], key);
-    }
-
-    [[gnu::noinline]] bool
-    touchOrInsertWide(Key key, Victim &victim)
-    {
-        const std::uint64_t s = setOf(key);
-        Key *slots = &keys[s * assoc];
-        const unsigned i = findWide(slots, fill[s], key);
-        if (i < fill[s]) {
-            moveToFront(slots, i, slots[i] | (key & kFlagMask));
-            return true;
-        }
-        victim = pushFront(slots, fill[s], key);
-        return false;
-    }
-
-    bool
-    invalidateWide(Key key)
-    {
-        const std::uint64_t s = setOf(key);
-        Key *slots = &keys[s * assoc];
-        const unsigned n = fill[s];
-        const unsigned i = findWide(slots, n, key);
-        if (i == n)
-            return false;
-        // Close the gap from the back: each key behind slot i moves one
-        // slot forward. (A forward copy loop GCC turns into memmove.)
-        Key carry = slots[n - 1];
-        for (unsigned j = n - 1; j > i; --j)
-            std::swap(slots[j - 1], carry);
-        fill[s] = static_cast<std::uint8_t>(n - 1);
-        return true;
-    }
-
-    /** Slot of the key matching @p key among @p n, or @p n. */
-    static unsigned
-    findWide(const Key *slots, unsigned n, Key key)
-    {
-        unsigned i = 0;
-        while (i < n && !same(slots[i], key))
-            ++i;
-        return i;
-    }
-
-    /** Shift slots [0, i) back one and store @p key at slot 0. */
-    static void
-    moveToFront(Key *slots, unsigned i, Key key)
-    {
-        for (; i > 0; --i)
-            slots[i] = slots[i - 1];
-        slots[0] = key;
-    }
-
-    /** Insert @p key at slot 0 of a set holding @p n keys. */
-    Victim
-    pushFront(Key *slots, std::uint8_t &n, Key key)
-    {
-        Victim victim;
-        if (n == assoc) {
-            victim.valid = true;
-            victim.key = slots[assoc - 1];
-            moveToFront(slots, assoc - 1, key);
-        } else {
-            moveToFront(slots, n, key);
-            ++n;
-        }
-        return victim;
-    }
-
     std::uint64_t num_sets;
     unsigned assoc;
     unsigned tag_shift;            ///< Key bits below the partial tag.
-    std::uint32_t way_mask;        ///< One bit per slot (<= 16 ways).
+    std::uint32_t way_mask;        ///< One bit per slot.
     std::size_t memo = kNoMemo;    ///< Index in keys of the memo key.
     std::vector<Key> keys;         ///< num_sets * assoc.
     std::vector<std::uint8_t> fill;  ///< Valid keys per set.
-    /** Partial tag per slot, plus padding (sets of <= 16 ways only). */
+    /** Partial tag per slot, plus padding. */
     std::vector<std::uint16_t> tags;
-    /** Recency word per set, MRU first (sets of <= 16 ways only). */
+    /** Recency word per set, MRU first. */
     std::vector<std::uint64_t> order;
 };
 

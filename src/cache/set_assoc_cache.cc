@@ -7,9 +7,13 @@ namespace memtier {
 namespace {
 
 std::uint64_t
-setCount(std::uint64_t size_bytes, unsigned ways)
+setCount(const std::string &name, std::uint64_t size_bytes, unsigned ways)
 {
     MEMTIER_ASSERT(ways > 0, "cache needs at least one way");
+    if (ways > LruSets<1>::kMaxSlotWays) {
+        fatal("cache %s has %u ways; at most %u are supported",
+              name.c_str(), ways, LruSets<1>::kMaxSlotWays);
+    }
     MEMTIER_ASSERT(size_bytes % (ways * kLineSize) == 0,
                    "cache size must be a multiple of ways * line size");
     return size_bytes / (ways * kLineSize);
@@ -19,7 +23,7 @@ setCount(std::uint64_t size_bytes, unsigned ways)
 
 SetAssocCache::SetAssocCache(std::string name, std::uint64_t size_bytes,
                              unsigned ways)
-    : label(std::move(name)), lines(setCount(size_bytes, ways), ways)
+    : label(std::move(name)), lines(setCount(label, size_bytes, ways), ways)
 {
 }
 

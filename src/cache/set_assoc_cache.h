@@ -37,7 +37,8 @@ class SetAssocCache
     /**
      * @param name level name for stats ("L1", "L2", "L3").
      * @param size_bytes total capacity (must be sets*ways*64).
-     * @param ways associativity.
+     * @param ways associativity (1..16; more is a fatal configuration
+     *        error naming the level).
      */
     SetAssocCache(std::string name, std::uint64_t size_bytes, unsigned ways);
 

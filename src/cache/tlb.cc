@@ -7,8 +7,12 @@ namespace memtier {
 namespace {
 
 std::uint64_t
-setCount(unsigned entries, unsigned ways)
+setCount(const char *level, unsigned entries, unsigned ways)
 {
+    if (ways > LruSets<0>::kMaxSlotWays) {
+        fatal("TLB level %s has %u ways; at most %u are supported", level,
+              ways, LruSets<0>::kMaxSlotWays);
+    }
     MEMTIER_ASSERT(ways > 0 && entries % ways == 0,
                    "TLB entries must divide evenly into ways");
     return entries / ways;
@@ -18,10 +22,11 @@ setCount(unsigned entries, unsigned ways)
 
 Tlb::Tlb(const TlbParams &params)
     : cfg(params),
-      l1(setCount(cfg.l1Entries, cfg.l1Ways), cfg.l1Ways),
-      stlb(setCount(cfg.stlbEntries, cfg.stlbWays), cfg.stlbWays),
-      l1Huge(setCount(cfg.l1HugeEntries, cfg.l1HugeWays), cfg.l1HugeWays),
-      stlbHuge(setCount(cfg.stlbHugeEntries, cfg.stlbHugeWays),
+      l1(setCount("L1", cfg.l1Entries, cfg.l1Ways), cfg.l1Ways),
+      stlb(setCount("STLB", cfg.stlbEntries, cfg.stlbWays), cfg.stlbWays),
+      l1Huge(setCount("L1 huge", cfg.l1HugeEntries, cfg.l1HugeWays),
+             cfg.l1HugeWays),
+      stlbHuge(setCount("STLB huge", cfg.stlbHugeEntries, cfg.stlbHugeWays),
                cfg.stlbHugeWays)
 {
 }

@@ -25,7 +25,7 @@ enum class TlbOutcome : std::uint8_t {
     Miss,       ///< Missed both levels; page walk required.
 };
 
-/** Configuration of the two TLB levels. */
+/** Configuration of the two TLB levels (each of 1..16 ways). */
 struct TlbParams
 {
     unsigned l1Entries = 64;     ///< Skylake-like 64-entry 4-way dTLB.

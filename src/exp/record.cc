@@ -6,9 +6,9 @@
 #include <fstream>
 #include <type_traits>
 
+#include "base/affinity.h"
 #include "base/csv.h"
 #include "base/logging.h"
-#include "exp/sweep.h"
 
 namespace memtier {
 

@@ -6,8 +6,7 @@
 #include <system_error>
 #include <thread>
 
-#include <sched.h>
-
+#include "base/affinity.h"
 #include "exp/record.h"
 
 namespace memtier {
@@ -75,17 +74,6 @@ joinedTunables(const RunResult &r)
         out += key + "=" + value;
     }
     return out;
-}
-
-unsigned
-affinityCpuCount()
-{
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    if (::sched_getaffinity(0, sizeof(set), &set) == 0)
-        return static_cast<unsigned>(std::max(1, CPU_COUNT(&set)));
-    // More CPUs than a cpu_set_t holds: fall back to the online count.
-    return std::max(1u, std::thread::hardware_concurrency());
 }
 
 void

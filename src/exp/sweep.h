@@ -95,9 +95,6 @@ sweepCombinations(const std::vector<SweepAxis> &axes);
  */
 std::string joinedTunables(const RunResult &r);
 
-/** CPUs in this process's affinity mask (at least 1). */
-unsigned affinityCpuCount();
-
 /** One cell of a grid: a run and the line announcing it. */
 struct GridCell
 {

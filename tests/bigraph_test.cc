@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <thread>
@@ -211,6 +212,67 @@ TEST(SegmentedCsr, SpillArtifactsMatchAbsoluteGolden)
         EXPECT_EQ(art.totalEdges, g.totalEdges) << art.key;
         EXPECT_EQ(art.maxSpillBytes, g.maxSpillBytes) << art.key;
         clearBigraphArtifacts();
+    }
+}
+
+/** The bytes of the file at @p path. */
+std::string
+fileBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_TRUE(in) << path;
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+TEST(SegmentedCsr, ParallelBucketSortMatchesSerial)
+{
+    // Phase 2 on 2 and 4 workers against one: every bucket file and
+    // count identical. Kron's first bucket is the largest, and 5
+    // segments do not divide evenly among the workers.
+    struct Case
+    {
+        BigraphKind kind;
+        int scale;
+        std::uint32_t segments;
+    };
+    const Case cases[] = {{BigraphKind::Kron, 14, 5},
+                          {BigraphKind::Kron, 13, 8},
+                          {BigraphKind::Urand, 13, 5},
+                          {BigraphKind::Urand, 12, 8}};
+    clearBigraphArtifacts();
+    for (const Case &c : cases) {
+        BigraphSpec spec;
+        spec.kind = c.kind;
+        spec.scale = c.scale;
+        spec.segments = c.segments;
+        const BigraphArtifacts serial = prepareBigraph(spec, 1);
+        std::vector<std::string> bytes;
+        for (const std::string &path : serial.segFiles)
+            bytes.push_back(fileBytes(path));
+        clearBigraphArtifacts();
+        ASSERT_EQ(serial.segments, c.segments) << serial.key;
+        if (c.kind == BigraphKind::Kron) {
+            EXPECT_EQ(std::max_element(serial.edgeCounts.begin(),
+                                       serial.edgeCounts.end()),
+                      serial.edgeCounts.begin())
+                << serial.key;
+        }
+
+        for (const unsigned workers : {2u, 4u}) {
+            SCOPED_TRACE(testing::Message() << serial.key << " workers "
+                                            << workers);
+            const BigraphArtifacts &art = prepareBigraph(spec, workers);
+            EXPECT_EQ(art.edgeCounts, serial.edgeCounts);
+            EXPECT_EQ(art.edgeBases, serial.edgeBases);
+            EXPECT_EQ(art.totalEdges, serial.totalEdges);
+            EXPECT_EQ(art.maxSpillBytes, serial.maxSpillBytes);
+            ASSERT_EQ(art.segFiles.size(), bytes.size());
+            for (std::uint32_t k = 0; k < art.segments; ++k)
+                EXPECT_TRUE(fileBytes(art.segFiles[k]) == bytes[k])
+                    << "bucket " << k;
+            clearBigraphArtifacts();
+        }
     }
 }
 

@@ -93,41 +93,48 @@ lruFirst(LruSets<0> &sets, std::uint64_t fresh)
     return out;
 }
 
-// The shift loops at the narrowest and the widest set: a hit at the
-// last slot, a fill of a full set, and invalidates of slot 0 and of
-// the last slot.
+// The narrowest set: a hit at the last slot, a fill of a full set, and
+// invalidates of slot 0 and of the last slot. A level wider than 16
+// ways is a configuration error where the cache or the TLB is built.
 TEST(LruSets, ShiftEdgesAtOneAndMaxWays)
 {
-    for (const unsigned ways : {1u, 255u}) {
-        SCOPED_TRACE(ways);
-        LruSets<0> sets(1, ways);
-        std::vector<std::uint64_t> lru;  // Expected keys, LRU first.
-        for (std::uint64_t k = 0; k < ways; ++k) {
-            EXPECT_FALSE(sets.insert(k).valid);
-            lru.push_back(k);
-        }
-        // Hit at the last slot: the LRU key becomes MRU.
-        EXPECT_TRUE(sets.touch(0));
-        lru.erase(lru.begin());
-        lru.push_back(0);
-        // Fill of a full set evicts the last slot.
-        LruSets<0>::Victim v;
-        EXPECT_FALSE(sets.touchOrInsert(1000, v));
-        ASSERT_TRUE(v.valid);
-        EXPECT_EQ(v.key, lru.front());
-        lru.erase(lru.begin());
-        lru.push_back(1000);
-        // Invalidate of slot 0 (the MRU key just filled).
-        EXPECT_TRUE(sets.invalidate(1000));
-        lru.pop_back();
-        EXPECT_FALSE(sets.contains(1000));
-        // Invalidate of the last slot, when any key is left.
-        if (!lru.empty()) {
-            EXPECT_TRUE(sets.invalidate(lru.front()));
-            lru.erase(lru.begin());
-        }
-        EXPECT_EQ(lruFirst(sets, 5000), lru);
+    const unsigned ways = 1;
+    LruSets<0> sets(1, ways);
+    std::vector<std::uint64_t> lru;  // Expected keys, LRU first.
+    for (std::uint64_t k = 0; k < ways; ++k) {
+        EXPECT_FALSE(sets.insert(k).valid);
+        lru.push_back(k);
     }
+    // Hit at the last slot: the LRU key becomes MRU.
+    EXPECT_TRUE(sets.touch(0));
+    lru.erase(lru.begin());
+    lru.push_back(0);
+    // Fill of a full set evicts the last slot.
+    LruSets<0>::Victim v;
+    EXPECT_FALSE(sets.touchOrInsert(1000, v));
+    ASSERT_TRUE(v.valid);
+    EXPECT_EQ(v.key, lru.front());
+    lru.erase(lru.begin());
+    lru.push_back(1000);
+    // Invalidate of slot 0 (the MRU key just filled).
+    EXPECT_TRUE(sets.invalidate(1000));
+    lru.pop_back();
+    EXPECT_FALSE(sets.contains(1000));
+    // Invalidate of the last slot, when any key is left.
+    if (!lru.empty()) {
+        EXPECT_TRUE(sets.invalidate(lru.front()));
+        lru.erase(lru.begin());
+    }
+    EXPECT_EQ(lruFirst(sets, 5000), lru);
+
+    EXPECT_EXIT(SetAssocCache("L2", 255 * kLineSize, 255),
+                testing::ExitedWithCode(1),
+                "cache L2 has 255 ways; at most 16 are supported");
+    TlbParams wide;
+    wide.stlbEntries = 255;
+    wide.stlbWays = 255;
+    EXPECT_EXIT(Tlb{wide}, testing::ExitedWithCode(1),
+                "TLB level STLB has 255 ways; at most 16 are supported");
 }
 
 TEST(LruSets, ClearEmptiesEverySet)
@@ -223,9 +230,9 @@ TEST(LruSets, TagMatchersAgree)
 }
 
 /**
- * The shifting true-LRU sets that fixed slots replaced for sets of up
- * to 16 ways (LruSets still shifts wider sets): keys in MRU-first
- * order, a hit moves its key to slot 0, the victim is the last slot.
+ * The shifting true-LRU sets that fixed slots replaced: keys in
+ * MRU-first order, a hit moves its key to slot 0, the victim is the
+ * last slot.
  */
 template <unsigned FlagBits>
 class ShiftingLru
